@@ -156,7 +156,11 @@ bool DeserializeObjectFile(const std::string& bytes, ObjectFile* out) {
     uint32_t insn_count = reader.U32();
     for (uint32_t k = 0; reader.ok() && k < insn_count; ++k) {
       Insn insn;
-      insn.op = static_cast<Op>(reader.U32());
+      uint32_t op = reader.U32();
+      if (op > static_cast<uint32_t>(Op::kNop)) {
+        return false;
+      }
+      insn.op = static_cast<Op>(op);
       insn.a = reader.I32();
       insn.b = reader.I32();
       function.code.push_back(insn);

@@ -26,7 +26,9 @@ class Linker {
       return Result<LinkResult>::Failure();
     }
     CreateBindings();
-    Patch();
+    if (!Patch()) {
+      return Result<LinkResult>::Failure();
+    }
     return std::move(result_);
   }
 
@@ -267,8 +269,10 @@ class Linker {
     return 0;
   }
 
-  // Phase 4: rewrite code and data relocations.
-  void Patch() {
+  // Phase 4: rewrite code and data relocations. A call to a data symbol (a
+  // prototype in one unit, a variable in another) is an error.
+  bool Patch() {
+    bool ok = true;
     Image& image = result_.image;
     for (const ObjectFile* object : included_) {
       const std::vector<Resolved>& table = resolution_[object];
@@ -282,9 +286,10 @@ class Linker {
           } else if (insn.op == Op::kCall) {
             const Resolved& resolved = table[insn.a];
             if (resolved.kind == Resolved::Kind::kData) {
-              // Calling a data symbol: degrade to an indirect call through the
-              // loaded word? In C this is a type error; treat as callable 0 trap.
-              insn.a = -1;
+              diags_.Error(SourceLoc{object->name, 0, 0},
+                           "'" + function.name + "' calls '" + object->symbols[insn.a].name +
+                               "', which is data, not a function");
+              ok = false;
             } else {
               auto slot = slot_of_callable_.find(resolved.callable);
               if (slot != slot_of_callable_.end() &&
@@ -321,6 +326,7 @@ class Linker {
         }
       }
     }
+    return ok;
   }
 
   std::vector<LinkItem> items_;

@@ -204,14 +204,19 @@ SwapReport ReconfigEngine::Execute(const SwapSpec& spec, int deferred_packets) {
   // Appending functions shifts native callable ids (natives live at
   // [functions.size(), ...)). Patch every stored native reference in old code and
   // data by the same delta, so the shift is unobservable: direct calls, funcref
-  // constants, and linker-recorded funcref data words.
+  // constants, and linker-recorded funcref data words. Only values that name a
+  // native move: a negative integer constant also has the funcref bit set.
+  const int old_callables = old_count + static_cast<int>(image.natives.size());
+  auto names_native = [&](int callable) {
+    return callable >= old_count && callable < old_callables;
+  };
   for (int f = 0; f < old_count; ++f) {
     for (Insn& insn : image.functions[f].code) {
-      if (insn.op == Op::kCall && insn.a >= old_count) {
+      if (insn.op == Op::kCall && names_native(insn.a)) {
         insn.a += appended;
       } else if (insn.op == Op::kConstInt) {
         uint32_t value = static_cast<uint32_t>(insn.a);
-        if (IsFuncRef(value) && DecodeFuncRef(value) >= old_count) {
+        if (IsFuncRef(value) && names_native(DecodeFuncRef(value))) {
           insn.a = static_cast<int32_t>(EncodeFuncRef(DecodeFuncRef(value) + appended));
         }
       }
@@ -230,7 +235,7 @@ SwapReport ReconfigEngine::Execute(const SwapSpec& spec, int deferred_packets) {
   };
   for (uint32_t address : image.func_ref_data) {
     uint32_t value = machine_.ReadWord(address);
-    if (IsFuncRef(value) && DecodeFuncRef(value) >= old_count) {
+    if (IsFuncRef(value) && names_native(DecodeFuncRef(value))) {
       patch_data_word(address, EncodeFuncRef(DecodeFuncRef(value) + appended));
     }
   }
@@ -305,7 +310,8 @@ SwapReport ReconfigEngine::Execute(const SwapSpec& spec, int deferred_packets) {
     return 0;
   };
 
-  // Patch the appended code, exactly as the linker's Patch phase does.
+  // Patch the appended code, exactly as the linker's Patch phase does: a call
+  // to a data symbol is an error there too.
   for (int f = old_count; f < static_cast<int>(image.functions.size()); ++f) {
     for (Insn& insn : image.functions[f].code) {
       if (insn.op == Op::kConstSym) {
@@ -319,11 +325,20 @@ SwapReport ReconfigEngine::Execute(const SwapSpec& spec, int deferred_packets) {
         } else if (resolved.kind == Resolved::Kind::kFunction ||
                    resolved.kind == Resolved::Kind::kNative) {
           insn.a = resolved.callable;
+        } else if (resolved.kind == Resolved::Kind::kData) {
+          if (report.error.empty()) {
+            report.error = "replacement's '" + image.functions[f].name + "' calls '" +
+                           object.symbols[insn.a].name + "', which is data, not a function";
+          }
         } else {
-          insn.a = -1;  // call of a data symbol: trap, as the linker degrades it
+          insn.a = -1;  // a dead local reference: nothing reaches it
         }
       }
     }
+  }
+  if (!report.error.empty()) {
+    machine_.RefreshAfterImageGrowth();
+    return finish(report);
   }
   // Replacement data relocations, against the heap placement.
   for (const DataReloc& reloc : object.data_relocs) {
@@ -352,9 +367,6 @@ SwapReport ReconfigEngine::Execute(const SwapSpec& spec, int deferred_packets) {
       added_data.push_back(symbol.name);
     }
   }
-  // New function ids exist now: extend the machine's profiling attribution and
-  // drop branch predictions that captured pre-growth native ids.
-  machine_.RefreshAfterImageGrowth();
   report.new_functions = appended;
 
   auto abandon = [&](const std::string& error) -> SwapReport& {
@@ -370,6 +382,14 @@ SwapReport ReconfigEngine::Execute(const SwapSpec& spec, int deferred_packets) {
     report.error = error;
     return finish(report);
   };
+
+  // New function ids exist now: the machine verifies them before anything can
+  // reach them, extends its profiling attribution and drops branch predictions
+  // that captured pre-growth native ids.
+  std::string rejected = machine_.RefreshAfterImageGrowth();
+  if (!rejected.empty()) {
+    return abandon("replacement rejected: " + rejected);
+  }
 
   // ---- run the replacement's initializers --------------------------------------
   // Failure semantics mirror failsafe init: a nonzero status or a trap abandons

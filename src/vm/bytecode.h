@@ -50,8 +50,9 @@ enum class Op : uint8_t {
   kJnz,  // pop; jump if nonzero
 
   // Calls. Arguments are pushed left-to-right.
-  kCall,          // a = symbol #(object form) / resolved callee (linked form:
-                  //   >= 0 is a VM function id, < 0 is native id -(a+1)); b = argc
+  kCall,          // a = symbol #(object form) / resolved callee (linked form: a
+                  //   callable id, see Image — a VM function below
+                  //   functions.size(), a native at or above it); b = argc
   kCallIndirect,  // pop function reference, then pop b args
   kCallBound,     // linked form only: call through binding slot #a of the image
                   //   (Image::bindings[a].target), b = argc/returns as kCall. The

@@ -1,14 +1,31 @@
 #include "src/vm/machine.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cstdio>
+#include <cstring>
+#include <limits>
+
+#include "src/vm/verify.h"
 
 namespace knit {
 
 namespace {
-constexpr uint32_t kNullGuard = 0x1000;  // accesses below this address trap
 constexpr uint32_t kStackBytes = 1 << 20;
+constexpr int kNoPrediction = std::numeric_limits<int>::min();  // empty BTB entry
+
+// VM memory is little-endian; on a little-endian host a word is one memcpy.
+static_assert(std::endian::native == std::endian::little,
+              "the VM's word access assumes a little-endian host");
+
+uint32_t LoadWord(const uint8_t* at) {
+  uint32_t value;
+  std::memcpy(&value, at, 4);
+  return value;
+}
+
+void StoreWord(uint8_t* at, uint32_t value) { std::memcpy(at, &value, 4); }
 }  // namespace
 
 std::string ComponentProfile::ToText(size_t max_edges) const {
@@ -62,8 +79,11 @@ std::string ComponentProfile::ToText(size_t max_edges) const {
 }
 
 Machine::Machine(const Image& image, CostModel cost, uint32_t memory_bytes)
-    : image_(image), cost_(cost), memory_(memory_bytes, 0), max_insns_(cost.max_insns) {
-  assert(image.data_base >= kNullGuard);
+    : image_(image),
+      cost_(cost),
+      memory_(memory_bytes, 0),
+      max_insns_(cost.max_insns) {
+  assert(image.data_base >= kNullGuardBytes);
   // Load the data image.
   for (size_t i = 0; i < image.data.size(); ++i) {
     memory_[image.data_base + i] = image.data[i];
@@ -75,7 +95,23 @@ Machine::Machine(const Image& image, CostModel cost, uint32_t memory_bytes)
   icache_sets_ = cost_.icache_bytes / (cost_.icache_line * cost_.icache_ways);
   icache_.assign(static_cast<size_t>(icache_sets_) * cost_.icache_ways, CacheWay{});
 
+  VerifyResult verified = VerifyImage(image);
+  verify_error_ = verified.error;
+  AdoptFunctions(verified);
+  natives_.resize(image.natives.size());
   BindBuiltins();
+}
+
+void Machine::AdoptFunctions(const VerifyResult& verified) {
+  const size_t first = function_info_.size();
+  for (size_t f = first; f < image_.functions.size(); ++f) {
+    FunctionInfo info;
+    info.max_depth = verified.ok() ? verified.max_depth[f - first] : -1;
+    info.site_base = call_sites_;
+    call_sites_ += static_cast<int>(image_.functions[f].code.size());
+    function_info_.push_back(info);
+  }
+  btb_.resize(static_cast<size_t>(call_sites_), kNoPrediction);
 }
 
 void Machine::BindBuiltins() {
@@ -120,7 +156,11 @@ void Machine::BindBuiltins() {
 }
 
 void Machine::BindNative(const std::string& name, NativeFn fn) {
-  natives_[name] = std::move(fn);
+  for (size_t n = 0; n < image_.natives.size(); ++n) {
+    if (image_.natives[n] == name) {
+      natives_[n] = fn;
+    }
+  }
 }
 
 void Machine::ResetCounters() {
@@ -294,7 +334,7 @@ void Machine::set_fault_plan(FaultPlan plan) {
 // the backtrace reflects where the fault lands (inside the callee for functions, at
 // the call site for natives).
 Machine::FaultAction Machine::CheckFault(const std::string& function, uint32_t* value_out) {
-  if (fault_plan_.empty()) {
+  if (fault_plan_.injections.empty()) {
     return FaultAction::kNone;
   }
   long long count = ++invocation_counts_[function];
@@ -312,35 +352,29 @@ Machine::FaultAction Machine::CheckFault(const std::string& function, uint32_t* 
 }
 
 bool Machine::CheckRange(uint32_t address, uint32_t size) {
-  if (address < kNullGuard) {
+  if (InRange(address, size)) {
+    return true;
+  }
+  if (address < kNullGuardBytes) {
     Trap("null/guard-page dereference at address " + std::to_string(address));
-    return false;
-  }
-  if (static_cast<uint64_t>(address) + size > memory_.size()) {
+  } else {
     Trap("out-of-range memory access at address " + std::to_string(address));
-    return false;
   }
-  return true;
+  return false;
 }
 
 uint32_t Machine::ReadWord(uint32_t address) {
   if (!CheckRange(address, 4)) {
     return 0;
   }
-  uint32_t value = 0;
-  for (int i = 0; i < 4; ++i) {
-    value |= static_cast<uint32_t>(memory_[address + i]) << (8 * i);
-  }
-  return value;
+  return LoadWord(&memory_[address]);
 }
 
 void Machine::WriteWord(uint32_t address, uint32_t value) {
   if (!CheckRange(address, 4)) {
     return;
   }
-  for (int i = 0; i < 4; ++i) {
-    memory_[address + i] = static_cast<uint8_t>((value >> (8 * i)) & 0xFF);
-  }
+  StoreWord(&memory_[address], value);
 }
 
 uint8_t Machine::ReadByte(uint32_t address) {
@@ -458,20 +492,23 @@ void Machine::RecoverNestedTrap(size_t eval_depth) {
   trapped_ = false;
   trap_message_.clear();
   trap_backtrace_.clear();
-  // The trap unwind restored stack_pointer_ per popped frame but leaves whatever
-  // the dead frames pushed on the evaluation stack; drop it so the interrupted
-  // outer frame resumes with exactly the stack it had.
-  if (eval_.size() > eval_depth) {
-    eval_.resize(eval_depth);
-  }
+  // The trapped CallId already dropped what its frames pushed on the evaluation
+  // stack; this keeps the interrupted outer frame's stack exactly as it was.
+  eval_top_ = std::min(eval_top_, eval_depth);
 }
 
-void Machine::RefreshAfterImageGrowth() {
+std::string Machine::RefreshAfterImageGrowth() {
   // A swap retargets call sites; retire the indirect-branch predictions so the
   // first post-swap call at each site pays the miss, as real hardware would.
-  btb_.clear();
+  std::fill(btb_.begin(), btb_.end(), kNoPrediction);
+  std::string error = verify_error_;
+  if (error.empty() && function_info_.size() < image_.functions.size()) {
+    VerifyResult verified = VerifyImage(image_, function_info_.size());
+    error = verified.error;
+    AdoptFunctions(verified);
+  }
   if (!profiling_) {
-    return;
+    return error;
   }
   // Extend (never reset) the attribution tables: new functions get component ids,
   // new components get zeroed buckets, accumulated attribution is preserved.
@@ -498,10 +535,13 @@ void Machine::RefreshAfterImageGrowth() {
     function_component_.push_back(intern(component.empty() ? "<other>" : component));
   }
   profile_fn_calls_.resize(image_.functions.size(), 0);
+  return error;
 }
 
 void Machine::ICacheAccess(uint32_t text_address) {
-  int64_t line = text_address / static_cast<uint32_t>(cost_.icache_line);
+  const uint32_t line_bytes = static_cast<uint32_t>(cost_.icache_line);
+  int64_t line = text_address / line_bytes;
+  icache_line_start_ = static_cast<uint64_t>(line) * line_bytes;
   int set = static_cast<int>(line % icache_sets_);
   int64_t tag = line / icache_sets_;
   CacheWay* ways = &icache_[static_cast<size_t>(set) * cost_.icache_ways];
@@ -523,39 +563,44 @@ void Machine::ICacheAccess(uint32_t text_address) {
   cycles_ += cost_.icache_miss_stall;
 }
 
-bool Machine::EnterFunction(int function_id, const uint32_t* args, int argc) {
+bool Machine::EnterFunction(int function_id, int argc) {
   const BytecodeFunction& function = image_.functions[function_id];
-  int fixed = function.param_count;
-  int extras = argc - fixed;
-  if (extras < 0) {
-    Trap("call to " + function.name + " with too few arguments");
-    return false;
-  }
-  if (!function.variadic) {
-    extras = 0;  // ignore surplus (checked by sema; defensive here)
-  }
-  uint32_t frame_bytes =
-      static_cast<uint32_t>(function.frame_size) + static_cast<uint32_t>(extras) * 4 + 16;
-  frame_bytes = (frame_bytes + 7) & ~7u;
-  if (stack_pointer_ < heap_end_ + frame_bytes + 4096) {
+  const int fixed = function.param_count;
+  const int extras = function.variadic ? argc - fixed : 0;  // surplus is ignored otherwise
+  uint64_t frame_bytes = static_cast<uint64_t>(function.frame_size) +
+                         static_cast<uint64_t>(extras) * 4 + 16;
+  frame_bytes = (frame_bytes + 7) & ~uint64_t{7};
+  if (stack_pointer_ < uint64_t{heap_end_} + frame_bytes + 4096) {
     Trap("stack overflow entering " + function.name);
     return false;
   }
   Frame frame;
   frame.saved_sp = stack_pointer_;
-  stack_pointer_ -= frame_bytes;
+  stack_pointer_ -= static_cast<uint32_t>(frame_bytes);
   frame.function = function_id;
   frame.pc = 0;
   frame.fp = stack_pointer_;
-  frame.eval_base = eval_.size();
-  frame.vararg_count = function.variadic ? extras : 0;
+  frame.vararg_count = extras;
   frame.vararg_base = frame.fp + static_cast<uint32_t>(function.frame_size);
-  // Copy fixed params into the first slots and varargs after the static frame.
-  for (int i = 0; i < fixed && i < argc; ++i) {
-    WriteWord(frame.fp + static_cast<uint32_t>(i) * 4, args[i]);
+  // The arguments move from the evaluation stack into the frame: fixed params
+  // in the first slots, varargs after the static frame. The frame lies inside
+  // memory by the overflow check above, so the stores need no range check. A
+  // parameter slot the optimizer dropped from the frame is dead; it lands in the
+  // frame's pad, and one past the whole frame is not written at all.
+  const uint32_t* args = eval_.data() + (eval_top_ - static_cast<size_t>(argc));
+  const int stored = std::min<int>(fixed, static_cast<int>(frame_bytes / 4));
+  for (int i = 0; i < stored; ++i) {
+    StoreWord(&memory_[frame.fp + static_cast<uint32_t>(i) * 4], args[i]);
   }
-  for (int i = 0; i < frame.vararg_count; ++i) {
-    WriteWord(frame.vararg_base + static_cast<uint32_t>(i) * 4, args[fixed + i]);
+  for (int i = 0; i < extras; ++i) {
+    StoreWord(&memory_[frame.vararg_base + static_cast<uint32_t>(i) * 4], args[fixed + i]);
+  }
+  eval_top_ -= static_cast<size_t>(argc);
+  frame.eval_base = eval_top_;
+  // Reserve the callee's verified high-water mark: its pushes need no bounds check.
+  const size_t needed = eval_top_ + static_cast<size_t>(function_info_[function_id].max_depth);
+  if (eval_.size() < needed) {
+    eval_.resize(std::max(needed, eval_.size() * 2));
   }
   if (profiling_) {
     ++profile_fn_calls_[function_id];
@@ -571,495 +616,491 @@ bool Machine::EnterFunction(int function_id, const uint32_t* args, int argc) {
   return true;
 }
 
+bool Machine::ResolveTarget(int site, int callable, int32_t call_b) {
+  // The P6 BTB predicts an indirect branch to its last target at this site.
+  int& predicted = btb_[static_cast<size_t>(site)];
+  if (predicted == callable) {
+    cycles_ += cost_.indirect_predicted;
+  } else {
+    predicted = callable;
+    cycles_ += cost_.indirect_call_overhead;
+  }
+  const int functions = static_cast<int>(image_.functions.size());
+  if (callable < 0 || callable >= functions + static_cast<int>(image_.natives.size())) {
+    Trap("indirect call to invalid function reference");
+    return false;
+  }
+  if (callable >= functions) {
+    return true;  // natives take any arguments and return what the site asks for
+  }
+  const BytecodeFunction& callee = image_.functions[callable];
+  if (!Runnable(callable)) {
+    Trap("indirect call to '" + callee.name + "', which has no verified body");
+    return false;
+  }
+  if (CallArgc(call_b) < callee.param_count) {
+    Trap("call to " + callee.name + " with too few arguments");
+    return false;
+  }
+  if (CallReturns(call_b) != callee.returns_value) {
+    Trap("indirect call to '" + callee.name + "' disagrees with its return convention");
+    return false;
+  }
+  return true;
+}
+
 RunResult Machine::Call(const std::string& name, std::vector<uint32_t> args) {
   int id = image_.FindFunction(name);
   if (id < 0) {
-    return RunResult{false, 0, "no such function: " + name, {}};
+    return RunResult{false, 0, "no such function: " + name, {}, {}};
   }
   return CallId(id, std::move(args));
 }
 
 RunResult Machine::CallId(int function_id, std::vector<uint32_t> args) {
+  if (!verify_error_.empty()) {
+    return RunResult{false, 0, verify_error_, {}, {}};
+  }
   trapped_ = false;
   trap_message_.clear();
   trap_backtrace_.clear();
-  size_t base_frames = frames_.size();
+  const size_t base_frames = frames_.size();
+  const size_t base_eval = eval_top_;
 
   if (function_id < 0 || function_id >= static_cast<int>(image_.functions.size())) {
-    return RunResult{false, 0, "bad function id", {}};
+    return RunResult{false, 0, "bad function id", {}, {}};
+  }
+  const BytecodeFunction& entry = image_.functions[function_id];
+  if (!Runnable(function_id)) {
+    return RunResult{false, 0, "function '" + entry.name + "' has no verified body", {}, {}};
   }
   uint32_t injected = 0;
-  FaultAction action = CheckFault(image_.functions[function_id].name, &injected);
+  FaultAction action = CheckFault(entry.name, &injected);
   if (action == FaultAction::kReturn) {
-    return FinishRun(RunResult{true, injected, "", {}});
+    return FinishRun(RunResult{true, injected, "", {}, {}});
   }
-  if (!EnterFunction(function_id, args.data(), static_cast<int>(args.size()))) {
-    return FinishRun(RunResult{false, 0, TrapError(), trap_backtrace_});
+  const int argc = static_cast<int>(args.size());
+  if (argc < entry.param_count) {
+    Trap("call to " + entry.name + " with too few arguments");
+    return FinishRun(RunResult{false, 0, TrapError(), trap_backtrace_, {}});
   }
+  if (eval_.size() < eval_top_ + args.size()) {
+    eval_.resize(eval_top_ + args.size());
+  }
+  std::copy(args.begin(), args.end(), eval_.begin() + static_cast<std::ptrdiff_t>(eval_top_));
+  eval_top_ += args.size();
+  if (!EnterFunction(function_id, argc)) {
+    eval_top_ = base_eval;
+    return FinishRun(RunResult{false, 0, TrapError(), trap_backtrace_, {}});
+  }
+
+  // Profiling: everything an instruction adds to the counters — its I-fetch and
+  // any per-op costs — is attributed to the component of the frame it ran in,
+  // so per-component sums equal the counter deltas exactly.
+  long long profile_cycles_mark = cycles_;
+  long long profile_stalls_mark = ifetch_stalls_;
+  auto attribute = [&](int function) {
+    const int component = function_component_[function];
+    profile_cycles_[component] += cycles_ - profile_cycles_mark;
+    profile_stalls_[component] += ifetch_stalls_ - profile_stalls_mark;
+    ++profile_insns_[component];
+    profile_cycles_mark = cycles_;
+    profile_stalls_mark = ifetch_stalls_;
+  };
+
+  // The executing frame's hot state lives in locals, reloaded when the frame
+  // changes (call, return) or a native ran (it may re-enter the machine, grow
+  // the image or the evaluation stack). store() writes back what a trap's
+  // backtrace, a callee or a native can observe.
+  uint8_t* const memory = memory_.data();
+  Frame* frame = nullptr;
+  int fn = 0;
+  const Insn* code = nullptr;
+  uint32_t text_base = 0;
+  uint32_t fp = 0;
+  int pc = 0;
+  uint32_t* sp = nullptr;
+  auto load = [&] {
+    frame = &frames_.back();
+    fn = frame->function;
+    const BytecodeFunction& function = image_.functions[fn];
+    code = function.code.data();
+    text_base = static_cast<uint32_t>(function.text_offset);
+    fp = frame->fp;
+    pc = frame->pc;
+    sp = eval_.data() + eval_top_;
+  };
+  auto store = [&] {
+    frame->pc = pc;
+    eval_top_ = static_cast<size_t>(sp - eval_.data());
+  };
+  load();
   if (action == FaultAction::kTrap) {
     // Trap inside the callee's frame so the backtrace names it.
-    Trap("fault injected into '" + image_.functions[function_id].name + "'");
+    Trap("fault injected into '" + entry.name + "'");
+    goto unwind;
   }
 
-  // Set at kRet when the popped frame returns control to the host; the loop exits
-  // after the instruction's attribution is recorded.
-  bool host_return = false;
-  bool host_has_value = false;
-  uint32_t host_value = 0;
-
-  while (frames_.size() > base_frames && !trapped_) {
-    Frame& frame = frames_.back();
-    const BytecodeFunction& function = image_.functions[frame.function];
-    if (frame.pc < 0 || static_cast<size_t>(frame.pc) >= function.code.size()) {
-      Trap("pc out of range in " + function.name);
-      break;
+  // The verifier proved every reachable instruction well formed: opcodes,
+  // stack depths, jump targets, local-slot operands and direct callees. Only
+  // data-dependent conditions are checked here.
+  for (int insn_fn = fn;;) {
+    const Insn insn = code[pc];
+    insn_fn = fn;
+    const uint32_t text_address = text_base + static_cast<uint32_t>(pc) * 4;
+    if (text_address - icache_line_start_ >= static_cast<uint64_t>(cost_.icache_line)) {
+      ICacheAccess(text_address);
     }
-    const Insn insn = function.code[frame.pc];
-    // Profiling snapshot: everything this iteration adds to the counters —
-    // including the I-fetch below and any per-op costs inside the switch — is
-    // attributed to the component of the executing frame, so per-component sums
-    // equal the counter deltas exactly.
-    int profile_comp = -1;
-    long long profile_c0 = 0;
-    long long profile_s0 = 0;
-    if (profiling_) {
-      profile_comp = function_component_[frame.function];
-      profile_c0 = cycles_;
-      profile_s0 = ifetch_stalls_;
-    }
-    ICacheAccess(static_cast<uint32_t>(function.text_offset + frame.pc * 4));
-    ++frame.pc;
-    ++insns_;
+    ++pc;
     cycles_ += cost_.base;
-    if (insns_ > max_insns_) {
-      if (profiling_) {
-        profile_cycles_[profile_comp] += cycles_ - profile_c0;
-        profile_stalls_[profile_comp] += ifetch_stalls_ - profile_s0;
-        ++profile_insns_[profile_comp];
-      }
+    if (++insns_ > max_insns_) {
+      store();
       Trap("fuel exhausted (instruction budget of " + std::to_string(max_insns_) +
            " insns exceeded)");
-      break;
+      goto trapped;
     }
 
     switch (insn.op) {
       case Op::kNop:
         break;
       case Op::kConstInt:
-        eval_.push_back(static_cast<uint32_t>(insn.a));
-        break;
-      case Op::kConstSym:
-        Trap("unresolved symbol reference executed (unlinked code)");
+        *sp++ = static_cast<uint32_t>(insn.a);
         break;
       case Op::kAddrLocal:
-        eval_.push_back(frame.fp + static_cast<uint32_t>(insn.a));
+        *sp++ = fp + static_cast<uint32_t>(insn.a);
         break;
       case Op::kLoadLocal: {
-        uint32_t address = frame.fp + static_cast<uint32_t>(insn.a);
-        if (insn.b == 1) {
-          eval_.push_back(ReadByte(address));
-        } else {
-          eval_.push_back(ReadWord(address));
-        }
+        const uint8_t* at = memory + fp + static_cast<uint32_t>(insn.a);
+        *sp++ = insn.b == 1 ? *at : LoadWord(at);
         break;
       }
       case Op::kStoreLocal: {
-        if (eval_.size() <= frame.eval_base) {
-          Trap("evaluation stack underflow");
-          break;
-        }
-        uint32_t value = eval_.back();
-        eval_.pop_back();
-        uint32_t address = frame.fp + static_cast<uint32_t>(insn.a);
+        uint8_t* at = memory + fp + static_cast<uint32_t>(insn.a);
+        const uint32_t value = *--sp;
         if (insn.b == 1) {
-          WriteByte(address, static_cast<uint8_t>(value & 0xFF));
+          *at = static_cast<uint8_t>(value);
         } else {
-          WriteWord(address, value);
+          StoreWord(at, value);
         }
         break;
       }
       case Op::kLoadMem: {
-        if (eval_.size() <= frame.eval_base) {
-          Trap("evaluation stack underflow");
-          break;
-        }
-        uint32_t address = eval_.back();
-        eval_.pop_back();
+        const uint32_t address = sp[-1];
+        const uint32_t size = static_cast<uint32_t>(insn.b);
         cycles_ += cost_.mem_access;
-        if (insn.b == 1) {
-          eval_.push_back(ReadByte(address));
-        } else {
-          eval_.push_back(ReadWord(address));
+        if (!InRange(address, size)) {
+          store();
+          CheckRange(address, size);
+          goto trapped;
         }
+        sp[-1] = size == 1 ? memory[address] : LoadWord(memory + address);
         break;
       }
       case Op::kStoreMem: {
-        if (eval_.size() < frame.eval_base + 2) {
-          Trap("evaluation stack underflow");
-          break;
-        }
-        uint32_t value = eval_.back();
-        eval_.pop_back();
-        uint32_t address = eval_.back();
-        eval_.pop_back();
+        const uint32_t value = sp[-1];
+        const uint32_t address = sp[-2];
+        const uint32_t size = static_cast<uint32_t>(insn.b);
+        sp -= 2;
         cycles_ += cost_.mem_access;
-        if (insn.b == 1) {
-          WriteByte(address, static_cast<uint8_t>(value & 0xFF));
+        if (!InRange(address, size)) {
+          store();
+          CheckRange(address, size);
+          goto trapped;
+        }
+        if (size == 1) {
+          memory[address] = static_cast<uint8_t>(value);
         } else {
-          WriteWord(address, value);
+          StoreWord(memory + address, value);
         }
         break;
       }
       case Op::kDup:
-        if (eval_.size() <= frame.eval_base) {
-          Trap("evaluation stack underflow");
-          break;
-        }
-        eval_.push_back(eval_.back());
+        *sp = sp[-1];
+        ++sp;
         break;
       case Op::kPop:
-        if (eval_.size() <= frame.eval_base) {
-          Trap("evaluation stack underflow");
-          break;
-        }
-        eval_.pop_back();
+        --sp;
         break;
       case Op::kSwap:
-        if (eval_.size() < frame.eval_base + 2) {
-          Trap("evaluation stack underflow");
-          break;
-        }
-        std::swap(eval_[eval_.size() - 1], eval_[eval_.size() - 2]);
+        std::swap(sp[-1], sp[-2]);
         break;
       case Op::kNeg:
+        sp[-1] = 0u - sp[-1];
+        break;
       case Op::kBitNot:
+        sp[-1] = ~sp[-1];
+        break;
       case Op::kLogNot:
+        sp[-1] = sp[-1] == 0 ? 1 : 0;
+        break;
       case Op::kSext8:
-        if (eval_.size() <= frame.eval_base) {
-          Trap("evaluation stack underflow");
-          break;
-        }
-        if (insn.op == Op::kNeg) {
-          eval_.back() = 0u - eval_.back();
-        } else if (insn.op == Op::kBitNot) {
-          eval_.back() = ~eval_.back();
-        } else if (insn.op == Op::kLogNot) {
-          eval_.back() = eval_.back() == 0 ? 1 : 0;
-        } else {
-          eval_.back() = static_cast<uint32_t>(
-              static_cast<int32_t>(static_cast<int8_t>(eval_.back() & 0xFF)));
-        }
+        sp[-1] = static_cast<uint32_t>(static_cast<int32_t>(static_cast<int8_t>(sp[-1] & 0xFF)));
         break;
       case Op::kJmp:
-        frame.pc = insn.a;
+        pc = insn.a;
         break;
-      case Op::kJz: {
-        if (eval_.size() <= frame.eval_base) {
-          Trap("evaluation stack underflow");
-          break;
+      case Op::kJz:
+        if (*--sp == 0) {
+          pc = insn.a;
         }
-        uint32_t value = eval_.back();
-        eval_.pop_back();
-        if (value == 0) {
-          frame.pc = insn.a;
+        break;
+      case Op::kJnz:
+        if (*--sp != 0) {
+          pc = insn.a;
+        }
+        break;
+      case Op::kAdd:
+        --sp;
+        sp[-1] += sp[0];
+        break;
+      case Op::kSub:
+        --sp;
+        sp[-1] -= sp[0];
+        break;
+      case Op::kMul:
+        --sp;
+        sp[-1] *= sp[0];
+        break;
+      case Op::kDivS:
+      case Op::kDivU:
+      case Op::kModS:
+      case Op::kModU: {
+        cycles_ += cost_.divide;
+        --sp;
+        const uint32_t x = sp[-1];
+        const uint32_t y = sp[0];
+        const bool is_div = insn.op == Op::kDivS || insn.op == Op::kDivU;
+        if (y == 0) {
+          store();
+          Trap(is_div ? "division by zero" : "modulo by zero");
+          goto trapped;
+        }
+        const int32_t sx = static_cast<int32_t>(x);
+        const int32_t sy = static_cast<int32_t>(y);
+        // INT_MIN / -1 overflows: it wraps to INT_MIN (remainder 0) instead of
+        // faulting the host.
+        const bool overflow = sx == std::numeric_limits<int32_t>::min() && sy == -1;
+        switch (insn.op) {
+          case Op::kDivS:
+            sp[-1] = overflow ? x : static_cast<uint32_t>(sx / sy);
+            break;
+          case Op::kDivU:
+            sp[-1] = x / y;
+            break;
+          case Op::kModS:
+            sp[-1] = overflow ? 0 : static_cast<uint32_t>(sx % sy);
+            break;
+          default:
+            sp[-1] = x % y;
+            break;
         }
         break;
       }
-      case Op::kJnz: {
-        if (eval_.size() <= frame.eval_base) {
-          Trap("evaluation stack underflow");
-          break;
-        }
-        uint32_t value = eval_.back();
-        eval_.pop_back();
-        if (value != 0) {
-          frame.pc = insn.a;
-        }
+      case Op::kShl:
+        --sp;
+        sp[-1] <<= sp[0] & 31;
         break;
-      }
+      case Op::kShrS:
+        --sp;
+        sp[-1] = static_cast<uint32_t>(static_cast<int32_t>(sp[-1]) >> (sp[0] & 31));
+        break;
+      case Op::kShrU:
+        --sp;
+        sp[-1] >>= sp[0] & 31;
+        break;
+      case Op::kAnd:
+        --sp;
+        sp[-1] &= sp[0];
+        break;
+      case Op::kOr:
+        --sp;
+        sp[-1] |= sp[0];
+        break;
+      case Op::kXor:
+        --sp;
+        sp[-1] ^= sp[0];
+        break;
+      case Op::kEq:
+        --sp;
+        sp[-1] = sp[-1] == sp[0];
+        break;
+      case Op::kNe:
+        --sp;
+        sp[-1] = sp[-1] != sp[0];
+        break;
+      case Op::kLtS:
+        --sp;
+        sp[-1] = static_cast<int32_t>(sp[-1]) < static_cast<int32_t>(sp[0]);
+        break;
+      case Op::kLtU:
+        --sp;
+        sp[-1] = sp[-1] < sp[0];
+        break;
+      case Op::kLeS:
+        --sp;
+        sp[-1] = static_cast<int32_t>(sp[-1]) <= static_cast<int32_t>(sp[0]);
+        break;
+      case Op::kLeU:
+        --sp;
+        sp[-1] = sp[-1] <= sp[0];
+        break;
+      case Op::kGtS:
+        --sp;
+        sp[-1] = static_cast<int32_t>(sp[-1]) > static_cast<int32_t>(sp[0]);
+        break;
+      case Op::kGtU:
+        --sp;
+        sp[-1] = sp[-1] > sp[0];
+        break;
+      case Op::kGeS:
+        --sp;
+        sp[-1] = static_cast<int32_t>(sp[-1]) >= static_cast<int32_t>(sp[0]);
+        break;
+      case Op::kGeU:
+        --sp;
+        sp[-1] = sp[-1] >= sp[0];
+        break;
       case Op::kCall:
       case Op::kCallIndirect:
       case Op::kCallBound: {
+        const int argc = CallArgc(insn.b);
         int callable;
         if (insn.op == Op::kCall) {
           callable = insn.a;
           cycles_ += cost_.call_overhead;
-        } else if (insn.op == Op::kCallBound) {
-          if (insn.a < 0 || static_cast<size_t>(insn.a) >= image_.bindings.size()) {
-            Trap("bound call through invalid binding slot " + std::to_string(insn.a));
-            break;
-          }
-          callable = image_.bindings[insn.a].target;
-          // A bound call pays the direct-call overhead plus one memory access to
-          // load the slot, and resolves like an indirect branch: the BTB predicts
-          // the slot's last target, so the steady-state cost of swappability is
-          // call_overhead + mem_access + indirect_predicted per boundary call.
-          cycles_ += cost_.call_overhead + cost_.mem_access;
-          auto [btb_it, btb_new] = btb_.try_emplace({frame.function, frame.pc - 1}, callable);
-          if (!btb_new && btb_it->second == callable) {
-            cycles_ += cost_.indirect_predicted;
-          } else {
-            btb_it->second = callable;
-            cycles_ += cost_.indirect_call_overhead;
-          }
+          store();
         } else {
-          if (eval_.size() <= frame.eval_base) {
-            Trap("evaluation stack underflow");
-            break;
-          }
-          uint32_t ref = eval_.back();
-          eval_.pop_back();
-          if (!IsFuncRef(ref)) {
-            Trap("indirect call through a non-function value");
-            break;
-          }
-          callable = DecodeFuncRef(ref);
-          auto [btb_it, btb_new] = btb_.try_emplace({frame.function, frame.pc - 1}, callable);
-          if (!btb_new && btb_it->second == callable) {
-            cycles_ += cost_.indirect_predicted;
+          if (insn.op == Op::kCallBound) {
+            // A bound call pays the direct-call overhead plus one memory access
+            // to load the slot, and resolves like an indirect branch: the
+            // steady-state cost of swappability is call_overhead + mem_access +
+            // indirect_predicted per boundary call.
+            callable = image_.bindings[insn.a].target;
+            cycles_ += cost_.call_overhead + cost_.mem_access;
+            store();
           } else {
-            btb_it->second = callable;
-            cycles_ += cost_.indirect_call_overhead;
+            const uint32_t ref = *--sp;
+            store();
+            if (!IsFuncRef(ref)) {
+              Trap("indirect call through a non-function value");
+              goto trapped;
+            }
+            callable = DecodeFuncRef(ref);
+          }
+          if (!ResolveTarget(function_info_[fn].site_base + pc - 1, callable, insn.b)) {
+            goto trapped;
           }
         }
-        int argc = CallArgc(insn.b);
         cycles_ += cost_.per_argument * argc;
-        if (eval_.size() < frame.eval_base + static_cast<size_t>(argc)) {
-          Trap("evaluation stack underflow at call");
-          break;
-        }
-        const uint32_t* args_begin = eval_.data() + (eval_.size() - argc);
-        if (callable < 0) {
-          Trap("call through unresolved or non-text symbol");
-          break;
-        }
-        if (image_.IsNativeId(callable)) {
-          int native_index = callable - static_cast<int>(image_.functions.size());
-          const std::string& native_name = image_.natives[native_index];
+        const int functions = static_cast<int>(image_.functions.size());
+        if (callable >= functions) {
+          const int native = callable - functions;
+          const std::string& native_name = image_.natives[native];
           uint32_t fault_value = 0;
-          FaultAction action = CheckFault(native_name, &fault_value);
-          if (action == FaultAction::kTrap) {
+          FaultAction native_action = CheckFault(native_name, &fault_value);
+          if (native_action == FaultAction::kTrap) {
             Trap("fault injected into '" + native_name + "'");
-            break;
+            goto trapped;
           }
-          if (action == FaultAction::kReturn) {
-            eval_.resize(eval_.size() - argc);
+          if (native_action == FaultAction::kReturn) {
+            sp -= argc;
             if (CallReturns(insn.b)) {
-              eval_.push_back(fault_value);
+              *sp++ = fault_value;
             }
             break;
           }
-          auto it = natives_.find(native_name);
-          if (it == natives_.end()) {
+          const NativeFn& bound = natives_[native];
+          if (!bound) {
             Trap("native '" + native_name + "' is not bound");
-            break;
+            goto trapped;
           }
-          std::vector<uint32_t> native_args(args_begin, args_begin + argc);
-          eval_.resize(eval_.size() - argc);
+          std::vector<uint32_t> native_args(sp - argc, sp);
+          sp -= argc;
+          store();
           cycles_ += cost_.native_cost;
           if (profiling_) {
-            ProfileCall(profile_comp, env_component_);
+            ProfileCall(function_component_[fn], env_component_);
           }
-          uint32_t result = it->second(*this, native_args);
+          const uint32_t result = bound(*this, native_args);
+          load();
+          if (trapped_) {
+            goto trapped;
+          }
           if (CallReturns(insn.b)) {
-            eval_.push_back(result);
+            *sp++ = result;
           }
           break;
         }
         uint32_t fault_value = 0;
-        FaultAction action = CheckFault(image_.functions[callable].name, &fault_value);
-        if (action == FaultAction::kReturn) {
-          eval_.resize(eval_.size() - argc);
+        FaultAction callee_action = CheckFault(image_.functions[callable].name, &fault_value);
+        if (callee_action == FaultAction::kReturn) {
+          sp -= argc;
           if (CallReturns(insn.b)) {
-            eval_.push_back(fault_value);
+            *sp++ = fault_value;
           }
           break;
         }
-        std::vector<uint32_t> callee_args(args_begin, args_begin + argc);
-        eval_.resize(eval_.size() - argc);
-        if (!EnterFunction(callable, callee_args.data(), argc)) {
-          break;
+        if (!EnterFunction(callable, argc)) {
+          goto trapped;
         }
         if (profiling_) {
-          ProfileCall(profile_comp, function_component_[callable]);
+          ProfileCall(function_component_[fn], function_component_[callable]);
         }
-        if (action == FaultAction::kTrap) {
+        if (callee_action == FaultAction::kTrap) {
           // Trap inside the callee's frame so the backtrace names it.
           Trap("fault injected into '" + image_.functions[callable].name + "'");
-          break;
+          goto trapped;
         }
-        // Mismatched value expectations are reconciled at the callee's kRet.
-        frames_.back().vararg_count = image_.functions[callable].variadic
-                                          ? argc - image_.functions[callable].param_count
-                                          : 0;
+        load();
         break;
       }
       case Op::kRet: {
         cycles_ += cost_.ret_overhead;
-        uint32_t value = 0;
-        bool has_value = insn.a != 0;
-        if (has_value) {
-          if (eval_.size() <= frame.eval_base) {
-            Trap("return with empty evaluation stack");
-            break;
-          }
-          value = eval_.back();
-        }
+        // A bare kRet in a value-returning function returns 0 (see verify.h).
+        const bool returns_value = image_.functions[fn].returns_value;
+        const uint32_t value = insn.a != 0 ? sp[-1] : 0;
         // Discard the callee's leftover stack and frame.
-        eval_.resize(frame.eval_base);
-        stack_pointer_ = frame.saved_sp;
-        bool caller_exists = frames_.size() > base_frames + 1;
-        int caller_index = static_cast<int>(frames_.size()) - 2;
+        eval_top_ = frame->eval_base;
+        stack_pointer_ = frame->saved_sp;
+        const bool caller_exists = frames_.size() > base_frames + 1;
         if (profiling_) {
           // Close the span if control moves to a different component (or the host).
-          int parent = caller_exists ? function_component_[frames_[caller_index].function] : -1;
-          if (profile_comp != parent) {
-            ProfileMark(profile_comp, false);
+          int parent =
+              caller_exists ? function_component_[frames_[frames_.size() - 2].function] : -1;
+          if (function_component_[fn] != parent) {
+            ProfileMark(function_component_[fn], false);
           }
         }
         frames_.pop_back();
         if (!caller_exists) {
-          // Returning to the host: exit after this instruction's attribution below.
-          host_return = true;
-          host_has_value = has_value;
-          host_value = value;
-          break;
+          if (profiling_) {
+            attribute(insn_fn);
+          }
+          return FinishRun(RunResult{true, value, "", {}, {}});
         }
-        // The caller's kCall encoded whether it expects a value; we cannot see that
-        // insn here cheaply, so push if the callee returns one — codegen keeps the
-        // conventions consistent (kPop after calls whose results are unused).
-        (void)caller_index;
-        if (has_value) {
-          eval_.push_back(value);
+        load();
+        // The verifier and ResolveTarget matched the call site's return
+        // convention to the callee's.
+        if (returns_value) {
+          *sp++ = value;
         }
         break;
       }
-      default: {
-        // Binary ALU.
-        if (eval_.size() < frame.eval_base + 2) {
-          Trap("evaluation stack underflow");
-          break;
-        }
-        uint32_t y = eval_.back();
-        eval_.pop_back();
-        uint32_t x = eval_.back();
-        eval_.pop_back();
-        int32_t sx = static_cast<int32_t>(x);
-        int32_t sy = static_cast<int32_t>(y);
-        uint32_t result = 0;
-        switch (insn.op) {
-          case Op::kAdd:
-            result = x + y;
-            break;
-          case Op::kSub:
-            result = x - y;
-            break;
-          case Op::kMul:
-            result = x * y;
-            break;
-          case Op::kDivS:
-            cycles_ += cost_.divide;
-            if (sy == 0) {
-              Trap("division by zero");
-              break;
-            }
-            result = static_cast<uint32_t>(sx / sy);
-            break;
-          case Op::kDivU:
-            cycles_ += cost_.divide;
-            if (y == 0) {
-              Trap("division by zero");
-              break;
-            }
-            result = x / y;
-            break;
-          case Op::kModS:
-            cycles_ += cost_.divide;
-            if (sy == 0) {
-              Trap("modulo by zero");
-              break;
-            }
-            result = static_cast<uint32_t>(sx % sy);
-            break;
-          case Op::kModU:
-            cycles_ += cost_.divide;
-            if (y == 0) {
-              Trap("modulo by zero");
-              break;
-            }
-            result = x % y;
-            break;
-          case Op::kShl:
-            result = x << (y & 31);
-            break;
-          case Op::kShrS:
-            result = static_cast<uint32_t>(sx >> (y & 31));
-            break;
-          case Op::kShrU:
-            result = x >> (y & 31);
-            break;
-          case Op::kAnd:
-            result = x & y;
-            break;
-          case Op::kOr:
-            result = x | y;
-            break;
-          case Op::kXor:
-            result = x ^ y;
-            break;
-          case Op::kEq:
-            result = x == y;
-            break;
-          case Op::kNe:
-            result = x != y;
-            break;
-          case Op::kLtS:
-            result = sx < sy;
-            break;
-          case Op::kLtU:
-            result = x < y;
-            break;
-          case Op::kLeS:
-            result = sx <= sy;
-            break;
-          case Op::kLeU:
-            result = x <= y;
-            break;
-          case Op::kGtS:
-            result = sx > sy;
-            break;
-          case Op::kGtU:
-            result = x > y;
-            break;
-          case Op::kGeS:
-            result = sx >= sy;
-            break;
-          case Op::kGeU:
-            result = x >= y;
-            break;
-          default:
-            Trap("illegal instruction");
-            break;
-        }
-        if (!trapped_) {
-          eval_.push_back(result);
-        }
-        break;
-      }
+      default:
+        __builtin_unreachable();  // the verifier rejects unknown opcodes and kConstSym
     }
-
     if (profiling_) {
-      profile_cycles_[profile_comp] += cycles_ - profile_c0;
-      profile_stalls_[profile_comp] += ifetch_stalls_ - profile_s0;
-      ++profile_insns_[profile_comp];
+      attribute(insn_fn);
     }
-    if (host_return) {
-      return FinishRun(
-          RunResult{!trapped_, host_has_value ? host_value : 0, trap_message_, trap_backtrace_});
+    continue;
+  trapped:
+    if (profiling_) {
+      attribute(insn_fn);
     }
+    break;
   }
 
-  // Trapped (or ran out of frames unexpectedly): unwind.
+unwind:
   while (frames_.size() > base_frames) {
     if (profiling_) {
       int comp = function_component_[frames_.back().function];
@@ -1073,7 +1114,8 @@ RunResult Machine::CallId(int function_id, std::vector<uint32_t> args) {
     stack_pointer_ = frames_.back().saved_sp;
     frames_.pop_back();
   }
-  return FinishRun(RunResult{false, 0, TrapError(), trap_backtrace_});
+  eval_top_ = base_eval;
+  return FinishRun(RunResult{false, 0, TrapError(), trap_backtrace_, {}});
 }
 
 }  // namespace knit

@@ -57,6 +57,7 @@ struct CostModel {
 };
 
 class Machine;
+struct VerifyResult;
 
 // A native (environment) callable. Receives the machine (for memory access) and the
 // popped argument values; returns the result (ignored for void uses).
@@ -192,6 +193,9 @@ struct RunResult {
 
 class Machine {
  public:
+  // Verifies the whole image (src/vm/verify.h) before anything can run. A machine
+  // built on an image that fails verification never executes: every Call/CallId
+  // returns the verifier's diagnostic.
   Machine(const Image& image, CostModel cost = CostModel(), uint32_t memory_bytes = 1 << 24);
 
   // Binds an implementation to a native name from the image. Unbound natives trap
@@ -294,15 +298,19 @@ class Machine {
   // call; if it trapped, RecoverNestedTrap restores the evaluation stack and
   // clears the trap state so the outer execution can continue. The outer frames
   // themselves are untouched — CallId only unwinds frames it pushed.
-  size_t EvalDepth() const { return eval_.size(); }
+  size_t EvalDepth() const { return eval_top_; }
   void RecoverNestedTrap(size_t eval_depth);
 
   // Re-syncs machine state after the reconfig engine grew image().functions /
-  // bindings in place: extends the profiling attribution table for the new
-  // function ids (interning new component names) WITHOUT zeroing accumulated
-  // attribution, and drops BTB entries so stale indirect-call predictions can't
-  // reference retired targets. No-op for the non-profiling, empty-BTB case.
-  void RefreshAfterImageGrowth();
+  // bindings in place: verifies only the appended functions, extends the
+  // profiling attribution table for the new function ids (interning new
+  // component names) WITHOUT zeroing accumulated attribution, and drops BTB
+  // entries so stale indirect-call predictions can't reference retired targets.
+  // Returns the verifier's diagnostic when the appended functions are rejected
+  // ("" otherwise); rejected functions stay in the image but never run — a call
+  // into one traps. The code of already-verified functions may change only in
+  // kConstInt operands and in direct-call ids the growth itself shifted.
+  std::string RefreshAfterImageGrowth();
 
   const Image& image() const { return image_; }
 
@@ -317,14 +325,35 @@ class Machine {
     uint32_t saved_sp = 0;
   };
 
+  // What verification established about one function id.
+  struct FunctionInfo {
+    int max_depth = -1;  // evaluation-stack high-water mark; -1: stub or rejected, never runs
+    int site_base = 0;   // BTB index of the function's pc 0 (one entry per instruction)
+  };
+
   enum class FaultAction { kNone, kTrap, kReturn };
 
   void Trap(const std::string& message);
   std::string TrapError() const;
   FaultAction CheckFault(const std::string& function, uint32_t* value_out);
   bool CheckRange(uint32_t address, uint32_t size);
+  bool InRange(uint32_t address, uint32_t size) const {
+    return address >= kNullGuardBytes && address <= memory_.size() - size;
+  }
   void ICacheAccess(uint32_t text_address);
-  bool EnterFunction(int function_id, const uint32_t* args, int argc);
+  // Moves the top `argc` evaluation-stack values into a new frame of
+  // `function_id` and reserves the callee's verified stack depth.
+  bool EnterFunction(int function_id, int argc);
+  bool Runnable(int function_id) const {
+    return static_cast<size_t>(function_id) < function_info_.size() &&
+           function_info_[function_id].max_depth >= 0;
+  }
+  // Appends FunctionInfo for the functions past function_info_.size(), from a
+  // verification of exactly those functions.
+  void AdoptFunctions(const VerifyResult& verified);
+  // Charges the call site's last-target predictor and checks the target of an
+  // indirect or bound call; false after trapping.
+  bool ResolveTarget(int site, int callable, int32_t call_b);
   void BindBuiltins();
 
   // Profiling helpers (only called when profiling_).
@@ -337,16 +366,25 @@ class Machine {
   int RequesterComponent() const;
   RunResult FinishRun(RunResult result);  // attach the profile snapshot if enabled
 
+  static constexpr uint32_t kNullGuardBytes = 0x1000;  // accesses below this address trap
+
   const Image& image_;
   CostModel cost_;
   std::vector<uint8_t> memory_;
   uint32_t heap_end_;
   uint32_t stack_pointer_;
 
+  std::string verify_error_;  // set when the image failed verification at load
+  std::vector<FunctionInfo> function_info_;  // function id -> verification facts
+  int call_sites_ = 0;                       // instructions covered by function_info_
+
+  // Evaluation stack: eval_ is storage (grown at function entry to the callee's
+  // verified depth), eval_top_ the live depth.
   std::vector<uint32_t> eval_;
+  size_t eval_top_ = 0;
   std::vector<Frame> frames_;
 
-  std::map<std::string, NativeFn> natives_;
+  std::vector<NativeFn> natives_;  // native id -> binding (empty: unbound)
   std::string console_;
 
   long long cycles_ = 0;
@@ -394,9 +432,14 @@ class Machine {
   std::vector<CacheWay> icache_;
   int icache_sets_ = 0;
   uint64_t icache_clock_ = 0;
+  // The line the last fetch touched, [start, start + line bytes): already MRU in
+  // its set, so a fetch inside it is a hit that changes no LRU order. The
+  // initial start lies far above any 32-bit text address: no fetch matches it.
+  uint64_t icache_line_start_ = uint64_t{1} << 63;
 
-  // Branch target buffer for indirect calls: (function id, pc) -> last target.
-  std::map<std::pair<int, int>, int> btb_;
+  // Branch target buffer for indirect and bound calls: call site (site_base + pc)
+  // -> last target.
+  std::vector<int> btb_;
 };
 
 }  // namespace knit

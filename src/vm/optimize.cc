@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "src/vm/passes.h"
+#include "src/vm/verify.h"
 
 namespace knit {
 namespace {
@@ -138,80 +139,6 @@ uint32_t FoldUnary(Op op, uint32_t x) {
 }
 
 // ---- basic-block structure ------------------------------------------------------
-
-// Stack depth at the start of each instruction (-1 = unreachable).
-std::vector<int> ComputeDepths(const BytecodeFunction& function) {
-  const std::vector<Insn>& code = function.code;
-  std::vector<int> depth(code.size(), -1);
-  std::vector<int> work;
-  if (!code.empty()) {
-    depth[0] = 0;
-    work.push_back(0);
-  }
-  auto propagate = [&](int index, int d) {
-    if (index < 0 || static_cast<size_t>(index) >= code.size()) {
-      return;
-    }
-    if (depth[index] == -1) {
-      depth[index] = d;
-      work.push_back(index);
-    }
-  };
-  while (!work.empty()) {
-    int i = work.back();
-    work.pop_back();
-    const Insn& insn = code[i];
-    int d = depth[i];
-    int after = d;
-    switch (insn.op) {
-      case Op::kConstInt:
-      case Op::kConstSym:
-      case Op::kAddrLocal:
-      case Op::kLoadLocal:
-      case Op::kDup:
-        after = d + 1;
-        break;
-      case Op::kStoreLocal:
-      case Op::kPop:
-        after = d - 1;
-        break;
-      case Op::kLoadMem:
-      case Op::kSwap:
-      case Op::kNop:
-        after = d;
-        break;
-      case Op::kStoreMem:
-        after = d - 2;
-        break;
-      case Op::kCall:
-      case Op::kCallBound:
-        after = d - CallArgc(insn.b) + (CallReturns(insn.b) ? 1 : 0);
-        break;
-      case Op::kCallIndirect:
-        after = d - 1 - CallArgc(insn.b) + (CallReturns(insn.b) ? 1 : 0);
-        break;
-      case Op::kRet:
-        continue;  // no successor
-      case Op::kJmp:
-        propagate(insn.a, d);
-        continue;
-      case Op::kJz:
-      case Op::kJnz:
-        propagate(insn.a, d - 1);
-        after = d - 1;
-        break;
-      default:
-        if (IsBinaryAlu(insn.op)) {
-          after = d - 1;
-        } else if (IsUnaryAlu(insn.op)) {
-          after = d;
-        }
-        break;
-    }
-    propagate(i + 1, after);
-  }
-  return depth;
-}
 
 std::set<int> LeadersOf(const BytecodeFunction& function) {
   std::set<int> leaders;
@@ -1333,7 +1260,7 @@ int InlineCalls(ObjectFile& object, int function_index, const CodegenOptions& op
         continue;
       }
       if (callee.returns_value != CallReturns(call.b) ||
-          callee.param_count != CallArgc(call.b)) {
+          callee.param_count != CallArgc(call.b) || ReachesBareReturn(callee)) {
         continue;
       }
 

@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "src/vm/optimize.h"
+#include "src/vm/verify.h"
 
 namespace knit {
 namespace {
@@ -332,7 +333,8 @@ class CrossInlinePass : public ImagePass {
     if (!small && !single) {
       return -1;
     }
-    if (callee.returns_value != CallReturns(call.b) || callee.param_count != CallArgc(call.b)) {
+    if (callee.returns_value != CallReturns(call.b) || callee.param_count != CallArgc(call.b) ||
+        ReachesBareReturn(callee)) {
       return -1;
     }
     return callee_id;

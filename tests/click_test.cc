@@ -44,6 +44,10 @@ struct OptimCase {
   ClickOptim optim;
 };
 
+// Without this, gtest prints the raw bytes of the case (including the address of
+// `name`), which makes the discovered test names differ from build to build.
+void PrintTo(const OptimCase& c, std::ostream* os) { *os << c.name; }
+
 class ClickOptimTest : public testing::TestWithParam<OptimCase> {};
 
 TEST_P(ClickOptimTest, MatchesTraceExpectation) {

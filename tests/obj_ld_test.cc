@@ -198,6 +198,20 @@ TEST(Linker, UndefinedReferenceIsError) {
   EXPECT_NE(error.find("undefined reference to 'ghost'"), std::string::npos) << error;
 }
 
+// A prototype in one unit, a variable in the other: C links this and calls
+// through garbage; the linker reports it, naming both ends.
+TEST(Linker, CallToDataSymbolIsError) {
+  std::vector<LinkItem> items;
+  items.emplace_back(CompileOrDie("a.o", "extern int counter(void);\n"
+                                         "int f(void) { return counter(); }\n"));
+  items.emplace_back(CompileOrDie("b.o", "int counter = 3;\n"));
+  std::string error;
+  EXPECT_FALSE(TryLink(std::move(items), &error).ok());
+  EXPECT_NE(error.find("'f' calls 'counter', which is data, not a function"),
+            std::string::npos)
+      << error;
+}
+
 TEST(Linker, NativesResolveRemainingUndefineds) {
   std::vector<LinkItem> items;
   items.emplace_back(CompileOrDie("a.o", "extern int host_fn(int);\n"

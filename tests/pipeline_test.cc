@@ -3,7 +3,10 @@
 // and content-hash cache invalidation granularity.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 
 #include "src/clack/corpus.h"
 #include "src/driver/knitc.h"
@@ -335,6 +338,71 @@ TEST(Pipeline, DiskCachePersistsAcrossPipelines) {
     EXPECT_EQ(pipeline.metrics().CacheMisses(), 0);
     EXPECT_EQ(pipeline.metrics().CacheHits(), 3);
   }
+}
+
+// A cached object whose instruction names no opcode is malformed: the lookup
+// misses, the unit recompiles, and the image is the one a clean build links.
+TEST(Pipeline, CachedObjectWithAnUnknownOpcodeIsRecompiled) {
+  std::string dir = ::testing::TempDir() + "knit-cache-opcode-test";
+  std::filesystem::remove_all(dir);
+  SourceMap sources = CacheSources();
+  auto build = [&](int expected_misses) {
+    KnitcOptions options;
+    options.cache_dir = dir;
+    Diagnostics diags;
+    KnitPipeline pipeline(options);
+    Result<LinkedImage> built = pipeline.Build(kCacheKnit, sources, "Top", diags);
+    EXPECT_TRUE(built.ok()) << diags.ToString();
+    EXPECT_EQ(pipeline.metrics().CacheMisses(), expected_misses);
+    return built.ok() ? FingerprintImage(built.value().image) : 0;
+  };
+  const uint64_t clean = build(3);
+
+  // Overwrite the opcode field of the first instruction of one cached object.
+  // Layout: magic, name, symbols (name, 5 words each), function count, then the
+  // first function's name, 5 words, instruction count, and its first opcode.
+  std::vector<std::filesystem::path> objects;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    objects.push_back(entry.path());
+  }
+  ASSERT_EQ(objects.size(), 3u);
+  std::sort(objects.begin(), objects.end());
+  std::string bytes;
+  {
+    std::ifstream in(objects[0], std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+  }
+  size_t at = 8;
+  auto u32 = [&bytes](size_t offset) {
+    uint32_t value = 0;
+    for (int i = 0; i < 4; ++i) {
+      value |= static_cast<uint32_t>(static_cast<uint8_t>(bytes[offset + i])) << (8 * i);
+    }
+    return value;
+  };
+  auto skip_string = [&] { at += 4 + u32(at); };
+  skip_string();  // object name
+  const uint32_t symbols = u32(at);
+  at += 4;
+  for (uint32_t s = 0; s < symbols; ++s) {
+    skip_string();
+    at += 5 * 4;
+  }
+  ASSERT_GE(u32(at), 1u) << "object has no functions";
+  at += 4;
+  skip_string();  // function name
+  at += 5 * 4;
+  ASSERT_GE(u32(at), 1u) << "function has no code";
+  at += 4;
+  ASSERT_LE(u32(at), static_cast<uint32_t>(Op::kNop));
+  bytes[at] = static_cast<char>(0xC8);  // opcode 200
+  {
+    std::ofstream out(objects[0], std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+
+  EXPECT_EQ(build(1), clean);
+  EXPECT_EQ(build(0), clean);  // the recompile rewrote the entry
 }
 
 // ---- metrics ------------------------------------------------------------------

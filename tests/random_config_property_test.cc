@@ -15,6 +15,7 @@
 #include "src/driver/pipeline.h"
 #include "src/oskit/alloc_corpus.h"
 #include "src/vm/machine.h"
+#include "src/vm/verify.h"
 
 namespace knit {
 namespace {
@@ -160,6 +161,7 @@ bool Fingerprint(const GeneratedConfig& config, const KnitcOptions& options,
     *error = diags.ToString() + "\n" + config.knit;
     return false;
   }
+  // The Machine verifies the image first; a rejection surfaces as init's error.
   Machine machine(build.value().image);
   RunResult init = machine.Call(build.value().init_function);
   if (!init.ok) {
@@ -222,6 +224,11 @@ bool ImageFingerprint(const GeneratedConfig& config, const KnitcOptions& options
   Result<KnitBuildResult> build = KnitBuild(config.knit, config.sources, "Top", options, diags);
   if (!build.ok()) {
     *error = diags.ToString() + "\n" + config.knit;
+    return false;
+  }
+  VerifyResult verified = VerifyImage(build.value().image);
+  if (!verified.ok()) {
+    *error = verified.error + "\n" + config.knit;
     return false;
   }
   *fingerprint = FingerprintImage(build.value().image);

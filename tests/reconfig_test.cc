@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -122,11 +123,12 @@ struct SwapKit {
 };
 
 std::unique_ptr<SwapKit> BuildSwapKit(const std::string& worker_source = kWorkerV1,
-                                      bool swappable = true) {
+                                      bool swappable = true,
+                                      const std::string& caller_source = kCallerSource) {
   auto kit = std::make_unique<SwapKit>();
   SourceMap sources;
   sources["worker.c"] = worker_source;
-  sources["caller.c"] = kCallerSource;
+  sources["caller.c"] = caller_source;
   KnitcOptions options;
   if (swappable) {
     options.swappable = {"Top/Worker"};
@@ -272,6 +274,92 @@ TEST(Reconfig, ReplacementMustKeepTheExportSignatures) {
   EXPECT_FALSE(report.ok);
   EXPECT_NE(report.error.find("signature"), std::string::npos) << report.error;
   EXPECT_EQ(kit->Call("a", "call_get"), 1u) << "old generation must keep serving";
+}
+
+// Appending the replacement shifts native ids, and the engine patches stored
+// native references in old code by the same delta. A negative integer constant
+// also has the funcref bit set; it names no native and must keep its value.
+TEST(Reconfig, NegativeConstantsSurviveANeighboursSwap) {
+  const char kNegativeCaller[] =
+      "extern int get(void);\n"
+      "int call_get(void) { return get(); }\n"
+      "unsigned caller_count(void) { return -2; }\n";
+  auto kit = BuildSwapKit(kWorkerV1, /*swappable=*/true, kNegativeCaller);
+  ASSERT_TRUE(kit->ok()) << kit->error;
+  EXPECT_EQ(kit->Call("a", "caller_count"), static_cast<uint32_t>(-2));
+  SwapReport report = kit->Swap(kWorkerV2, "worker_v2.c");
+  ASSERT_TRUE(report.ok) << report.error;
+  ASSERT_GT(report.new_functions, 0);
+  EXPECT_EQ(kit->Call("a", "call_get"), 2u);
+  EXPECT_EQ(kit->Call("a", "caller_count"), static_cast<uint32_t>(-2));
+}
+
+// A replacement the bytecode verifier rejects — its get() calls the Caller's
+// int-returning caller_count through a void prototype, which C compiles and
+// links — never becomes reachable: the swap fails before its initializer runs
+// and rolls back exactly like any other swap failure.
+TEST(Reconfig, ReplacementFailingVerificationRollsBackExactly) {
+  auto kit = BuildSwapKit();
+  ASSERT_TRUE(kit->ok()) << kit->error;
+  EXPECT_EQ(kit->Call("a", "call_get"), 1u);
+  const std::string caller_count = kit->build->ExportedSymbol("a", "caller_count");
+  std::map<std::string, int> symbols_before = kit->build->image.function_symbols;
+  std::vector<BindingSlot> slots_before = kit->build->image.bindings;
+  kit->events.clear();
+
+  SwapReport report = kit->Swap("extern void ev(int code);\n"
+                                "extern void " + caller_count + "(void);\n"
+                                "int get(void) { " + caller_count + "(); return 3; }\n"
+                                "int w_init(void) { ev(2); return 0; }\n"
+                                "void w_fini(void) { ev(102); }\n",
+                                "worker_bad_convention.c");
+  EXPECT_FALSE(report.ok);
+  EXPECT_NE(report.error.find("replacement rejected: bytecode verification failed"),
+            std::string::npos)
+      << report.error;
+  EXPECT_NE(report.error.find("disagrees with its return convention"), std::string::npos)
+      << report.error;
+
+  // Nothing of the new generation ran or became reachable.
+  EXPECT_TRUE(kit->events.empty());
+  EXPECT_EQ(kit->build->image.function_symbols, symbols_before);
+  ASSERT_EQ(kit->build->image.bindings.size(), slots_before.size());
+  for (size_t s = 0; s < slots_before.size(); ++s) {
+    EXPECT_EQ(kit->build->image.bindings[s].target, slots_before[s].target);
+  }
+  EXPECT_EQ(kit->Call("a", "call_get"), 1u);
+  EXPECT_EQ(kit->Call("a", "caller_count"), 2u);
+  EXPECT_EQ(kit->WorkerStatus(), 1u);
+
+  // A well-formed replacement still swaps in afterwards.
+  SwapReport retry = kit->Swap(kWorkerV2, "worker_v2.c");
+  ASSERT_TRUE(retry.ok) << retry.error;
+  EXPECT_EQ(kit->Call("a", "call_get"), 2u);
+}
+
+// A replacement that calls a data symbol fails at its link step, as the
+// linker reports the same call, and the old generation keeps serving.
+TEST(Reconfig, ReplacementCallingADataSymbolIsALinkError) {
+  auto kit = BuildSwapKit();
+  ASSERT_TRUE(kit->ok()) << kit->error;
+  const std::string data_symbol = kit->build->status_symbol;
+  kit->events.clear();
+  SwapReport report = kit->Swap("extern void ev(int code);\n"
+                                "extern int " + data_symbol + "(void);\n"
+                                "int get(void) { return " + data_symbol + "(); }\n"
+                                "int w_init(void) { ev(2); return 0; }\n"
+                                "void w_fini(void) { ev(102); }\n",
+                                "worker_calls_data.c");
+  EXPECT_FALSE(report.ok);
+  EXPECT_NE(report.error.find("calls '" + data_symbol +
+                              "', which is data, not a function"),
+            std::string::npos)
+      << report.error;
+  EXPECT_TRUE(kit->events.empty());
+  EXPECT_EQ(kit->Call("a", "call_get"), 1u);
+  EXPECT_EQ(kit->WorkerStatus(), 1u);
+  ASSERT_TRUE(kit->Swap(kWorkerV2, "worker_v2.c").ok);
+  EXPECT_EQ(kit->Call("a", "call_get"), 2u);
 }
 
 // The tentpole robustness property: EVERY swap-path injection point fails the

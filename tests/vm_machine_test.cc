@@ -151,6 +151,27 @@ TEST(Machine, IndirectCallThroughDataTraps) {
   EXPECT_NE(result.error.find("non-function"), std::string::npos) << result.error;
 }
 
+// A function reference past the last native names no callable: the call traps
+// instead of indexing the native table out of bounds.
+TEST(Machine, IndirectCallThroughInvalidFunctionReferenceTraps) {
+  Image image;
+  BytecodeFunction f;
+  f.name = "f";
+  f.returns_value = true;
+  f.text_offset = 0;
+  f.code = {{Op::kConstInt, static_cast<int32_t>(0x80001000u), 0},
+            {Op::kCallIndirect, 0, MakeCallB(0, true)},
+            {Op::kRet, 1, 0}};
+  image.functions.push_back(f);
+  image.function_symbols["f"] = 0;
+  image.text_bytes = 16;
+  Machine machine(image);
+  RunResult result = machine.Call("f");
+  EXPECT_FALSE(result.ok);
+  EXPECT_NE(result.error.find("indirect call to invalid function reference"), std::string::npos)
+      << result.error;
+}
+
 TEST(Machine, HostMemoryInterface) {
   TestProgram program = BuildProgram("int f(void) { return 0; }", false);
   ASSERT_TRUE(program.ok());

@@ -35,7 +35,6 @@ bool Measure(const std::string& label, const std::string& knit_text, int opt_lev
   Diagnostics diags;
   KnitcOptions options;
   options.opt_level = opt_level;
-  options.optimize = opt_level > 0;
   options.profile = std::move(profile);
   options.cache = cache;
   KnitPipeline pipeline(options);

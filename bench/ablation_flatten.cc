@@ -79,7 +79,7 @@ int Run() {
   std::printf("  %-28s %10s %14s %12s\n", "configuration", "cycles/pkt", "ifetch-stall",
               "text bytes");
   KnitcOptions o0;
-  o0.optimize = false;
+  o0.opt_level = 0;
   if (!Measure("modular -O1", "ClackRouter", KnitcOptions(), trace) ||
       !Measure("modular -O0", "ClackRouter", o0, trace)) {
     return 1;

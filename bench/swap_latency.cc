@@ -95,7 +95,7 @@ bool MeasureOpt(int opt_level, const std::vector<TracePacket>& trace,
     return false;
   }
   const int swap_at = static_cast<int>(trace.size()) / 2;
-  program.SetPacketHook([&](int packet) {
+  program.session().SetPacketHook([&](int packet) {
     engine.Pump();
     if (packet == swap_at) {
       SwapSpec spec;
@@ -109,9 +109,8 @@ bool MeasureOpt(int opt_level, const std::vector<TracePacket>& trace,
               .count();
     }
   });
-  program.ResetStats();
-  Result<RouterStats> swap_run = program.RunTraceRange(trace, 0, trace.size(), diags);
-  program.SetPacketHook(nullptr);
+  Result<RouterStats> swap_run = program.RunTrace(trace, diags);
+  program.session().SetPacketHook(nullptr);
   if (!swap_run.ok()) {
     std::fprintf(stderr, "swap run -O%d failed:\n%s\n", opt_level, diags.ToString().c_str());
     return false;

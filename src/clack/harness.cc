@@ -5,13 +5,6 @@
 
 namespace knit {
 
-Result<RouterProgram> RouterProgram::FromClack(const std::string& top_unit,
-                                               const KnitcOptions& options, Diagnostics& diags,
-                                               const CostModel& cost) {
-  KnitPipeline pipeline(options);
-  return FromClack(pipeline, top_unit, diags, cost);
-}
-
 std::map<std::string, std::string> RouterProgram::ClackEntryNames(
     const KnitBuildResult& build) {
   std::map<std::string, std::string> names;
@@ -98,13 +91,7 @@ Result<RouterStats> RouterProgram::RunTrace(const std::vector<TracePacket>& trac
   if (machine_->profiling()) {
     machine_->ResetProfile();
   }
-  return RunTraceRange(trace, 0, trace.size(), diags);
-}
-
-Result<RouterStats> RouterProgram::RunTraceRange(const std::vector<TracePacket>& trace,
-                                                 size_t begin, size_t end,
-                                                 Diagnostics& diags) {
-  if (!session_->FeedRange(trace, begin, end, diags).ok()) {
+  if (!session_->FeedRange(trace, 0, trace.size(), diags).ok()) {
     return Result<RouterStats>::Failure();
   }
   return session_->Snapshot(diags);

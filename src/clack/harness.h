@@ -5,15 +5,12 @@
 // router graph to the moment it leaves".
 //
 // The packet path itself lives in RouterSession (src/clack/session.h): a
-// program owns one machine and one session over it, and the legacy
-// RunTrace/RunTraceRange/ResetStats/SetPacketHook cluster forwards there. Hosts
-// that want the session lifecycle explicitly (open -> feed batches -> snapshot
-// -> close), or that shard one image across many machines, use RouterSession /
-// src/serve directly.
+// program owns one machine and one session over it (session()), and RunTrace
+// is the whole-trace convenience over that session. Hosts that shard one image
+// across many machines use src/serve.
 #ifndef SRC_CLACK_HARNESS_H_
 #define SRC_CLACK_HARNESS_H_
 
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -41,12 +38,6 @@ class RouterProgram {
                                          Diagnostics& diags,
                                          const CostModel& cost = CostModel());
 
-  // Legacy convenience: constructs a throwaway pipeline over `options` and
-  // forwards to the pipeline-taking factory above.
-  static Result<RouterProgram> FromClack(const std::string& top_unit,
-                                         const KnitcOptions& options, Diagnostics& diags,
-                                         const CostModel& cost = CostModel());
-
   // Like FromClack, but over caller-provided knit text and sources — the entry
   // point for configurations derived from the corpus, e.g. RewriteAllocProvider
   // output (`knitc run --alloc=NAME`) or bench-generated variants.
@@ -68,26 +59,10 @@ class RouterProgram {
   static std::map<std::string, std::string> ClackEntryNames(const KnitBuildResult& build);
 
   // Runs the trace; each packet is written into VM memory and pushed through the
-  // matching input port, with cycle/stall deltas accumulated per packet.
-  // Equivalent to ResetStats() followed by RunTraceRange over the whole trace.
+  // matching input port, with cycle/stall deltas accumulated per packet. Resets
+  // the session's stats (and the profile window) first, then feeds the whole
+  // trace: session().FeedRange without the reset.
   Result<RouterStats> RunTrace(const std::vector<TracePacket>& trace, Diagnostics& diags);
-
-  // Runs packets [begin, end) of the trace WITHOUT resetting the accumulated
-  // stats, and re-resolves the input entry points per packet — so traffic keeps
-  // flowing (and keeps being counted) across a live reconfiguration that
-  // repoints those symbols mid-run. The packet hook (if set) fires after each
-  // packet completes, at a quiescent point: no router frame is live.
-  Result<RouterStats> RunTraceRange(const std::vector<TracePacket>& trace, size_t begin,
-                                    size_t end, Diagnostics& diags);
-
-  // Zeroes the accumulated RouterStats (packets, cycles, counters, tx log).
-  void ResetStats() { session_->ResetStats(); }
-
-  // Host callback invoked after packet index N of a RunTrace/RunTraceRange loop.
-  // The reconfig tests use it to Pump() a ReconfigEngine between packets.
-  void SetPacketHook(std::function<void(int)> hook) {
-    session_->SetPacketHook(std::move(hook));
-  }
 
   // Turns on the machine's component profiler; subsequent RunTrace calls fill
   // RouterStats::profile with the measured window's attribution.

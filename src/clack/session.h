@@ -7,8 +7,7 @@
 //   open -> feed batches -> snapshot stats -> close
 //
 // Every packet that flows through the repo goes through RouterSession::Feed:
-// RouterProgram::RunTrace/RunTraceRange are thin wrappers over an internal
-// session, and the fleet of src/serve/ opens one session per shard machine —
+// a RouterProgram owns one session (RunTrace is a thin wrapper over it), and the fleet of src/serve/ opens one session per shard machine —
 // so single-shard measurement and N-shard serving are literally the same code.
 //
 // Transmission hashing. dev_tx transmissions are accounted as a *per-packet*

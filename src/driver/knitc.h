@@ -27,10 +27,6 @@
 
 namespace knit {
 
-// Stage timings/counters of the build. Historical name; see PipelineMetrics for
-// the per-stage records (StageSeconds("compile"), CacheHits(), ToJson(), ...).
-using BuildStats = PipelineMetrics;
-
 // A fully built Knit program.
 struct KnitBuildResult {
   // Owns the definitions Configuration points into; shared with any pipeline
@@ -44,7 +40,7 @@ struct KnitBuildResult {
   // ld's placement map: where each instance object landed (text/data), for link-map
   // style reporting.
   std::vector<PlacedObject> placements;
-  BuildStats stats;
+  PipelineMetrics stats;
 
   // Call these (via the VM) around the workload. With failsafe init, knit__init
   // returns -1 (0xFFFFFFFF) on success or the failing instance index after an

@@ -100,7 +100,6 @@ void HashFileClosure(const SourceMap& sources, const std::string& file,
 }
 
 void HashCodegenOptions(const CodegenOptions& options, Fnv64& hasher) {
-  hasher.Update(options.optimize);
   hasher.Update(options.opt_level);
   hasher.Update(options.inline_limit);
   hasher.Update(options.inline_single_call);
@@ -365,7 +364,20 @@ Result<ElaboratedConfig> KnitPipeline::Elaborate(const ParsedProgram& parsed,
   auto t0 = std::chrono::steady_clock::now();
   StageMetrics& metrics = BeginStage("elaborate");
   Result<Elaboration> elaboration = knit::Elaborate(*parsed.program, diags);
-  if (!elaboration.ok()) {
+  bool ok = elaboration.ok();
+  if (ok) {
+    // Compile tasks apply `flags` declarations; a malformed value is reported
+    // here, at its declaration, before any of them runs.
+    for (const auto& [name, decl] : elaboration.value().flag_sets) {
+      CodegenOptions probe;
+      std::string error;
+      if (!probe.ApplyFlags(decl.flags, &error)) {
+        diags.Error(decl.loc, "flags " + name + ": " + error);
+        ok = false;
+      }
+    }
+  }
+  if (!ok) {
     metrics.seconds = Seconds(t0);
     return Result<ElaboratedConfig>::Failure();
   }
@@ -440,6 +452,194 @@ struct TaskResult {
   // into PipelineMetrics::pass_stats in task order.
   std::vector<PassStats> pass_stats;
 };
+
+// ---- per-instance front end, names and objcopy --------------------------------
+//
+// Shared by the compile stage and CompileInstanceReplacement, so a hot-swap
+// replacement is held to exactly the composition rules the original unit was:
+// the same interface contract, the same rename map, the same localization.
+
+// Parses + checks `files` as `unit`'s translation unit against the caller-owned
+// TypeTable, then verifies that they define every export and initializer/
+// finalizer and do not define imports. `subject` opens each contract diagnostic
+// ("unit 'Foo'", "replacement for Top/Foo").
+Result<TranslationUnit> FrontUnit(const Elaboration& elaboration, const SourceMap& sources,
+                                  const std::vector<std::string>& files, const UnitDecl& unit,
+                                  const std::string& subject, TypeTable& types,
+                                  SemaInfo* info_out, Diagnostics& diags) {
+  Result<TranslationUnit> tu = ParseCFiles(sources, files, unit.name, types, diags);
+  if (!tu.ok()) {
+    return tu;
+  }
+  Result<SemaInfo> info = AnalyzeTranslationUnit(tu.value(), types, diags);
+  if (!info.ok()) {
+    return Result<TranslationUnit>::Failure();
+  }
+  auto defines = [&](const std::string& c_name) {
+    return info.value().defined_functions.count(c_name) > 0 ||
+           info.value().defined_globals.count(c_name) > 0;
+  };
+  bool ok = true;
+  for (const PortDecl& port : unit.exports) {
+    const BundleTypeDecl* bundle = elaboration.FindBundleType(port.bundle_type);
+    for (const std::string& symbol : bundle->symbols) {
+      std::string c_name = CNameOf(unit, port.local_name, symbol);
+      if (!defines(c_name)) {
+        diags.Error(port.loc, subject + ": files do not define '" + c_name +
+                                  "' (the C name of export " + port.local_name + "." + symbol +
+                                  ")");
+        ok = false;
+      }
+    }
+  }
+  for (const PortDecl& port : unit.imports) {
+    const BundleTypeDecl* bundle = elaboration.FindBundleType(port.bundle_type);
+    for (const std::string& symbol : bundle->symbols) {
+      std::string c_name = CNameOf(unit, port.local_name, symbol);
+      if (defines(c_name)) {
+        diags.Error(port.loc, subject + ": files DEFINE '" + c_name +
+                                  "', which is the C name of import " + port.local_name + "." +
+                                  symbol + " (imports must only be declared)");
+        ok = false;
+      }
+    }
+  }
+  for (const std::vector<InitFiniDecl>* list : {&unit.initializers, &unit.finalizers}) {
+    for (const InitFiniDecl& decl : *list) {
+      if (info.value().defined_functions.count(decl.function) == 0) {
+        diags.Error(decl.loc, subject + ": files do not define initializer/finalizer '" +
+                                  decl.function + "'");
+        ok = false;
+      }
+    }
+  }
+  if (!ok) {
+    return Result<TranslationUnit>::Failure();
+  }
+  if (info_out != nullptr) {
+    *info_out = std::move(info.value());
+  }
+  return tu;
+}
+
+// Resolves the link name a supplier reference provides for `symbol`: a
+// top-level-import environment name or the producing instance's export.
+std::string SupplierLinkName(const Configuration& config, const SupplierRef& supplier,
+                             const std::string& symbol) {
+  if (supplier.IsEnvironment()) {
+    return EnvSymbol(config.top->imports[supplier.port].local_name, symbol);
+  }
+  const Instance& producer = config.instances[supplier.instance];
+  return MangleExport(producer.path, producer.unit->exports[supplier.port].local_name, symbol);
+}
+
+struct InstanceNames {
+  std::map<std::string, std::string> renames;  // C name -> link name
+  std::set<std::string> keep_global;           // link names that stay global
+};
+
+// One instance's objcopy rename map. Exports and init/fini entry points get the
+// instance's link names plus `version_suffix` (so a replacement's globals
+// coexist with the retired generation's in one image); imports resolve to
+// their suppliers' unversioned link names. Export port `e` stays global when
+// `keep_export(e)`; init/fini entry points always do (the generated init object
+// and the reconfig engine call them by name).
+bool BuildInstanceNames(const Elaboration& elaboration, const Configuration& config,
+                        int instance_index, const std::string& version_suffix,
+                        const std::function<bool(int)>& keep_export, InstanceNames& out,
+                        Diagnostics& diags) {
+  const Instance& instance = config.instances[instance_index];
+  const UnitDecl& unit = *instance.unit;
+
+  auto add = [&](const std::string& c_name, const std::string& link_name,
+                 const SourceLoc& loc) {
+    auto [it, inserted] = out.renames.emplace(c_name, link_name);
+    if (!inserted && it->second != link_name) {
+      diags.Error(loc, "unit '" + unit.name + "' (instance " + instance.path +
+                           "): C identifier '" + c_name +
+                           "' is used for two different connections; add a rename "
+                           "declaration to disambiguate");
+      return false;
+    }
+    return true;
+  };
+
+  for (size_t e = 0; e < unit.exports.size(); ++e) {
+    const PortDecl& port = unit.exports[e];
+    const BundleTypeDecl* bundle = elaboration.FindBundleType(port.bundle_type);
+    bool keep = keep_export(static_cast<int>(e));
+    for (const std::string& symbol : bundle->symbols) {
+      std::string link = MangleExport(instance.path, port.local_name, symbol) + version_suffix;
+      if (!add(CNameOf(unit, port.local_name, symbol), link, port.loc)) {
+        return false;
+      }
+      if (keep) {
+        out.keep_global.insert(link);
+      }
+    }
+  }
+  for (size_t m = 0; m < unit.imports.size(); ++m) {
+    const PortDecl& port = unit.imports[m];
+    const BundleTypeDecl* bundle = elaboration.FindBundleType(port.bundle_type);
+    for (const std::string& symbol : bundle->symbols) {
+      if (!add(CNameOf(unit, port.local_name, symbol),
+               SupplierLinkName(config, instance.import_suppliers[m], symbol), port.loc)) {
+        return false;
+      }
+    }
+  }
+  for (const std::vector<InitFiniDecl>* list : {&unit.initializers, &unit.finalizers}) {
+    for (const InitFiniDecl& decl : *list) {
+      auto existing = out.renames.find(decl.function);
+      if (existing != out.renames.end()) {
+        // Also an exported symbol; the init/fini call goes through its export
+        // link name, which therefore must stay global.
+        out.keep_global.insert(existing->second);
+        continue;
+      }
+      std::string link = MangleInitFini(instance.path, decl.function) + version_suffix;
+      if (!add(decl.function, link, decl.loc)) {
+        return false;
+      }
+      out.keep_global.insert(link);
+    }
+  }
+  return true;
+}
+
+// The objcopy step for one instance object: applies `names.renames`, hides every
+// other defined global (Knit's "defined names that are not exported will be
+// hidden from all other units"), verifies each kept name is still defined (a
+// static initializer cannot be called from outside the object), and stamps
+// every function as code of `instance`.
+bool RenameAndLocalize(ObjectFile& object, const Instance& instance, const InstanceNames& names,
+                       Diagnostics& diags) {
+  if (!ObjcopyRename(object, names.renames, diags).ok()) {
+    return false;
+  }
+  for (const ObjSymbol& symbol : object.symbols) {
+    if (symbol.global && symbol.section != ObjSymbol::Section::kUndefined &&
+        names.keep_global.count(symbol.name) == 0) {
+      if (!ObjcopyLocalize(object, symbol.name, diags).ok()) {
+        return false;
+      }
+    }
+  }
+  for (const std::string& keep : names.keep_global) {
+    int index = object.FindSymbol(keep);
+    if (index < 0 || object.symbols[index].section == ObjSymbol::Section::kUndefined) {
+      diags.Error(instance.unit->loc,
+                  "instance " + instance.path + ": expected defined symbol '" + keep +
+                      "' after renaming (is an export or initializer declared static, "
+                      "or missing?)");
+      return false;
+    }
+  }
+  for (BytecodeFunction& function : object.functions) {
+    function.component = instance.path;
+  }
+  return true;
+}
 
 // The compile stage: groups instances, compiles every needed unit/flatten-group
 // object (parallel, cached), then merges deterministically — objcopy per
@@ -631,83 +831,20 @@ class CompileStage {
     }
   }
 
-  // ---- per-instance rename maps ----------------------------------------------
-
-  struct InstanceNames {
-    std::map<std::string, std::string> renames;  // C name -> link name
-    std::set<std::string> keep_global;           // link names that stay global
-  };
-
-  // Resolves the top-level-import environment name for a supplier reference.
-  std::string SupplierLinkName(const SupplierRef& supplier, const std::string& symbol) const {
-    if (supplier.IsEnvironment()) {
-      const PortDecl& port = config_.top->imports[supplier.port];
-      return EnvSymbol(port.local_name, symbol);
-    }
-    const Instance& producer = config_.instances[supplier.instance];
-    const PortDecl& port = producer.unit->exports[supplier.port];
-    return MangleExport(producer.path, port.local_name, symbol);
+  // The compile stage's rename map: unversioned, and only exports consumed
+  // outside the instance's object stay global.
+  bool BuildInstanceNames(int instance_index, InstanceNames& out, Diagnostics& diags) const {
+    auto external = [&](int port) {
+      return external_exports_.count({instance_index, port}) > 0;
+    };
+    return knit::BuildInstanceNames(elaboration_, config_, instance_index, "", external, out,
+                                    diags);
   }
 
-  bool BuildInstanceNames(int instance_index, InstanceNames& out, Diagnostics& diags) const {
-    const Instance& instance = config_.instances[instance_index];
-    const UnitDecl& unit = *instance.unit;
-
-    auto add = [&](const std::string& c_name, const std::string& link_name,
-                   const SourceLoc& loc) {
-      auto [it, inserted] = out.renames.emplace(c_name, link_name);
-      if (!inserted && it->second != link_name) {
-        diags.Error(loc, "unit '" + unit.name + "' (instance " + instance.path +
-                             "): C identifier '" + c_name +
-                             "' is used for two different connections; add a rename "
-                             "declaration to disambiguate");
-        return false;
-      }
-      return true;
-    };
-
-    for (size_t e = 0; e < unit.exports.size(); ++e) {
-      const PortDecl& port = unit.exports[e];
-      const BundleTypeDecl* bundle = elaboration_.FindBundleType(port.bundle_type);
-      bool external = external_exports_.count({instance_index, static_cast<int>(e)}) > 0;
-      for (const std::string& symbol : bundle->symbols) {
-        std::string link = MangleExport(instance.path, port.local_name, symbol);
-        if (!add(CNameOf(unit, port.local_name, symbol), link, port.loc)) {
-          return false;
-        }
-        if (external) {
-          out.keep_global.insert(link);
-        }
-      }
-    }
-    for (size_t m = 0; m < unit.imports.size(); ++m) {
-      const PortDecl& port = unit.imports[m];
-      const BundleTypeDecl* bundle = elaboration_.FindBundleType(port.bundle_type);
-      const SupplierRef& supplier = instance.import_suppliers[m];
-      for (const std::string& symbol : bundle->symbols) {
-        if (!add(CNameOf(unit, port.local_name, symbol), SupplierLinkName(supplier, symbol),
-                 port.loc)) {
-          return false;
-        }
-      }
-    }
-    for (const std::vector<InitFiniDecl>* list : {&unit.initializers, &unit.finalizers}) {
-      for (const InitFiniDecl& decl : *list) {
-        auto existing = out.renames.find(decl.function);
-        if (existing != out.renames.end()) {
-          // Also an exported symbol; the generated init object calls it by its
-          // export link name, which therefore must stay global.
-          out.keep_global.insert(existing->second);
-          continue;
-        }
-        std::string link = MangleInitFini(instance.path, decl.function);
-        if (!add(decl.function, link, decl.loc)) {
-          return false;
-        }
-        out.keep_global.insert(link);
-      }
-    }
-    return true;
+  Result<TranslationUnit> FrontUnit(const UnitDecl& unit, TypeTable& types, SemaInfo* info_out,
+                                    Diagnostics& diags) const {
+    return knit::FrontUnit(elaboration_, sources_, unit.files, unit, "unit '" + unit.name + "'",
+                           types, info_out, diags);
   }
 
   // Link name used to CALL an init/fini function of an instance.
@@ -738,10 +875,6 @@ class CompileStage {
     if (options_.profile != nullptr) {
       options.profile_digest = ProfileDigest(*options_.profile);
     }
-    if (!options_.optimize || options_.opt_level == 0) {
-      options.optimize = false;
-      options.opt_level = 0;
-    }
     return options;
   }
 
@@ -755,75 +888,10 @@ class CompileStage {
     }
     CodegenOptions options = BaseCodegenOptions();
     options.ApplyFlags(flags);
-    if (!options_.optimize || options_.opt_level == 0) {
-      options.optimize = false;
-      options.opt_level = 0;
+    if (options_.opt_level == 0) {
+      options.opt_level = 0;  // -O0 builds ignore unit-level -O flags
     }
     return options;
-  }
-
-  // Parses + checks a unit's translation unit against the caller-owned TypeTable.
-  // Verifies that the unit's files define every export and initializer/finalizer
-  // and do not define imports.
-  Result<TranslationUnit> FrontUnit(const UnitDecl& unit, TypeTable& types, SemaInfo* info_out,
-                                    Diagnostics& diags) const {
-    if (IsObjectUnit(unit)) {
-      diags.Error(unit.loc, "unit '" + unit.name + "' is object-backed and cannot be "
-                            "source-flattened");
-      return Result<TranslationUnit>::Failure();
-    }
-    Result<TranslationUnit> tu = ParseCFiles(sources_, unit.files, unit.name, types, diags);
-    if (!tu.ok()) {
-      return tu;
-    }
-    Result<SemaInfo> info = AnalyzeTranslationUnit(tu.value(), types, diags);
-    if (!info.ok()) {
-      return Result<TranslationUnit>::Failure();
-    }
-    bool ok = true;
-    for (const PortDecl& port : unit.exports) {
-      const BundleTypeDecl* bundle = elaboration_.FindBundleType(port.bundle_type);
-      for (const std::string& symbol : bundle->symbols) {
-        std::string c_name = CNameOf(unit, port.local_name, symbol);
-        if (info.value().defined_functions.count(c_name) == 0 &&
-            info.value().defined_globals.count(c_name) == 0) {
-          diags.Error(port.loc, "unit '" + unit.name + "': files do not define '" + c_name +
-                                    "' (the C name of export " + port.local_name + "." +
-                                    symbol + ")");
-          ok = false;
-        }
-      }
-    }
-    for (const PortDecl& port : unit.imports) {
-      const BundleTypeDecl* bundle = elaboration_.FindBundleType(port.bundle_type);
-      for (const std::string& symbol : bundle->symbols) {
-        std::string c_name = CNameOf(unit, port.local_name, symbol);
-        if (info.value().defined_functions.count(c_name) > 0 ||
-            info.value().defined_globals.count(c_name) > 0) {
-          diags.Error(port.loc, "unit '" + unit.name + "': files DEFINE '" + c_name +
-                                    "', which is the C name of import " + port.local_name +
-                                    "." + symbol + " (imports must only be declared)");
-          ok = false;
-        }
-      }
-    }
-    for (const std::vector<InitFiniDecl>* list : {&unit.initializers, &unit.finalizers}) {
-      for (const InitFiniDecl& decl : *list) {
-        if (info.value().defined_functions.count(decl.function) == 0) {
-          diags.Error(decl.loc, "unit '" + unit.name + "': files do not define "
-                                "initializer/finalizer '" +
-                                    decl.function + "'");
-          ok = false;
-        }
-      }
-    }
-    if (!ok) {
-      return Result<TranslationUnit>::Failure();
-    }
-    if (info_out != nullptr) {
-      *info_out = std::move(info.value());
-    }
-    return tu;
   }
 
   // ---- cache keys ------------------------------------------------------------
@@ -1077,8 +1145,8 @@ class CompileStage {
 
   // ---- deterministic merge helpers (calling thread only) ---------------------
 
-  // Objcopy-duplicates the unit's base object for one standalone instance, applies
-  // the instance's renames, and localizes everything not meant to stay global.
+  // Objcopy-duplicates the unit's base object for one standalone instance, then
+  // renames and localizes it (RenameAndLocalize).
   bool InstantiateObject(int instance_index, const ObjectFile& base, CompiledUnits& compiled,
                          Diagnostics& diags) {
     const Instance& instance = config_.instances[instance_index];
@@ -1087,34 +1155,8 @@ class CompileStage {
       return false;
     }
     ObjectFile object = ObjcopyDuplicate(base, instance.path + ".o");
-    if (!ObjcopyRename(object, names.renames, diags).ok()) {
+    if (!RenameAndLocalize(object, instance, names, diags)) {
       return false;
-    }
-    // Hide every defined global that is not an export/init symbol: Knit's
-    // "defined names that are not exported will be hidden from all other units".
-    for (const ObjSymbol& symbol : object.symbols) {
-      if (symbol.global && symbol.section != ObjSymbol::Section::kUndefined &&
-          names.keep_global.count(symbol.name) == 0) {
-        if (!ObjcopyLocalize(object, symbol.name, diags).ok()) {
-          return false;
-        }
-      }
-    }
-    // Verify init/fini symbols are global (a static initializer cannot be called
-    // from the generated init object).
-    for (const std::string& keep : names.keep_global) {
-      int index = object.FindSymbol(keep);
-      if (index < 0 || object.symbols[index].section == ObjSymbol::Section::kUndefined) {
-        diags.Error(instance.unit->loc,
-                    "instance " + instance.path + ": expected defined symbol '" + keep +
-                        "' after renaming (is an export or initializer declared static, "
-                        "or missing?)");
-        return false;
-      }
-    }
-    // Every function of a standalone instance object belongs to that instance.
-    for (BytecodeFunction& function : object.functions) {
-      function.component = instance.path;
     }
     compiled.objects.push_back(std::move(object));
     return true;
@@ -1252,7 +1294,7 @@ class CompileStage {
       return false;
     }
     CodegenOptions codegen_options;
-    codegen_options.optimize = false;  // nothing to optimize; keep call order obvious
+    codegen_options.opt_level = 0;  // nothing to optimize; keep call order obvious
     Result<ObjectFile> object = CompileTranslationUnit(tu.value(), info.value(), types,
                                                        codegen_options, "knit-init.o", diags);
     if (!object.ok()) {
@@ -1339,18 +1381,9 @@ Result<LinkedImage> KnitPipeline::Link(const CompiledUnits& compiled, Diagnostic
   for (size_t e = 0; e < config.top->exports.size(); ++e) {
     const PortDecl& port = config.top->exports[e];
     const BundleTypeDecl* bundle = elaboration.FindBundleType(port.bundle_type);
-    const SupplierRef& supplier = config.top_export_suppliers[e];
     for (const std::string& symbol : bundle->symbols) {
-      std::string link_name;
-      if (supplier.IsEnvironment()) {
-        const PortDecl& import_port = config.top->imports[supplier.port];
-        link_name = EnvSymbol(import_port.local_name, symbol);
-      } else {
-        const Instance& producer = config.instances[supplier.instance];
-        const PortDecl& producer_port = producer.unit->exports[supplier.port];
-        link_name = MangleExport(producer.path, producer_port.local_name, symbol);
-      }
-      image.export_names[{port.local_name, symbol}] = link_name;
+      image.export_names[{port.local_name, symbol}] =
+          SupplierLinkName(config, config.top_export_suppliers[e], symbol);
     }
   }
   return image;
@@ -1364,7 +1397,7 @@ Result<OptimizedImage> KnitPipeline::LinkOptimize(const LinkedImage& linked, Dia
 
   OptimizedImage optimized;
   optimized.linked = linked;
-  if (options_.optimize && options_.opt_level >= 2) {
+  if (options_.opt_level >= 2) {
     ImagePassOptions image_options;
     image_options.inline_limit = options_.inline_limit;
     image_options.caller_growth = options_.caller_growth;
@@ -1472,58 +1505,21 @@ Result<ReplacementObject> CompileInstanceReplacement(
     return Result<ReplacementObject>::Failure();
   }
 
-  // Parse + check the replacement source against the SAME interface contract the
-  // compile stage enforces for the original unit files.
+  // The compile stage's front end, rename map and objcopy step; only the version
+  // suffix and the export visibility (every export stays global: binding slots
+  // retarget to it) differ.
   SourceMap replacement_sources = sources;  // copied so #include resolution works
   replacement_sources[source_name] = source;
   TypeTable types;
-  Result<TranslationUnit> tu =
-      ParseCFiles(replacement_sources, {source_name}, unit.name, types, diags);
+  SemaInfo info;
+  Result<TranslationUnit> tu = FrontUnit(elaboration, replacement_sources, {source_name}, unit,
+                                         "replacement for " + instance_path, types, &info, diags);
   if (!tu.ok()) {
     return Result<ReplacementObject>::Failure();
   }
-  Result<SemaInfo> info = AnalyzeTranslationUnit(tu.value(), types, diags);
-  if (!info.ok()) {
-    return Result<ReplacementObject>::Failure();
-  }
-  bool ok = true;
-  for (const PortDecl& port : unit.exports) {
-    const BundleTypeDecl* bundle = elaboration.FindBundleType(port.bundle_type);
-    for (const std::string& symbol : bundle->symbols) {
-      std::string c_name = CNameOf(unit, port.local_name, symbol);
-      if (info.value().defined_functions.count(c_name) == 0 &&
-          info.value().defined_globals.count(c_name) == 0) {
-        diags.Error(port.loc, "replacement for " + instance_path + ": source does not define '" +
-                                  c_name + "' (the C name of export " + port.local_name + "." +
-                                  symbol + ")");
-        ok = false;
-      }
-    }
-  }
-  for (const PortDecl& port : unit.imports) {
-    const BundleTypeDecl* bundle = elaboration.FindBundleType(port.bundle_type);
-    for (const std::string& symbol : bundle->symbols) {
-      std::string c_name = CNameOf(unit, port.local_name, symbol);
-      if (info.value().defined_functions.count(c_name) > 0 ||
-          info.value().defined_globals.count(c_name) > 0) {
-        diags.Error(port.loc, "replacement for " + instance_path + ": source DEFINES '" + c_name +
-                                  "', which is the C name of import " + port.local_name + "." +
-                                  symbol + " (imports must only be declared)");
-        ok = false;
-      }
-    }
-  }
-  for (const std::vector<InitFiniDecl>* list : {&unit.initializers, &unit.finalizers}) {
-    for (const InitFiniDecl& decl : *list) {
-      if (info.value().defined_functions.count(decl.function) == 0) {
-        diags.Error(decl.loc, "replacement for " + instance_path +
-                                  ": source does not define initializer/finalizer '" +
-                                  decl.function + "'");
-        ok = false;
-      }
-    }
-  }
-  if (!ok) {
+  InstanceNames names;
+  if (!BuildInstanceNames(elaboration, config, instance_index, version_suffix,
+                          [](int) { return true; }, names, diags)) {
     return Result<ReplacementObject>::Failure();
   }
 
@@ -1534,102 +1530,28 @@ Result<ReplacementObject> CompileInstanceReplacement(
       codegen_options.ApplyFlags(flags->flags);
     }
   }
-  Result<ObjectFile> object =
-      CompileTranslationUnit(tu.value(), info.value(), types, codegen_options,
-                             instance_path + version_suffix + ".o", diags);
+  Result<ObjectFile> object = CompileTranslationUnit(tu.value(), info, types, codegen_options,
+                                                     instance_path + version_suffix + ".o", diags);
   if (!object.ok()) {
     return Result<ReplacementObject>::Failure();
   }
   ReplacementObject out;
   out.object = object.take();
-
-  // Rename map: exports and init/fini entry points get their instance link names
-  // plus the version suffix (so the replacement's globals coexist with the
-  // retired generation's in one image); imports resolve to the running
-  // configuration's unversioned supplier link names.
-  std::map<std::string, std::string> renames;
-  std::set<std::string> keep_global;
-  auto add = [&](const std::string& c_name, const std::string& link_name, const SourceLoc& loc) {
-    auto [it, inserted] = renames.emplace(c_name, link_name);
-    if (!inserted && it->second != link_name) {
-      diags.Error(loc, "replacement for " + instance_path + ": C identifier '" + c_name +
-                           "' is used for two different connections");
-      return false;
-    }
-    return true;
-  };
+  if (!RenameAndLocalize(out.object, instance, names, diags)) {
+    return Result<ReplacementObject>::Failure();
+  }
   for (const PortDecl& port : unit.exports) {
     const BundleTypeDecl* bundle = elaboration.FindBundleType(port.bundle_type);
     for (const std::string& symbol : bundle->symbols) {
       std::string link = MangleExport(instance_path, port.local_name, symbol);
-      std::string versioned = link + version_suffix;
-      if (!add(CNameOf(unit, port.local_name, symbol), versioned, port.loc)) {
-        return Result<ReplacementObject>::Failure();
-      }
-      keep_global.insert(versioned);
-      out.export_links[link] = versioned;
+      out.export_links[link] = link + version_suffix;
     }
   }
-  for (size_t m = 0; m < unit.imports.size(); ++m) {
-    const PortDecl& port = unit.imports[m];
-    const BundleTypeDecl* bundle = elaboration.FindBundleType(port.bundle_type);
-    const SupplierRef& supplier = instance.import_suppliers[m];
-    for (const std::string& symbol : bundle->symbols) {
-      std::string link;
-      if (supplier.IsEnvironment()) {
-        link = EnvSymbol(config.top->imports[supplier.port].local_name, symbol);
-      } else {
-        const Instance& producer = config.instances[supplier.instance];
-        link = MangleExport(producer.path, producer.unit->exports[supplier.port].local_name,
-                            symbol);
-      }
-      if (!add(CNameOf(unit, port.local_name, symbol), link, port.loc)) {
-        return Result<ReplacementObject>::Failure();
-      }
-    }
-  }
-  auto init_link = [&](const InitFiniDecl& decl, std::vector<std::string>& list) {
-    auto existing = renames.find(decl.function);
-    if (existing != renames.end()) {
-      // Also an exported symbol: the versioned export link name is the entry.
-      keep_global.insert(existing->second);
-      list.push_back(existing->second);
-      return true;
-    }
-    std::string versioned = MangleInitFini(instance_path, decl.function) + version_suffix;
-    if (!add(decl.function, versioned, decl.loc)) {
-      return false;
-    }
-    keep_global.insert(versioned);
-    list.push_back(versioned);
-    return true;
-  };
   for (const InitFiniDecl& decl : unit.initializers) {
-    if (!init_link(decl, out.initializers)) {
-      return Result<ReplacementObject>::Failure();
-    }
+    out.initializers.push_back(names.renames.at(decl.function));
   }
   for (const InitFiniDecl& decl : unit.finalizers) {
-    if (!init_link(decl, out.finalizers)) {
-      return Result<ReplacementObject>::Failure();
-    }
-  }
-  if (!ObjcopyRename(out.object, renames, diags).ok()) {
-    return Result<ReplacementObject>::Failure();
-  }
-  // Hide every other defined global, as the compile stage does: replacement-local
-  // names must not collide with (or capture references meant for) the rest of the
-  // running image.
-  for (const ObjSymbol& symbol : out.object.symbols) {
-    if (symbol.global && symbol.section != ObjSymbol::Section::kUndefined &&
-        keep_global.count(symbol.name) == 0) {
-      if (!ObjcopyLocalize(out.object, symbol.name, diags).ok()) {
-        return Result<ReplacementObject>::Failure();
-      }
-    }
-  }
-  for (BytecodeFunction& function : out.object.functions) {
-    function.component = instance_path;
+    out.finalizers.push_back(names.renames.at(decl.function));
   }
   return out;
 }

@@ -25,9 +25,8 @@
 //     for flatten groups — member paths, rename maps, and flatten options. Warm
 //     rebuilds skip unchanged units entirely.
 //
-// Every stage records StageMetrics (wall time, items, cache hits/misses, threads),
-// replacing the old ad-hoc BuildStats; PipelineMetrics::ToJson() feeds
-// `knitc --stats-json`.
+// Every stage records StageMetrics (wall time, items, cache hits/misses, threads)
+// into PipelineMetrics; PipelineMetrics::ToJson() feeds `knitc --stats-json`.
 #ifndef SRC_DRIVER_PIPELINE_H_
 #define SRC_DRIVER_PIPELINE_H_
 
@@ -58,10 +57,8 @@ namespace knit {
 // ---- options -----------------------------------------------------------------
 
 struct KnitcOptions {
-  bool optimize = true;            // per-TU optimizer (inline + LVN)
-
-  // Optimization level (knitc -O0/-O1/-O2): 0 disables all optimization (same
-  // as optimize=false), 1 runs the per-TU passes (the default — per-file gcc,
+  // Optimization level (knitc -O0/-O1/-O2), the one optimization knob: 0
+  // disables all optimization, 1 runs the per-TU passes (the default — per-file gcc,
   // as the paper's modular builds had), 2 additionally runs the whole-image
   // link-time passes (cross-unit inlining, global DCE, devirtualization) in the
   // LinkOptimize stage. Every level produces bit-identical program outputs;
@@ -253,13 +250,15 @@ struct ReplacementObject {
   std::map<std::string, std::string> export_links;
 };
 
-// Compiles `source` as a replacement for the instance at `instance_path`,
-// enforcing the same interface contract the compile stage enforces for the
-// original unit files (exports/initializers defined, imports only declared).
-// Exports and init/fini entry points are renamed to their instance link names
-// plus `version_suffix`; imports resolve to the running configuration's
-// (unversioned) supplier link names; everything else is localized. `sources`
-// provides #include resolution; `source_name` labels diagnostics.
+// Compiles `source` as a replacement for the instance at `instance_path`
+// through the compile stage's own per-instance code: the same interface
+// contract (exports/initializers defined, imports only declared), the same
+// rename map and the same rename/localize step. Exports and init/fini entry
+// points are renamed to their instance link names plus `version_suffix` and all
+// stay global; imports resolve to the running configuration's (unversioned)
+// supplier link names; everything else is localized. The object is compiled
+// with default codegen options plus the unit's `flags`. `sources` provides
+// #include resolution; `source_name` labels diagnostics.
 Result<ReplacementObject> CompileInstanceReplacement(
     const Elaboration& elaboration, const Configuration& config,
     const std::string& instance_path, const std::string& source,

@@ -7,8 +7,6 @@
 namespace knit {
 namespace {
 
-int RoundUp(int value, int align) { return (value + align - 1) / align * align; }
-
 class Linker {
  public:
   Linker(std::vector<LinkItem> items, const LinkOptions& options, Diagnostics& diags)

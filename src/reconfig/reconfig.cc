@@ -7,8 +7,6 @@
 namespace knit {
 namespace {
 
-int RoundUp(int value, int align) { return (value + align - 1) / align * align; }
-
 // Joins the error entries of a scratch Diagnostics into one report string.
 std::string RenderErrors(const Diagnostics& diags, const std::string& fallback) {
   std::string out;

@@ -1,6 +1,7 @@
 #include "src/support/strings.h"
 
 #include <cctype>
+#include <charconv>
 
 namespace knit {
 
@@ -50,6 +51,17 @@ bool StartsWith(std::string_view text, std::string_view prefix) {
 
 bool EndsWith(std::string_view text, std::string_view suffix) {
   return text.size() >= suffix.size() && text.substr(text.size() - suffix.size()) == suffix;
+}
+
+bool ParseInt(std::string_view text, long long min, long long max, long long& out) {
+  long long value = 0;
+  auto [end, error] = std::from_chars(text.data(), text.data() + text.size(), value);
+  if (text.empty() || error != std::errc() || end != text.data() + text.size() ||
+      value < min || value > max) {
+    return false;
+  }
+  out = value;
+  return true;
 }
 
 bool IsIdentifier(std::string_view text) {

@@ -24,6 +24,11 @@ bool EndsWith(std::string_view text, std::string_view suffix);
 // True for [A-Za-z_][A-Za-z0-9_]*.
 bool IsIdentifier(std::string_view text);
 
+// Parses the whole of `text` as a base-10 integer within [min, max]. Returns
+// false, leaving `out` untouched, on an empty, malformed (sign other than a
+// leading '-', whitespace, trailing characters) or out-of-range value.
+bool ParseInt(std::string_view text, long long min, long long max, long long& out);
+
 // Formats an integer with thousands separators ("109464" -> "109,464") for report
 // tables.
 std::string WithThousands(long long value);

@@ -105,6 +105,13 @@ inline int32_t MakeCallB(int argc, bool returns_value) {
 inline int CallArgc(int32_t b) { return b & 0xFFFF; }
 inline bool CallReturns(int32_t b) { return (b & 0x10000) != 0; }
 
+// The ops whose `a` is an instruction index within the function.
+inline bool IsJump(Op op) { return op == Op::kJmp || op == Op::kJz || op == Op::kJnz; }
+
+// Rounds `value` up to a multiple of `align`: frame slots, data placement, and
+// function text placement.
+inline int RoundUp(int value, int align) { return (value + align - 1) / align * align; }
+
 // Function-reference encoding shared by the VM, linker, and data relocations.
 constexpr uint32_t kFuncRefBit = 0x80000000u;
 inline uint32_t EncodeFuncRef(int function_id) {

@@ -1,43 +1,47 @@
 #include "src/vm/codegen.h"
 
 #include <cassert>
+#include <limits>
 #include <map>
+#include <string_view>
 
+#include "src/support/strings.h"
 #include "src/vm/optimize.h"
 
 namespace knit {
 
-void CodegenOptions::ApplyFlags(const std::vector<std::string>& flags) {
+bool CodegenOptions::ApplyFlags(const std::vector<std::string>& flags, std::string* error) {
+  constexpr std::string_view kInlineLimit = "-finline-limit=";
+  bool ok = true;
   for (const std::string& flag : flags) {
     if (flag == "-O0") {
-      optimize = false;
       opt_level = 0;
     } else if (flag == "-O" || flag == "-O1") {
-      optimize = true;
       opt_level = 1;
     } else if (flag == "-O2") {
-      optimize = true;
       opt_level = 2;
     } else if (flag == "-fno-inline") {
       inline_limit = 0;
-    } else if (flag.rfind("-finline-limit=", 0) == 0) {
-      inline_limit = std::stoi(flag.substr(std::string("-finline-limit=").size()));
+    } else if (flag.rfind(kInlineLimit, 0) == 0) {
+      long long limit = 0;
+      if (ParseInt(std::string_view(flag).substr(kInlineLimit.size()), 0,
+                   std::numeric_limits<int>::max(), limit)) {
+        inline_limit = static_cast<int>(limit);
+      } else {
+        if (error != nullptr && ok) {
+          *error = "flag '" + flag + "' expects a non-negative integer inline limit";
+        }
+        ok = false;
+      }
     }
     // Unknown flags (e.g. -I paths, kept for paper fidelity) are ignored.
   }
-}
-
-CodegenOptions CodegenOptions::FromFlags(const std::vector<std::string>& flags) {
-  CodegenOptions options;
-  options.ApplyFlags(flags);
-  return options;
+  return ok;
 }
 
 namespace {
 
 constexpr int kWordSize = 4;
-
-int RoundUp(int value, int align) { return (value + align - 1) / align * align; }
 
 // A link-time constant: value + optional symbol addend (for address initializers).
 struct ConstVal {
@@ -1081,7 +1085,7 @@ Result<ObjectFile> CompileTranslationUnit(const TranslationUnit& unit, const Sem
   if (!object.ok()) {
     return object;
   }
-  if (options.optimize && options.opt_level >= 1) {
+  if (options.opt_level >= 1) {
     OptimizeObject(object.value(), options);
   }
   return object;

@@ -19,10 +19,9 @@ namespace knit {
 struct PassStats;
 
 struct CodegenOptions {
-  bool optimize = true;      // run the per-TU optimizer (inline + LVN + peephole)
-  // Optimization level: 0 = none (same as optimize=false), 1 = per-TU passes
-  // (the historical default), 2 = additionally enables the link-time image
-  // passes (a pipeline-level decision; codegen itself treats 2 like 1).
+  // Optimization level: 0 = none, 1 = the per-TU optimizer (inline + LVN +
+  // peephole; the historical default), 2 = additionally enables the link-time
+  // image passes (a pipeline-level decision; codegen itself treats 2 like 1).
   int opt_level = 1;
   int inline_limit = 48;     // max size for inlining a multiply-called function
   bool inline_single_call = true;  // inline a local function called exactly once
@@ -44,11 +43,10 @@ struct CodegenOptions {
   std::vector<PassStats>* pass_stats = nullptr;
 
   // Applies gcc-style flag spellings used in Knit `flags` declarations on top of
-  // the current values: -O0/-O/-O1/-O2, -finline-limit=N, -fno-inline.
-  void ApplyFlags(const std::vector<std::string>& flags);
-
-  // Defaults + ApplyFlags.
-  static CodegenOptions FromFlags(const std::vector<std::string>& flags);
+  // the current values: -O0/-O/-O1/-O2, -finline-limit=N, -fno-inline. A
+  // -finline-limit value that is not a non-negative int is skipped and, when
+  // `error` is given, described there; the return value is false if any was.
+  bool ApplyFlags(const std::vector<std::string>& flags, std::string* error = nullptr);
 };
 
 // Compiles a Sema-checked TU. `object_name` labels the resulting object.

@@ -14,10 +14,6 @@ namespace {
 
 constexpr int kWordSize = 4;
 
-int RoundUp(int value, int align) { return (value + align - 1) / align * align; }
-
-bool IsJump(Op op) { return op == Op::kJmp || op == Op::kJz || op == Op::kJnz; }
-
 bool IsBinaryAlu(Op op) {
   switch (op) {
     case Op::kAdd:
@@ -1228,6 +1224,69 @@ std::vector<int> CountCallSites(const ObjectFile& object) {
 
 }  // namespace
 
+bool CanSpliceCall(const Insn& call, const BytecodeFunction& callee) {
+  return callee.returns_value == CallReturns(call.b) && callee.param_count == CallArgc(call.b) &&
+         !ReachesBareReturn(callee);
+}
+
+void SpliceCallee(BytecodeFunction& caller, size_t p, const BytecodeFunction& callee) {
+  int base = RoundUp(caller.frame_size, kWordSize);
+  caller.frame_size = base + callee.frame_size;
+  std::vector<Insn> splice;
+  for (int i = callee.param_count - 1; i >= 0; --i) {
+    splice.push_back(Insn{Op::kStoreLocal, base + i * kWordSize, kWordSize});
+  }
+  int body_start = static_cast<int>(splice.size());
+  int end_index = body_start + static_cast<int>(callee.code.size());
+  for (const Insn& insn : callee.code) {
+    Insn copy = insn;
+    switch (copy.op) {
+      case Op::kLoadLocal:
+      case Op::kStoreLocal:
+      case Op::kAddrLocal:
+        copy.a += base;
+        break;
+      case Op::kJmp:
+      case Op::kJz:
+      case Op::kJnz:
+        copy.a += body_start;
+        break;
+      case Op::kRet:
+        copy.op = Op::kJmp;
+        copy.a = end_index;
+        break;
+      default:
+        break;
+    }
+    splice.push_back(copy);
+  }
+
+  int grow = static_cast<int>(splice.size()) - 1;
+  std::vector<Insn> out;
+  out.reserve(caller.code.size() + splice.size());
+  for (size_t i = 0; i < p; ++i) {
+    Insn insn = caller.code[i];
+    if (IsJump(insn.op) && insn.a > static_cast<int>(p)) {
+      insn.a += grow;
+    }
+    out.push_back(insn);
+  }
+  for (Insn insn : splice) {
+    if (IsJump(insn.op)) {
+      insn.a += static_cast<int>(p);
+    }
+    out.push_back(insn);
+  }
+  for (size_t i = p + 1; i < caller.code.size(); ++i) {
+    Insn insn = caller.code[i];
+    if (IsJump(insn.op) && insn.a > static_cast<int>(p)) {
+      insn.a += grow;
+    }
+    out.push_back(insn);
+  }
+  caller.code = std::move(out);
+}
+
 int InlineCalls(ObjectFile& object, int function_index, const CodegenOptions& options) {
   int inlined = 0;
   bool progress = true;
@@ -1259,66 +1318,10 @@ int InlineCalls(ObjectFile& object, int function_index, const CodegenOptions& op
       if (!small && !single) {
         continue;
       }
-      if (callee.returns_value != CallReturns(call.b) ||
-          callee.param_count != CallArgc(call.b) || ReachesBareReturn(callee)) {
+      if (!CanSpliceCall(call, callee)) {
         continue;
       }
-
-      int base = RoundUp(caller.frame_size, kWordSize);
-      caller.frame_size = base + callee.frame_size;
-      std::vector<Insn> splice;
-      for (int i = callee.param_count - 1; i >= 0; --i) {
-        splice.push_back(Insn{Op::kStoreLocal, base + i * kWordSize, kWordSize});
-      }
-      int body_start = static_cast<int>(splice.size());
-      int end_index = body_start + static_cast<int>(callee.code.size());
-      for (const Insn& insn : callee.code) {
-        Insn copy = insn;
-        switch (copy.op) {
-          case Op::kLoadLocal:
-          case Op::kStoreLocal:
-          case Op::kAddrLocal:
-            copy.a += base;
-            break;
-          case Op::kJmp:
-          case Op::kJz:
-          case Op::kJnz:
-            copy.a += body_start;
-            break;
-          case Op::kRet:
-            copy.op = Op::kJmp;
-            copy.a = end_index;
-            break;
-          default:
-            break;
-        }
-        splice.push_back(copy);
-      }
-
-      int grow = static_cast<int>(splice.size()) - 1;
-      std::vector<Insn> out;
-      out.reserve(caller.code.size() + splice.size());
-      for (size_t i = 0; i < p; ++i) {
-        Insn insn = caller.code[i];
-        if (IsJump(insn.op) && insn.a > static_cast<int>(p)) {
-          insn.a += grow;
-        }
-        out.push_back(insn);
-      }
-      for (Insn insn : splice) {
-        if (IsJump(insn.op)) {
-          insn.a += static_cast<int>(p);
-        }
-        out.push_back(insn);
-      }
-      for (size_t i = p + 1; i < caller.code.size(); ++i) {
-        Insn insn = caller.code[i];
-        if (IsJump(insn.op) && insn.a > static_cast<int>(p)) {
-          insn.a += grow;
-        }
-        out.push_back(insn);
-      }
-      caller.code = std::move(out);
+      SpliceCallee(caller, p, callee);
       ++inlined;
       progress = true;
       break;  // indices changed; rescan

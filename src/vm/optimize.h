@@ -50,6 +50,19 @@ void PeepholeOptimize(BytecodeFunction& function);
 // the options' budgets. Returns the number of call sites inlined.
 int InlineCalls(ObjectFile& object, int function_index, const CodegenOptions& options);
 
+// The splice both inliners share (InlineCalls above and the image-scope
+// cross-inline pass). CanSpliceCall: the call site `call` matches `callee`'s
+// arity and return convention, and no path of `callee` reaches a bare kRet
+// (its splice would jump past the body without the value the site expects).
+bool CanSpliceCall(const Insn& call, const BytecodeFunction& callee);
+
+// Replaces the call at `caller.code[p]` with a copy of `callee`'s body: the
+// arguments are stored into a fresh frame region past the caller's locals, the
+// copy's locals and jumps are rebased, each kRet becomes a jump past the body,
+// and the caller's jumps over the site are retargeted. `callee` must not alias
+// `caller`.
+void SpliceCallee(BytecodeFunction& caller, size_t p, const BytecodeFunction& callee);
+
 // Removes local functions unreachable from any global text symbol or data reloc.
 void RemoveDeadLocalFunctions(ObjectFile& object);
 

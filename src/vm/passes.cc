@@ -7,16 +7,9 @@
 #include <utility>
 
 #include "src/vm/optimize.h"
-#include "src/vm/verify.h"
 
 namespace knit {
 namespace {
-
-constexpr int kWordSize = 4;
-
-int RoundUp(int value, int align) { return (value + align - 1) / align * align; }
-
-bool IsJumpOp(Op op) { return op == Op::kJmp || op == Op::kJz || op == Op::kJnz; }
 
 double SecondsSince(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
@@ -236,7 +229,7 @@ class DevirtualizePass : public ImagePass {
       }
       std::set<int> leaders;
       for (const Insn& insn : function.code) {
-        if (IsJumpOp(insn.op)) {
+        if (IsJump(insn.op)) {
           leaders.insert(insn.a);
         }
       }
@@ -333,73 +326,7 @@ class CrossInlinePass : public ImagePass {
     if (!small && !single) {
       return -1;
     }
-    if (callee.returns_value != CallReturns(call.b) || callee.param_count != CallArgc(call.b) ||
-        ReachesBareReturn(callee)) {
-      return -1;
-    }
-    return callee_id;
-  }
-
-  // Splices callee `callee_id` into `function_index` at call site `p`.
-  static void SpliceAt(Image& image, int function_index, size_t p, int callee_id) {
-    BytecodeFunction& caller = image.functions[function_index];
-    const BytecodeFunction& callee = image.functions[callee_id];
-
-    int base = RoundUp(caller.frame_size, kWordSize);
-    caller.frame_size = base + callee.frame_size;
-    std::vector<Insn> splice;
-    for (int i = callee.param_count - 1; i >= 0; --i) {
-      splice.push_back(Insn{Op::kStoreLocal, base + i * kWordSize, kWordSize});
-    }
-    int body_start = static_cast<int>(splice.size());
-    int end_index = body_start + static_cast<int>(callee.code.size());
-    for (const Insn& insn : callee.code) {
-      Insn copy = insn;
-      switch (copy.op) {
-        case Op::kLoadLocal:
-        case Op::kStoreLocal:
-        case Op::kAddrLocal:
-          copy.a += base;
-          break;
-        case Op::kJmp:
-        case Op::kJz:
-        case Op::kJnz:
-          copy.a += body_start;
-          break;
-        case Op::kRet:
-          copy.op = Op::kJmp;
-          copy.a = end_index;
-          break;
-        default:
-          break;
-      }
-      splice.push_back(copy);
-    }
-
-    int grow = static_cast<int>(splice.size()) - 1;
-    std::vector<Insn> out;
-    out.reserve(caller.code.size() + splice.size());
-    for (size_t i = 0; i < p; ++i) {
-      Insn insn = caller.code[i];
-      if (IsJumpOp(insn.op) && insn.a > static_cast<int>(p)) {
-        insn.a += grow;
-      }
-      out.push_back(insn);
-    }
-    for (Insn insn : splice) {
-      if (IsJumpOp(insn.op)) {
-        insn.a += static_cast<int>(p);
-      }
-      out.push_back(insn);
-    }
-    for (size_t i = p + 1; i < caller.code.size(); ++i) {
-      Insn insn = caller.code[i];
-      if (IsJumpOp(insn.op) && insn.a > static_cast<int>(p)) {
-        insn.a += grow;
-      }
-      out.push_back(insn);
-    }
-    caller.code = std::move(out);
+    return CanSpliceCall(call, callee) ? callee_id : -1;
   }
 
   static void InlineInto(Image& image, int function_index, const ImagePassOptions& options,
@@ -440,7 +367,7 @@ class CrossInlinePass : public ImagePass {
       if (best_callee < 0) {
         break;  // nothing left to inline into this caller
       }
-      SpliceAt(image, function_index, best_site, best_callee);
+      SpliceCallee(caller, best_site, image.functions[best_callee]);
       progress = true;  // indices changed; rescan
     }
   }

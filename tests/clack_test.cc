@@ -17,10 +17,8 @@ RouterStats RunConfig(const std::string& top_unit, const std::vector<TracePacket
   Diagnostics diags;
   KnitcOptions options;
   options.opt_level = opt_level;
-  if (opt_level == 0) {
-    options.optimize = false;
-  }
-  Result<RouterProgram> program = RouterProgram::FromClack(top_unit, options, diags);
+  KnitPipeline pipeline(options);
+  Result<RouterProgram> program = RouterProgram::FromClack(pipeline, top_unit, diags);
   EXPECT_TRUE(program.ok()) << diags.ToString();
   if (!program.ok()) {
     return RouterStats{};
@@ -111,8 +109,8 @@ TEST(Clack, PacketTypeConstraintsAcceptTheRealRouter) {
   // The full router carries pkttype annotations on every element; the correct
   // wiring must pass the checker (it is on by default in KnitcOptions).
   Diagnostics diags;
-  KnitcOptions options;
-  Result<RouterProgram> program = RouterProgram::FromClack("ClackRouter", options, diags);
+  KnitPipeline pipeline;
+  Result<RouterProgram> program = RouterProgram::FromClack(pipeline, "ClackRouter", diags);
   EXPECT_TRUE(program.ok()) << diags.ToString();
 }
 
@@ -121,9 +119,9 @@ TEST(Clack, PacketTypeConstraintsCatchMissingStrip) {
   // CheckIPHeader (which requires IpPacket) — the paper's "components only receive
   // packets of an appropriate type" scenario, caught at build time.
   Diagnostics diags;
-  KnitcOptions options;
+  KnitPipeline pipeline;
   Result<RouterProgram> program =
-      RouterProgram::FromClack("MiswiredClackRouter", options, diags);
+      RouterProgram::FromClack(pipeline, "MiswiredClackRouter", diags);
   EXPECT_FALSE(program.ok());
   EXPECT_NE(diags.ToString().find("pkttype"), std::string::npos) << diags.ToString();
 
@@ -139,8 +137,8 @@ TEST(Clack, PacketTypeConstraintsCatchMissingStrip) {
 
 TEST(Clack, ModularRouterHas24Instances) {
   Diagnostics diags;
-  KnitcOptions options;
-  Result<RouterProgram> program = RouterProgram::FromClack("ClackRouter", options, diags);
+  KnitPipeline pipeline;
+  Result<RouterProgram> program = RouterProgram::FromClack(pipeline, "ClackRouter", diags);
   ASSERT_TRUE(program.ok()) << diags.ToString();
   EXPECT_EQ(program.value().build()->stats.instance_count, 24);
 }
@@ -158,8 +156,8 @@ TEST(Clack, TtlIsActuallyDecremented) {
   ASSERT_EQ(trace[0].kind, PacketKind::kForward);
 
   Diagnostics diags;
-  KnitcOptions options;
-  Result<RouterProgram> program = RouterProgram::FromClack("ClackRouter", options, diags);
+  KnitPipeline pipeline;
+  Result<RouterProgram> program = RouterProgram::FromClack(pipeline, "ClackRouter", diags);
   ASSERT_TRUE(program.ok()) << diags.ToString();
 
   uint8_t ttl_in = trace[0].frame[14 + 8];
@@ -200,9 +198,6 @@ Result<RouterProgram> BuildAllocRouter(const std::string& alloc_unit, Diagnostic
                                        int opt_level = 1) {
   KnitcOptions options;
   options.opt_level = opt_level;
-  if (opt_level == 0) {
-    options.optimize = false;
-  }
   std::string knit_text = ClackKnit();
   EXPECT_EQ(RewriteAllocProvider(knit_text, alloc_unit), 1) << alloc_unit;
   KnitPipeline pipeline(options);

@@ -80,8 +80,8 @@ TEST(Click, TransmitsIdenticalBytesToClack) {
   std::vector<TracePacket> trace = GenerateTrace(trace_options);
 
   Diagnostics diags;
-  KnitcOptions knit_options;
-  Result<RouterProgram> clack = RouterProgram::FromClack("ClackRouter", knit_options, diags);
+  KnitPipeline pipeline;
+  Result<RouterProgram> clack = RouterProgram::FromClack(pipeline, "ClackRouter", diags);
   ASSERT_TRUE(clack.ok()) << diags.ToString();
   Result<RouterStats> clack_stats = clack.value().RunTrace(trace, diags);
   ASSERT_TRUE(clack_stats.ok()) << diags.ToString();
@@ -115,8 +115,8 @@ TEST(Click, UnoptimizedClickIsSlowerThanModularClack) {
   std::vector<TracePacket> trace = GenerateTrace(trace_options);
 
   Diagnostics diags;
-  KnitcOptions knit_options;
-  Result<RouterProgram> clack = RouterProgram::FromClack("ClackRouter", knit_options, diags);
+  KnitPipeline pipeline;
+  Result<RouterProgram> clack = RouterProgram::FromClack(pipeline, "ClackRouter", diags);
   ASSERT_TRUE(clack.ok()) << diags.ToString();
   Result<RouterStats> clack_stats = clack.value().RunTrace(trace, diags);
   ASSERT_TRUE(clack_stats.ok()) << diags.ToString();

@@ -1,7 +1,9 @@
 // Docs lint lane (`ctest -L docs`): the user-facing markdown must not rot.
 // Checks every inline link in README.md / DESIGN.md / EXPERIMENTS.md whose
 // target is a repository path (http(s)/mailto/pure-anchor links are skipped)
-// and fails naming the file and target when the linked path does not exist.
+// and fails naming the file and target when the linked path does not exist;
+// also checks section cross-references and that every knitc invocation in a
+// fenced snippet names a command.
 // KNIT_REPO_ROOT is injected by tests/CMakeLists.txt.
 #include <gtest/gtest.h>
 
@@ -9,6 +11,7 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -184,6 +187,48 @@ TEST(DocsLintTest, SectionReferencesResolve) {
             << " but that document has no '## " << number << ".' section";
       }
       pos = digits;
+    }
+  }
+}
+
+// knitc has one spelling, `knitc <build|run|swap|serve> [options]`: a fenced
+// snippet that runs it without a command (bare `knitc --help` aside) teaches a
+// form the CLI rejects.
+TEST(DocsLintTest, KnitcSnippetsNameACommand) {
+  fs::path root = KNIT_REPO_ROOT;
+  const std::set<std::string> kAllowed = {"build", "run", "swap", "serve", "--help"};
+  auto is_knitc = [](const std::string& word) {
+    return word == "knitc" ||
+           (word.size() > 6 && word.compare(word.size() - 6, 6, "/knitc") == 0);
+  };
+  for (const char* doc : kDocs) {
+    std::istringstream text(ReadFileOrDie(root / doc));
+    std::string line;
+    int number = 0;
+    bool in_fence = false;
+    while (std::getline(text, line)) {
+      ++number;
+      size_t start = line.find_first_not_of(" \t");
+      if (start != std::string::npos && line.compare(start, 3, "```") == 0) {
+        in_fence = !in_fence;
+        continue;
+      }
+      if (!in_fence) {
+        continue;
+      }
+      std::istringstream words(line);
+      std::string word;
+      bool after_knitc = false;
+      while (words >> word) {
+        if (after_knitc) {
+          EXPECT_EQ(kAllowed.count(word), 1u)
+              << doc << ":" << number << ": knitc snippet without a command (want build, "
+              << "run, swap or serve first, got '" << word << "')";
+        }
+        after_knitc = is_knitc(word);
+      }
+      EXPECT_FALSE(after_knitc) << doc << ":" << number
+                                << ": knitc snippet without a command at the end of the line";
     }
   }
 }

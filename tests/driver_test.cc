@@ -211,6 +211,38 @@ unit A = {
   EXPECT_GT(image.functions[fn].code.size(), 2u);
 }
 
+// A malformed or out-of-range -finline-limit= value is a diagnostic at the flags
+// declaration, reported before any compile task runs, never an exception out
+// of one.
+TEST(Driver, MalformedInlineLimitFlagIsDiagnosedAtItsDeclaration) {
+  SourceMap sources;
+  sources["a.c"] = "int f(void) { return 1; }\n";
+  for (const std::string value : {"abc", "99999999999999", "-3", "12x", ""}) {
+    SCOPED_TRACE("-finline-limit=" + value);
+    std::string text =
+        "bundletype T = { f }\n"
+        "flags Bad = { \"-finline-limit=" + value + "\" }\n"
+        "unit A = {\n"
+        "  imports [];\n"
+        "  exports [ o : T ];\n"
+        "  files { \"a.c\" } with flags Bad;\n"
+        "}\n";
+    TryBuild built = BuildWith(text, sources, "A");
+    EXPECT_FALSE(built.result.ok());
+    EXPECT_NE(built.error.find("<knit>:2:"), std::string::npos) << built.error;
+    EXPECT_NE(built.error.find("flags Bad: flag '-finline-limit=" + value +
+                               "' expects a non-negative integer inline limit"),
+              std::string::npos)
+        << built.error;
+  }
+  std::string good =
+      "bundletype T = { f }\n"
+      "flags Fine = { \"-finline-limit=12\" }\n"
+      "unit A = { imports []; exports [ o : T ]; files { \"a.c\" } with flags Fine; }\n";
+  TryBuild built = BuildWith(good, sources, "A");
+  EXPECT_TRUE(built.result.ok()) << built.error;
+}
+
 
 // ---- pre-compiled (object-backed) units --------------------------------------
 

@@ -221,7 +221,7 @@ TEST(KnitcIntegration, FlattenEverythingOption) {
 
 TEST(KnitcIntegration, UnoptimizedBuildStillWorks) {
   KnitcOptions options;
-  options.optimize = false;
+  options.opt_level = 0;
   KernelProgram program = BuildKernel("WebKernel", options);
   ASSERT_TRUE(program.ok()) << program.error;
   RunWebScenario(program);
@@ -230,7 +230,7 @@ TEST(KnitcIntegration, UnoptimizedBuildStillWorks) {
 TEST(KnitcIntegration, StatsAreFilled) {
   KernelProgram program = BuildKernel("WebKernel");
   ASSERT_TRUE(program.ok()) << program.error;
-  const BuildStats& stats = program.build->stats;
+  const PipelineMetrics& stats = program.build->stats;
   EXPECT_EQ(stats.instance_count, 9);  // 8 kernel link lines, LogServe expands to 2
   EXPECT_GT(stats.object_count, 0);
   EXPECT_GT(program.build->image.text_bytes, 0);

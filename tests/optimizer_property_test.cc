@@ -321,7 +321,6 @@ TEST_P(ImagePassPropertyTest, O0AndO2RunResultsBitIdentical) {
   GeneratedKnit config = GenerateKnit(static_cast<unsigned>(GetParam()) * 2246822519u + 3);
 
   KnitcOptions o0;
-  o0.optimize = false;
   o0.opt_level = 0;
   KnitcOptions o2;
   o2.opt_level = 2;

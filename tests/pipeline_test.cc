@@ -270,7 +270,7 @@ TEST(Pipeline, ChangingOptimizationConfigRecompiles) {
 
   // -O0 (optimizer off) is yet another key.
   KnitcOptions o0;
-  o0.optimize = false;
+  o0.opt_level = 0;
   PipelineMetrics cold_o0 = BuildCacheProgram(sources, cache, o0);
   EXPECT_EQ(cold_o0.CacheMisses(), 3);
   PipelineMetrics warm_o0 = BuildCacheProgram(sources, cache, o0);
@@ -435,7 +435,7 @@ TEST(Pipeline, LegacyWrapperCarriesPipelineMetrics) {
   Result<KnitBuildResult> build =
       KnitBuild(ClackKnit(), ClackSources(), "ClackRouter", KnitcOptions(), diags);
   ASSERT_TRUE(build.ok()) << diags.ToString();
-  const BuildStats& stats = build.value().stats;
+  const PipelineMetrics& stats = build.value().stats;
   EXPECT_GT(stats.instance_count, 0);
   EXPECT_GT(stats.object_count, 0);
   EXPECT_GT(stats.StageSeconds("compile"), 0.0);

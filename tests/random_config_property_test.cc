@@ -197,7 +197,7 @@ TEST_P(RandomKnitConfigTest, AllBuildModesAgree) {
   KnitcOptions flattened;
   flattened.flatten_everything = true;
   KnitcOptions unoptimized;
-  unoptimized.optimize = false;
+  unoptimized.opt_level = 0;
   KnitcOptions flattened_unsorted;
   flattened_unsorted.flatten_everything = true;
   flattened_unsorted.callers_first_definitions = true;
@@ -243,7 +243,6 @@ TEST_P(RandomKnitConfigTest, DrawnAllocatorSurvivesOptLevelsAndJobCounts) {
 
   KnitcOptions level0;
   level0.opt_level = 0;
-  level0.optimize = false;
   KnitcOptions level2;
   level2.opt_level = 2;
 

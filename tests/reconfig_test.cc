@@ -247,17 +247,46 @@ TEST(Reconfig, UnknownAndUnswappableInstancesFailCleanly) {
       << rejected.error;
 }
 
+// A replacement goes through the compile stage's own contract check, rename
+// map and localize step; each malformed source below is rejected before any
+// code of it runs, and the old generation keeps serving untouched.
 TEST(Reconfig, ReplacementMustDefineTheFullExportContract) {
-  auto kit = BuildSwapKit();
-  ASSERT_TRUE(kit->ok()) << kit->error;
-  // Missing w_fini: rejected at compile/pre-validation, nothing rebound.
-  SwapReport report = kit->Swap(
-      "extern void ev(int code);\n"
-      "int get(void) { return 9; }\n"
-      "int w_init(void) { return 0; }\n",
-      "worker_broken.c");
-  EXPECT_FALSE(report.ok) << "incomplete replacement must be rejected";
-  EXPECT_EQ(kit->Call("a", "call_get"), 1u) << "old generation must keep serving";
+  struct Case {
+    const char* name;
+    const char* source;
+    const char* diagnostic;
+  };
+  const Case kCases[] = {
+      {"missing finalizer",
+       "extern void ev(int code);\n"
+       "int get(void) { return 9; }\n"
+       "int w_init(void) { ev(9); return 0; }\n",
+       "define initializer/finalizer 'w_fini'"},
+      {"defines its import",
+       "void ev(int code) { }\n"
+       "int get(void) { return 9; }\n"
+       "int w_init(void) { ev(9); return 0; }\n"
+       "void w_fini(void) { }\n",
+       "'ev', which is the C name of import e.ev (imports must only be declared)"},
+      {"static initializer",
+       "extern void ev(int code);\n"
+       "int get(void) { return 9; }\n"
+       "static int w_init(void) { ev(9); return 0; }\n"
+       "void w_fini(void) { }\n",
+       "expected defined symbol 'Top_Worker__w_init"},
+  };
+  for (const Case& broken : kCases) {
+    SCOPED_TRACE(broken.name);
+    auto kit = BuildSwapKit();
+    ASSERT_TRUE(kit->ok()) << kit->error;
+    kit->events.clear();
+    SwapReport report = kit->Swap(broken.source, "worker_broken.c");
+    EXPECT_FALSE(report.ok) << "malformed replacement must be rejected";
+    EXPECT_NE(report.error.find("Top/Worker"), std::string::npos) << report.error;
+    EXPECT_NE(report.error.find(broken.diagnostic), std::string::npos) << report.error;
+    EXPECT_EQ(kit->Call("a", "call_get"), 1u) << "old generation must keep serving";
+    EXPECT_TRUE(kit->events.empty()) << "no initializer may run";
+  }
 }
 
 TEST(Reconfig, ReplacementMustKeepTheExportSignatures) {
@@ -654,7 +683,7 @@ TEST(ReconfigClack, SwapFreelistToBumpMidTraceKeepsTxHashByteIdentical) {
   ReconfigEngine engine(*program.mutable_build(), program.machine(), ClackSources());
 
   bool swapped = false;
-  program.SetPacketHook([&](int packet) {
+  program.session().SetPacketHook([&](int packet) {
     engine.Pump();
     if (packet == 100 && !swapped) {
       swapped = true;
@@ -719,7 +748,7 @@ TEST(ReconfigClack, SwappedInAllocatorGrowingTheHeapLeavesNeighborsIntact) {
 
   uint32_t heap_before_swap = machine.heap_end();
   bool swapped = false;
-  program.SetPacketHook([&](int packet) {
+  program.session().SetPacketHook([&](int packet) {
     engine.Pump();
     if (packet == 60 && !swapped) {
       swapped = true;

@@ -28,9 +28,6 @@ std::shared_ptr<const KnitBuildResult> RouterBuild(int opt_level) {
   Diagnostics diags;
   KnitcOptions options;
   options.opt_level = opt_level;
-  if (opt_level == 0) {
-    options.optimize = false;
-  }
   KnitPipeline pipeline(options);
   Result<LinkedImage> built = pipeline.Build(ClackKnit(), ClackSources(), "ClackRouter", diags);
   EXPECT_TRUE(built.ok()) << diags.ToString();
@@ -248,8 +245,9 @@ TEST(Serve, PerShardArenaResetKeepsTxHashAndSumsMemoryExactly) {
 
   // Single-machine reference over the same configuration.
   Diagnostics diags;
+  KnitPipeline single_pipeline(build_options);
   Result<RouterProgram> single =
-      RouterProgram::FromClack("ClackAllocRouter", build_options, diags);
+      RouterProgram::FromClack(single_pipeline, "ClackAllocRouter", diags);
   ASSERT_TRUE(single.ok()) << diags.ToString();
   Result<RouterStats> base = single.value().RunTrace(trace, diags);
   ASSERT_TRUE(base.ok()) << diags.ToString();

@@ -43,6 +43,21 @@ TEST(Strings, IsIdentifier) {
   EXPECT_FALSE(IsIdentifier("a-b"));
 }
 
+TEST(Strings, ParseIntTakesWholeInRangeIntegersOnly) {
+  long long value = 7;
+  EXPECT_TRUE(ParseInt("42", 0, 100, value));
+  EXPECT_EQ(value, 42);
+  EXPECT_TRUE(ParseInt("-5", -10, 10, value));
+  EXPECT_EQ(value, -5);
+  for (const char* bad : {"", "abc", "2x", " 2", "+2", "1.5", "101", "-11",
+                          "99999999999999999999"}) {
+    SCOPED_TRACE(bad);
+    value = 7;
+    EXPECT_FALSE(ParseInt(bad, -10, 100, value));
+    EXPECT_EQ(value, 7) << "a rejected value leaves the output untouched";
+  }
+}
+
 TEST(Strings, WithThousands) {
   EXPECT_EQ(WithThousands(0), "0");
   EXPECT_EQ(WithThousands(109464), "109,464");

@@ -39,7 +39,7 @@ inline Result<ObjectFile> CompileSource(const std::string& source, bool optimize
     return Result<ObjectFile>::Failure();
   }
   CodegenOptions options;
-  options.optimize = optimize;
+  options.opt_level = optimize ? 1 : 0;
   Result<ObjectFile> object =
       CompileTranslationUnit(unit.value(), info.value(), types, options, "test.o", diags);
   if (!object.ok() && error_out != nullptr) {

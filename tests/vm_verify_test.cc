@@ -267,7 +267,6 @@ TEST(Verify, EveryCorpusImageVerifies) {
                      (swappable ? " --swappable=*" : ""));
         KnitcOptions options;
         options.opt_level = level;
-        options.optimize = level > 0;
         if (swappable) {
           options.swappable = {"*"};
         }

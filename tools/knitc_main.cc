@@ -8,12 +8,11 @@
 // Reads the Knit declarations and every *.c / *.h file under --src into the
 // virtual file system, runs the pipeline stage by stage (parse, elaborate,
 // schedule, check, compile, link), and optionally runs an exported function on
-// the VM or serves a packet trace on a sharded router fleet. The historical
-// command-less spelling (`knitc --knit=... [--run=...]`) keeps working as a
-// deprecated alias and picks build/run/swap from the flags given.
+// the VM or serves a packet trace on a sharded router fleet.
 //
 // Environment imports of the top unit are auto-bound: natives whose name ends in
 // "putc" write to stdout; everything else logs its invocation.
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -40,7 +39,7 @@ namespace knit {
 namespace {
 
 struct CliOptions {
-  std::string command;  // "build", "run", "swap", "serve", or "" (deprecated alias)
+  std::string command;  // "build", "run", "swap" or "serve"
   std::string knit_file;
   std::string src_dir;
   std::string top;
@@ -86,11 +85,6 @@ void PrintUsage(std::FILE* out) {
                "router\n"
                "                        fleet (see Serving below)\n"
                "\n"
-               "The command-less spelling `knitc --knit=... [--run=...] [--swap=...]` "
-               "is a\n"
-               "deprecated alias: it behaves as build, run, or swap depending on the "
-               "flags.\n"
-               "\n"
                "Build options:\n"
                "  --top=UNIT            top-level unit to instantiate (required)\n"
                "  --src=DIR             directory of MiniC sources (default: the .knit "
@@ -103,7 +97,6 @@ void PrintUsage(std::FILE* out) {
                "                        (default), 2 = per-unit plus whole-image link-time\n"
                "                        passes (cross-unit inlining, global dead-code\n"
                "                        elimination); outputs are identical at every level\n"
-               "  --no-optimize         disable the per-TU optimizer (alias for -O0)\n"
                "  --no-check            skip constraint checking\n"
                "  --no-flatten          ignore `flatten` markers\n"
                "  --flatten-all         merge the whole program into one translation unit\n"
@@ -204,16 +197,22 @@ bool ParseFaultSpec(const std::string& spec, FaultPlan& plan) {
   std::string name = spec;
   size_t eq = name.find('=');
   if (eq != std::string::npos) {
+    long long value = 0;
+    if (!ParseInt(std::string_view(name).substr(eq + 1), INT32_MIN, UINT32_MAX, value)) {
+      return false;
+    }
     injection.trap = false;
-    injection.value = static_cast<uint32_t>(std::stoll(name.substr(eq + 1)));
+    injection.value = static_cast<uint32_t>(value);
     name = name.substr(0, eq);
   }
   size_t at = name.find('@');
   if (at != std::string::npos) {
-    injection.invocation = std::stoll(name.substr(at + 1));
+    if (!ParseInt(std::string_view(name).substr(at + 1), 1, INT64_MAX, injection.invocation)) {
+      return false;
+    }
     name = name.substr(0, at);
   }
-  if (name.empty() || injection.invocation < 1) {
+  if (name.empty()) {
     return false;
   }
   injection.function = name;
@@ -230,6 +229,17 @@ bool ParseSwapSpec(const std::string& spec,
   }
   swaps.emplace_back(spec.substr(0, colon), spec.substr(colon + 1));
   return true;
+}
+
+// The one numeric-flag parser: all of `value` must be a base-10 integer in
+// [min, max]. Otherwise reports "FLAG expects WHAT" and fails.
+bool ParseNumber(const char* flag, const std::string& value, long long min, long long max,
+                 const char* what, long long& out) {
+  if (ParseInt(value, min, max, out)) {
+    return true;
+  }
+  std::fprintf(stderr, "knitc: error: %s expects %s, got '%s'\n", flag, what, value.c_str());
+  return false;
 }
 
 // Returns 0 to continue, otherwise the process exit code + 1 (so 1 means
@@ -264,18 +274,9 @@ int ParseArgs(int argc, char** argv, CliOptions& options) {
     } else if (arg.rfind("--top=", 0) == 0) {
       options.top = value_of("--top=");
     } else if (arg.rfind("--jobs=", 0) == 0) {
-      std::string value = value_of("--jobs=");
-      long long jobs = -1;
-      try {
-        jobs = std::stoll(value);
-      } catch (...) {
-        jobs = -1;
-      }
-      if (jobs < 1 || jobs > 1024) {
-        std::fprintf(stderr,
-                     "knitc: error: --jobs expects a thread count between 1 and 1024, "
-                     "got '%s'\n",
-                     value.c_str());
+      long long jobs = 0;
+      if (!ParseNumber("--jobs", value_of("--jobs="), 1, 1024,
+                       "a thread count between 1 and 1024", jobs)) {
         return 3;
       }
       options.build.jobs = static_cast<int>(jobs);
@@ -309,20 +310,14 @@ int ParseArgs(int argc, char** argv, CliOptions& options) {
         std::fprintf(stderr, "knitc: error: --profile-use expects a profile file path\n");
         return 3;
       }
-    } else if (arg == "--no-optimize") {
-      options.build.optimize = false;
-      options.build.opt_level = 0;
     } else if (arg.rfind("-O", 0) == 0) {
       std::string level = arg.substr(2);
       if (level == "0") {
         options.build.opt_level = 0;
-        options.build.optimize = false;
       } else if (level.empty() || level == "1") {
         options.build.opt_level = 1;
-        options.build.optimize = true;
       } else if (level == "2") {
         options.build.opt_level = 2;
-        options.build.optimize = true;
       } else {
         std::fprintf(stderr,
                      "knitc: error: unknown optimization level '%s' (use -O0, -O1, or "
@@ -360,7 +355,11 @@ int ParseArgs(int argc, char** argv, CliOptions& options) {
       }
     } else if (arg.rfind("--args=", 0) == 0) {
       for (const std::string& piece : Split(value_of("--args="), ',')) {
-        options.run_args.push_back(static_cast<uint32_t>(std::stoll(piece)));
+        long long value = 0;
+        if (!ParseNumber("--args", piece, INT32_MIN, UINT32_MAX, "32-bit integers", value)) {
+          return 3;
+        }
+        options.run_args.push_back(static_cast<uint32_t>(value));
       }
     } else if (arg == "--no-failsafe-init") {
       options.build.failsafe_init = false;
@@ -383,33 +382,38 @@ int ParseArgs(int argc, char** argv, CliOptions& options) {
         return 3;
       }
     } else if (arg.rfind("--fuel=", 0) == 0) {
-      options.fuel = std::stoll(value_of("--fuel="));
-      if (options.fuel < 1) {
-        std::fprintf(stderr, "knitc: --fuel expects a positive instruction count\n");
+      if (!ParseNumber("--fuel", value_of("--fuel="), 1, INT64_MAX,
+                       "a positive instruction count", options.fuel)) {
         return 3;
       }
     } else if (arg == "--clack") {
       options.serve_clack = true;
     } else if (arg.rfind("--shards=", 0) == 0) {
-      options.serve_shards = std::atoi(value_of("--shards=").c_str());
-      if (options.serve_shards < 1 || options.serve_shards > 256) {
-        std::fprintf(stderr, "knitc: error: --shards expects a count between 1 and 256\n");
+      long long shards = 0;
+      if (!ParseNumber("--shards", value_of("--shards="), 1, 256,
+                       "a count between 1 and 256", shards)) {
         return 3;
       }
+      options.serve_shards = static_cast<int>(shards);
     } else if (arg.rfind("--batch=", 0) == 0) {
-      options.serve_batch = std::atoi(value_of("--batch=").c_str());
-      if (options.serve_batch < 1) {
-        std::fprintf(stderr, "knitc: error: --batch expects a positive packet count\n");
+      long long batch = 0;
+      if (!ParseNumber("--batch", value_of("--batch="), 1, INT32_MAX,
+                       "a positive packet count", batch)) {
         return 3;
       }
+      options.serve_batch = static_cast<int>(batch);
     } else if (arg.rfind("--packets=", 0) == 0) {
-      options.serve_packets = std::atoll(value_of("--packets=").c_str());
-      if (options.serve_packets < 1) {
-        std::fprintf(stderr, "knitc: error: --packets expects a positive trace length\n");
+      if (!ParseNumber("--packets", value_of("--packets="), 1, INT64_MAX,
+                       "a positive trace length", options.serve_packets)) {
         return 3;
       }
     } else if (arg.rfind("--seed=", 0) == 0) {
-      options.serve_seed = static_cast<uint32_t>(std::stoll(value_of("--seed=")));
+      long long seed = 0;
+      if (!ParseNumber("--seed", value_of("--seed="), 0, UINT32_MAX,
+                       "an integer between 0 and 4294967295", seed)) {
+        return 3;
+      }
+      options.serve_seed = static_cast<uint32_t>(seed);
     } else if (arg.rfind("--json=", 0) == 0) {
       options.serve_json = value_of("--json=");
       if (options.serve_json.empty()) {
@@ -427,8 +431,12 @@ int ParseArgs(int argc, char** argv, CliOptions& options) {
       return 3;
     }
   }
-  // Per-command contracts. The deprecated command-less spelling keeps the
-  // historical behaviour: flags decide what happens.
+  if (options.command.empty()) {
+    std::fprintf(stderr, "knitc: error: missing command (commands: build, run, swap, serve)\n");
+    PrintUsage(stderr);
+    return 3;
+  }
+  // Per-command contracts.
   if (options.command == "serve") {
     if (!options.run.empty() || !options.swaps.empty()) {
       std::fprintf(stderr, "knitc: error: serve takes no --run/--swap (see knitc run, "

@@ -41,25 +41,6 @@ std::string CNameOf(const UnitDecl& unit, const std::string& port, const std::st
   return symbol;
 }
 
-// Re-reports diagnostics collected by a compile task into the caller's sink,
-// preserving severity and order (tasks are merged in task-index order, so the
-// combined stream is deterministic for every --jobs value).
-void MergeDiagnostics(const Diagnostics& from, Diagnostics& into) {
-  for (const Diagnostic& diagnostic : from.entries()) {
-    switch (diagnostic.severity) {
-      case Severity::kError:
-        into.Error(diagnostic.loc, diagnostic.message);
-        break;
-      case Severity::kWarning:
-        into.Warning(diagnostic.loc, diagnostic.message);
-        break;
-      case Severity::kNote:
-        into.Note(diagnostic.loc, diagnostic.message);
-        break;
-    }
-  }
-}
-
 // ---- cache keys --------------------------------------------------------------
 
 // Hashes `file` plus its transitive `#include "..."` closure through the in-memory
@@ -710,7 +691,7 @@ class CompileStage {
 
     bool failed = false;
     for (const TaskResult& result : results) {
-      MergeDiagnostics(result.diags, diags);
+      diags.Append(result.diags);  // task-index order: same stream at any --jobs
       failed = failed || !result.object.ok();
       if (result.cacheable) {
         ++(result.cache_hit ? compile_metrics.cache_hits : compile_metrics.cache_misses);
@@ -1401,7 +1382,6 @@ Result<OptimizedImage> KnitPipeline::LinkOptimize(const LinkedImage& linked, Dia
     ImagePassOptions image_options;
     image_options.inline_limit = options_.inline_limit;
     image_options.caller_growth = options_.caller_growth;
-    image_options.text_align = LinkOptions().text_align;  // match the link layout
     image_options.entry_points.push_back(linked.compiled.init_function);
     image_options.entry_points.push_back(linked.compiled.fini_function);
     if (!linked.compiled.rollback_function.empty()) {

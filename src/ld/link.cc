@@ -1,16 +1,46 @@
 #include "src/ld/link.h"
 
-#include <algorithm>
-#include <cassert>
 #include <set>
+#include <utility>
 
 namespace knit {
 namespace {
 
+uint32_t LoadWord(const uint8_t* bytes) {
+  uint32_t word = 0;
+  for (int i = 0; i < 4; ++i) {
+    word |= static_cast<uint32_t>(bytes[i]) << (8 * i);
+  }
+  return word;
+}
+
+void StoreWord(uint8_t* bytes, uint32_t word) {
+  for (int i = 0; i < 4; ++i) {
+    bytes[i] = static_cast<uint8_t>((word >> (8 * i)) & 0xFF);
+  }
+}
+
+// The callable id / address a symbol index in an object resolves to.
+struct Resolved {
+  enum class Kind { kFunction, kNative, kData };
+  Kind kind = Kind::kData;
+  int callable = -1;     // kFunction/kNative
+  uint32_t address = 0;  // kData
+};
+
+uint32_t ValueOf(const Resolved& resolved) {
+  return resolved.kind == Resolved::Kind::kData ? resolved.address
+                                                : EncodeFuncRef(resolved.callable);
+}
+
 class Linker {
  public:
+  // A fresh link of `items` into a new image.
   Linker(std::vector<LinkItem> items, const LinkOptions& options, Diagnostics& diags)
-      : items_(std::move(items)), options_(options), diags_(diags) {}
+      : items_(std::move(items)), options_(&options), diags_(diags) {}
+
+  // An append to the already linked `image`.
+  Linker(Image& image, Diagnostics& diags) : diags_(diags), image_(&image) {}
 
   Result<LinkResult> Run() {
     if (!SelectObjects()) {
@@ -23,11 +53,47 @@ class Linker {
     if (!Resolve()) {
       return Result<LinkResult>::Failure();
     }
+    RegisterSymbols();
     CreateBindings();
-    if (!Patch()) {
+    bool ok = true;
+    Image& image = *image_;
+    for (const ObjectFile* object : included_) {
+      ok = PatchCode(object, image.functions.data() + function_base_[object]) && ok;
+      RelocateData(object, image.data.data() + (data_address_[object] - kDataBase));
+    }
+    if (!ok) {
       return Result<LinkResult>::Failure();
     }
     return std::move(result_);
+  }
+
+  Result<std::vector<uint8_t>> Append(const ObjectFile& object, uint32_t data_address) {
+    Image& image = *image_;
+    const int old_count = static_cast<int>(image.functions.size());
+    const int appended = static_cast<int>(object.functions.size());
+    included_.push_back(&object);
+    function_base_[&object] = old_count;
+    data_address_[&object] = data_address;
+    callable_base_ = old_count + appended;
+    for (size_t slot = 0; slot < image.bindings.size(); ++slot) {
+      slot_of_callable_[image.bindings[slot].target] = static_cast<int>(slot);
+    }
+    std::vector<BytecodeFunction> placed = object.functions;
+    if (!CheckDefinitions() || !Resolve() || !PatchCode(&object, placed.data())) {
+      return Result<std::vector<uint8_t>>::Failure();
+    }
+    // Everything resolved: nothing below can fail.
+    ShiftNatives(old_count, appended);
+    int text_cursor = image.text_bytes;
+    for (BytecodeFunction& function : placed) {
+      text_cursor = PlaceText(function, text_cursor);
+      image.functions.push_back(std::move(function));
+    }
+    image.text_bytes = text_cursor;
+    std::vector<uint8_t> data = object.data;
+    RelocateData(&object, data.data());
+    RegisterSymbols();
+    return data;
   }
 
  private:
@@ -117,9 +183,8 @@ class Linker {
 
   // Phase 3: place data blobs and functions.
   void Layout() {
-    Image& image = result_.image;
-    image.data_base = options_.data_base;
-    image.natives = options_.natives;
+    Image& image = *image_;
+    image.natives = options_->natives;
 
     int text_cursor = 0;
     for (const ObjectFile* object : included_) {
@@ -130,32 +195,22 @@ class Linker {
       int data_offset = RoundUp(static_cast<int>(image.data.size()), 8);
       image.data.resize(static_cast<size_t>(data_offset), 0);
       image.data.insert(image.data.end(), object->data.begin(), object->data.end());
-      data_offsets_[object] = data_offset;
-      placement.data_offset = options_.data_base + static_cast<uint32_t>(data_offset);
+      placement.data_offset = kDataBase + static_cast<uint32_t>(data_offset);
+      data_address_[object] = placement.data_offset;
 
       // Functions, in object order.
       placement.first_function = static_cast<int>(image.functions.size());
       placement.function_count = static_cast<int>(object->functions.size());
-      for (const BytecodeFunction& function : object->functions) {
-        BytecodeFunction placed = function;
-        placed.text_offset = text_cursor;
-        text_cursor += RoundUp(placed.TextBytes(), options_.text_align);
-        function_base_[object] = placement.first_function;
-        image.functions.push_back(std::move(placed));
-      }
       function_base_[object] = placement.first_function;
+      for (const BytecodeFunction& function : object->functions) {
+        image.functions.push_back(function);
+        text_cursor = PlaceText(image.functions.back(), text_cursor);
+      }
       result_.placements.push_back(placement);
     }
     image.text_bytes = text_cursor;
+    callable_base_ = static_cast<int>(image.functions.size());
   }
-
-  // The callable id / address a symbol index in `object` resolves to.
-  struct Resolved {
-    enum class Kind { kFunction, kNative, kData };
-    Kind kind = Kind::kData;
-    int callable = -1;     // kFunction/kNative
-    uint32_t address = 0;  // kData
-  };
 
   bool ResolveSymbol(const ObjectFile* object, int symbol_index, Resolved& out) {
     const ObjSymbol& symbol = object->symbols[symbol_index];
@@ -178,28 +233,41 @@ class Linker {
         def = &def_object->symbols[it->second.second];
       }
     }
-    if (def == nullptr) {
-      // Try natives.
-      for (size_t n = 0; n < options_.natives.size(); ++n) {
-        if (options_.natives[n] == symbol.name) {
-          out.kind = Resolved::Kind::kNative;
-          out.callable = static_cast<int>(result_.image.functions.size()) + static_cast<int>(n);
-          return true;
-        }
+    if (def != nullptr) {
+      if (def->section == ObjSymbol::Section::kText) {
+        out.kind = Resolved::Kind::kFunction;
+        out.callable = function_base_[def_object] + def->index;
+      } else {
+        out.kind = Resolved::Kind::kData;
+        out.address = data_address_[def_object] + static_cast<uint32_t>(def->index);
       }
-      diags_.Error(SourceLoc{object->name, 0, 0},
-                   "undefined reference to '" + symbol.name + "'");
-      return false;
-    }
-    if (def->section == ObjSymbol::Section::kText) {
-      out.kind = Resolved::Kind::kFunction;
-      out.callable = function_base_[def_object] + def->index;
       return true;
     }
-    out.kind = Resolved::Kind::kData;
-    out.address = options_.data_base + static_cast<uint32_t>(data_offsets_[def_object]) +
-                  static_cast<uint32_t>(def->index);
-    return true;
+    // Not defined by the objects being linked: the image already linked (empty
+    // for a fresh link), then natives.
+    const Image& image = *image_;
+    auto function = image.function_symbols.find(symbol.name);
+    if (function != image.function_symbols.end()) {
+      out.kind = Resolved::Kind::kFunction;
+      out.callable = function->second;
+      return true;
+    }
+    auto data = image.data_symbols.find(symbol.name);
+    if (data != image.data_symbols.end()) {
+      out.kind = Resolved::Kind::kData;
+      out.address = data->second;
+      return true;
+    }
+    for (size_t n = 0; n < image.natives.size(); ++n) {
+      if (image.natives[n] == symbol.name) {
+        out.kind = Resolved::Kind::kNative;
+        out.callable = callable_base_ + static_cast<int>(n);
+        return true;
+      }
+    }
+    diags_.Error(SourceLoc{object->name, 0, 0},
+                 "undefined reference to '" + symbol.name + "'");
+    return false;
   }
 
   bool Resolve() {
@@ -213,33 +281,28 @@ class Linker {
         }
       }
     }
-    if (!ok) {
-      return false;
-    }
-    // Export the global symbol tables.
-    Image& image = result_.image;
+    return ok;
+  }
+
+  // Exports the linked objects' global definitions into the image's symbol tables.
+  void RegisterSymbols() {
+    Image& image = *image_;
     for (const auto& [name, def] : global_defs_) {
       const ObjectFile* object = def.first;
       const ObjSymbol& symbol = object->symbols[def.second];
       if (symbol.section == ObjSymbol::Section::kText) {
         image.function_symbols[name] = function_base_[object] + symbol.index;
       } else {
-        image.data_symbols[name] = options_.data_base +
-                                   static_cast<uint32_t>(data_offsets_[object]) +
-                                   static_cast<uint32_t>(symbol.index);
+        image.data_symbols[name] = data_address_[object] + static_cast<uint32_t>(symbol.index);
       }
     }
-    return true;
   }
 
   // Phase 3.5: binding slots for swappable components. Every global text symbol
   // defined by a swappable instance gets a slot; iteration over the sorted
   // global_defs_ map makes slot indices deterministic for identical links.
   void CreateBindings() {
-    if (options_.swappable_components.empty()) {
-      return;
-    }
-    Image& image = result_.image;
+    Image& image = *image_;
     for (const auto& [name, def] : global_defs_) {
       const ObjectFile* object = def.first;
       const ObjSymbol& symbol = object->symbols[def.second];
@@ -248,7 +311,7 @@ class Linker {
       }
       int target = function_base_[object] + symbol.index;
       const std::string& component = image.functions[target].component;
-      if (options_.swappable_components.count(component) == 0) {
+      if (options_->swappable_components.count(component) == 0) {
         continue;
       }
       slot_of_callable_[target] = static_cast<int>(image.bindings.size());
@@ -256,85 +319,94 @@ class Linker {
     }
   }
 
-  uint32_t ValueOf(const Resolved& resolved) const {
-    switch (resolved.kind) {
-      case Resolved::Kind::kFunction:
-      case Resolved::Kind::kNative:
-        return EncodeFuncRef(resolved.callable);
-      case Resolved::Kind::kData:
-        return resolved.address;
-    }
-    return 0;
-  }
-
-  // Phase 4: rewrite code and data relocations. A call to a data symbol (a
-  // prototype in one unit, a variable in another) is an error.
-  bool Patch() {
+  // Phase 4a: rewrite `object`'s code, placed at `placed` (one function per
+  // object function). A call to a data symbol (a prototype in one unit, a
+  // variable in another) is an error.
+  bool PatchCode(const ObjectFile* object, BytecodeFunction* placed) {
     bool ok = true;
-    Image& image = result_.image;
-    for (const ObjectFile* object : included_) {
-      const std::vector<Resolved>& table = resolution_[object];
-      int base = function_base_[object];
-      for (int f = 0; f < static_cast<int>(object->functions.size()); ++f) {
-        BytecodeFunction& function = image.functions[base + f];
-        for (Insn& insn : function.code) {
-          if (insn.op == Op::kConstSym) {
-            insn.op = Op::kConstInt;
-            insn.a = static_cast<int32_t>(ValueOf(table[insn.a]));
-          } else if (insn.op == Op::kCall) {
-            const Resolved& resolved = table[insn.a];
-            if (resolved.kind == Resolved::Kind::kData) {
-              diags_.Error(SourceLoc{object->name, 0, 0},
-                           "'" + function.name + "' calls '" + object->symbols[insn.a].name +
-                               "', which is data, not a function");
-              ok = false;
+    const std::vector<Resolved>& table = resolution_[object];
+    for (size_t f = 0; f < object->functions.size(); ++f) {
+      BytecodeFunction& function = placed[f];
+      for (Insn& insn : function.code) {
+        if (insn.op == Op::kConstSym) {
+          insn.op = Op::kConstInt;
+          insn.a = static_cast<int32_t>(ValueOf(table[insn.a]));
+        } else if (insn.op == Op::kCall) {
+          const Resolved& resolved = table[insn.a];
+          if (resolved.kind == Resolved::Kind::kData) {
+            diags_.Error(SourceLoc{object->name, 0, 0},
+                         "'" + function.name + "' calls '" + object->symbols[insn.a].name +
+                             "', which is data, not a function");
+            ok = false;
+          } else {
+            auto slot = slot_of_callable_.find(resolved.callable);
+            if (slot != slot_of_callable_.end() &&
+                function.component != image_->bindings[slot->second].component) {
+              // Cross-component edge into a swappable instance: call through
+              // the binding slot so a swap retargets this site. Intra-instance
+              // calls stay direct — they are replaced wholesale with the code.
+              insn.op = Op::kCallBound;
+              insn.a = slot->second;
             } else {
-              auto slot = slot_of_callable_.find(resolved.callable);
-              if (slot != slot_of_callable_.end() &&
-                  function.component != image.bindings[slot->second].component) {
-                // Cross-component edge into a swappable instance: call through
-                // the binding slot so a swap retargets this site. Intra-instance
-                // calls stay direct — they are replaced wholesale with the code.
-                insn.op = Op::kCallBound;
-                insn.a = slot->second;
-              } else {
-                insn.a = resolved.callable;
-              }
+              insn.a = resolved.callable;
             }
           }
-        }
-      }
-      // Data relocations.
-      int data_offset = data_offsets_[object];
-      for (const DataReloc& reloc : object->data_relocs) {
-        size_t at = static_cast<size_t>(data_offset) + reloc.data_offset;
-        uint32_t addend = 0;
-        for (int i = 0; i < 4; ++i) {
-          addend |= static_cast<uint32_t>(image.data[at + i]) << (8 * i);
-        }
-        const Resolved& resolved = table[reloc.symbol];
-        uint32_t value = ValueOf(resolved) + addend;
-        for (int i = 0; i < 4; ++i) {
-          image.data[at + i] = static_cast<uint8_t>((value >> (8 * i)) & 0xFF);
-        }
-        if (resolved.kind != Resolved::Kind::kData) {
-          // A function ref now lives in data; record where, so the image
-          // optimizer keeps its target alive (see Image::func_ref_data).
-          image.func_ref_data.push_back(options_.data_base + static_cast<uint32_t>(at));
         }
       }
     }
     return ok;
   }
 
+  // Phase 4b: rewrite `object`'s data relocations in its blob `bytes`.
+  void RelocateData(const ObjectFile* object, uint8_t* bytes) {
+    const std::vector<Resolved>& table = resolution_[object];
+    for (const DataReloc& reloc : object->data_relocs) {
+      uint8_t* word = bytes + reloc.data_offset;
+      const Resolved& resolved = table[reloc.symbol];
+      StoreWord(word, ValueOf(resolved) + LoadWord(word));
+      if (resolved.kind != Resolved::Kind::kData) {
+        // A function ref now lives in data; record where, so the image
+        // optimizer keeps its target alive (see Image::func_ref_data).
+        image_->func_ref_data.push_back(data_address_[object] +
+                                        static_cast<uint32_t>(reloc.data_offset));
+      }
+    }
+  }
+
+  // Appending moves every native id up by the appended function count: shift
+  // the native refs the old code and the linked data hold.
+  void ShiftNatives(int old_count, int appended) {
+    Image& image = *image_;
+    const int natives = static_cast<int>(image.natives.size());
+    for (int f = 0; f < old_count; ++f) {
+      for (Insn& insn : image.functions[f].code) {
+        if (insn.op == Op::kCall && insn.a >= old_count && insn.a < old_count + natives) {
+          insn.a += appended;
+        } else if (insn.op == Op::kConstInt && IsFuncRef(static_cast<uint32_t>(insn.a))) {
+          insn.a = static_cast<int32_t>(
+              ShiftNativeRef(static_cast<uint32_t>(insn.a), old_count, natives, appended));
+        }
+      }
+    }
+    for (uint32_t address : image.func_ref_data) {
+      uint64_t offset = static_cast<uint64_t>(address) - image.data_base;
+      if (address >= image.data_base && offset + 4 <= image.data.size()) {
+        uint8_t* word = image.data.data() + offset;
+        StoreWord(word, ShiftNativeRef(LoadWord(word), old_count, natives, appended));
+      }
+    }
+  }
+
   std::vector<LinkItem> items_;
-  const LinkOptions& options_;
+  const LinkOptions* options_ = nullptr;  // null when appending
   Diagnostics& diags_;
   LinkResult result_;
+  Image* image_ = &result_.image;  // the image being built or appended to
+  int callable_base_ = 0;          // first native id once the objects are placed
 
-  std::vector<ObjectFile*> included_;
+  std::vector<const ObjectFile*> included_;
   std::map<std::string, std::pair<const ObjectFile*, int>> global_defs_;
-  std::map<const ObjectFile*, int> data_offsets_;
+  std::map<const ObjectFile*, uint32_t> data_address_;
   std::map<const ObjectFile*, int> function_base_;
   std::map<const ObjectFile*, std::vector<Resolved>> resolution_;
   std::map<int, int> slot_of_callable_;  // function id -> binding slot index
@@ -346,6 +418,21 @@ Result<LinkResult> Link(std::vector<LinkItem> items, const LinkOptions& options,
                         Diagnostics& diags) {
   Linker linker(std::move(items), options, diags);
   return linker.Run();
+}
+
+Result<std::vector<uint8_t>> LinkAppend(Image& image, const ObjectFile& object,
+                                        uint32_t data_address, Diagnostics& diags) {
+  Linker linker(image, diags);
+  return linker.Append(object, data_address);
+}
+
+uint32_t ShiftNativeRef(uint32_t value, int old_functions, int natives, int appended) {
+  if (!IsFuncRef(value)) {
+    return value;
+  }
+  int callable = DecodeFuncRef(value);
+  bool names_native = callable >= old_functions && callable < old_functions + natives;
+  return names_native ? EncodeFuncRef(callable + appended) : value;
 }
 
 }  // namespace knit

@@ -35,12 +35,6 @@ struct LinkOptions {
   // defines native ids.
   std::vector<std::string> natives;
 
-  // Base address where the data image is loaded.
-  uint32_t data_base = 0x1000;
-
-  // Function placement alignment in text (affects I-cache behaviour).
-  int text_align = 16;
-
   // Instance paths (BytecodeFunction::component) whose global text symbols get
   // binding slots (Image::bindings): cross-component calls into them are emitted
   // as kCallBound through the slot instead of a baked-in function id, making the
@@ -63,6 +57,23 @@ struct LinkResult {
 
 Result<LinkResult> Link(std::vector<LinkItem> items, const LinkOptions& options,
                         Diagnostics& diags);
+
+// Links one more object into an already linked image by Link's own rules (live
+// reconfiguration's patch-link step). The object's functions go after the
+// existing text and its data at `data_address`; undefined globals resolve
+// against the image's symbols, then its natives. Everything is resolved and
+// checked before the image changes, so a failed append leaves it untouched.
+// Appending shifts the native ids; the image's old code and data are shifted to
+// match (ShiftNativeRef). Returns the object's relocated data, for the caller
+// to load at `data_address`.
+Result<std::vector<uint8_t>> LinkAppend(Image& image, const ObjectFile& object,
+                                        uint32_t data_address, Diagnostics& diags);
+
+// A stored word after `appended` functions were added to an image that had
+// `old_functions` functions and `natives` natives: a funcref naming a native
+// moves up by `appended`; any other value (a negative integer carries the
+// funcref bit too) stays.
+uint32_t ShiftNativeRef(uint32_t value, int old_functions, int natives, int appended);
 
 }  // namespace knit
 

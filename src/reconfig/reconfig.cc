@@ -1,8 +1,9 @@
 #include "src/reconfig/reconfig.h"
 
 #include <map>
-#include <set>
 #include <utility>
+
+#include "src/ld/link.h"
 
 namespace knit {
 namespace {
@@ -21,14 +22,6 @@ std::string RenderErrors(const Diagnostics& diags, const std::string& fallback) 
   }
   return out.empty() ? fallback : out;
 }
-
-// How one replacement-object symbol resolves against the running image.
-struct Resolved {
-  enum class Kind { kUnresolved, kFunction, kNative, kData, kBound };
-  Kind kind = Kind::kUnresolved;
-  int callable = -1;     // kFunction/kNative: callable id; kBound: slot index
-  uint32_t address = 0;  // kData
-};
 
 }  // namespace
 
@@ -168,202 +161,40 @@ SwapReport ReconfigEngine::Execute(const SwapSpec& spec, int deferred_packets) {
     }
   }
 
-  // ---- grow the image ----------------------------------------------------------
-  // From here on the image's function table grows; every mutation below keeps the
-  // RUNNING code correct even if the swap later aborts (the new generation is
-  // simply never made reachable).
-  const int old_count = static_cast<int>(image.functions.size());
-  const int appended = static_cast<int>(object.functions.size());
-
+  // ---- link ------------------------------------------------------------------
   // Replacement data lives on the VM heap (the Machine copied image.data into its
   // memory at construction; appending to image.data would not load it).
-  uint32_t data_base = 0;
+  const int old_count = static_cast<int>(image.functions.size());
+  const int appended = static_cast<int>(object.functions.size());
+  const size_t old_refs = image.func_ref_data.size();
+  uint32_t data_address = 0;
   if (!object.data.empty()) {
-    data_base = machine_.Sbrk(static_cast<uint32_t>(object.data.size()));
-    if (data_base == 0) {
+    data_address = machine_.Sbrk(static_cast<uint32_t>(object.data.size()));
+    if (data_address == 0) {
       machine_.RecoverNestedTrap(machine_.EvalDepth());  // clear the sbrk trap
       report.error = "heap exhausted placing replacement data";
       return finish(report);
     }
-    for (size_t i = 0; i < object.data.size(); ++i) {
-      machine_.WriteByte(data_base + static_cast<uint32_t>(i), object.data[i]);
-    }
   }
-
-  int text_cursor = image.text_bytes;
-  for (const BytecodeFunction& function : object.functions) {
-    BytecodeFunction placed = function;
-    placed.text_offset = text_cursor;
-    text_cursor += RoundUp(placed.TextBytes(), 16);  // the linker's text_align
-    image.functions.push_back(std::move(placed));
-  }
-  image.text_bytes = text_cursor;
-
-  // Appending functions shifts native callable ids (natives live at
-  // [functions.size(), ...)). Patch every stored native reference in old code and
-  // data by the same delta, so the shift is unobservable: direct calls, funcref
-  // constants, and linker-recorded funcref data words. Only values that name a
-  // native move: a negative integer constant also has the funcref bit set.
-  const int old_callables = old_count + static_cast<int>(image.natives.size());
-  auto names_native = [&](int callable) {
-    return callable >= old_count && callable < old_callables;
-  };
-  for (int f = 0; f < old_count; ++f) {
-    for (Insn& insn : image.functions[f].code) {
-      if (insn.op == Op::kCall && names_native(insn.a)) {
-        insn.a += appended;
-      } else if (insn.op == Op::kConstInt) {
-        uint32_t value = static_cast<uint32_t>(insn.a);
-        if (IsFuncRef(value) && names_native(DecodeFuncRef(value))) {
-          insn.a = static_cast<int32_t>(EncodeFuncRef(DecodeFuncRef(value) + appended));
-        }
-      }
-    }
-  }
-  auto patch_data_word = [&](uint32_t address, uint32_t value) {
-    machine_.WriteWord(address, value);
-    // Mirror into image.data when the word lives in the linked data image, so a
-    // later inspection of the image sees what the machine sees.
-    uint64_t offset = static_cast<uint64_t>(address) - image.data_base;
-    if (address >= image.data_base && offset + 4 <= image.data.size()) {
-      for (int i = 0; i < 4; ++i) {
-        image.data[offset + i] = static_cast<uint8_t>((value >> (8 * i)) & 0xFF);
-      }
-    }
-  };
-  for (uint32_t address : image.func_ref_data) {
-    uint32_t value = machine_.ReadWord(address);
-    if (IsFuncRef(value) && names_native(DecodeFuncRef(value))) {
-      patch_data_word(address, EncodeFuncRef(DecodeFuncRef(value) + appended));
-    }
-  }
-
-  // Resolve the replacement's symbols against the running image. Binding slots
-  // win over direct function ids so imports from OTHER swappable instances stay
-  // retargetable by their own future swaps.
-  std::vector<Resolved> table(object.symbols.size());
-  for (size_t s = 0; s < object.symbols.size(); ++s) {
-    const ObjSymbol& symbol = object.symbols[s];
-    Resolved& resolved = table[s];
-    if (symbol.section == ObjSymbol::Section::kText) {
-      resolved.kind = Resolved::Kind::kFunction;
-      resolved.callable = old_count + symbol.index;
-      continue;
-    }
-    if (symbol.section == ObjSymbol::Section::kData) {
-      resolved.kind = Resolved::Kind::kData;
-      resolved.address = data_base + static_cast<uint32_t>(symbol.index);
-      continue;
-    }
-    if (!symbol.global) {
-      continue;  // dead local reference; nothing can use it
-    }
-    int slot = image.FindBinding(symbol.name);
-    if (slot >= 0) {
-      resolved.kind = Resolved::Kind::kBound;
-      resolved.callable = slot;
-      continue;
-    }
-    auto function = image.function_symbols.find(symbol.name);
-    if (function != image.function_symbols.end()) {
-      resolved.kind = Resolved::Kind::kFunction;
-      resolved.callable = function->second;
-      continue;
-    }
-    auto data = image.data_symbols.find(symbol.name);
-    if (data != image.data_symbols.end()) {
-      resolved.kind = Resolved::Kind::kData;
-      resolved.address = data->second;
-      continue;
-    }
-    bool is_native = false;
-    for (size_t n = 0; n < image.natives.size(); ++n) {
-      if (image.natives[n] == symbol.name) {
-        resolved.kind = Resolved::Kind::kNative;
-        resolved.callable = static_cast<int>(image.functions.size()) + static_cast<int>(n);
-        is_native = true;
-        break;
-      }
-    }
-    if (!is_native) {
-      report.error = "replacement has an undefined reference to '" + symbol.name + "'";
-      machine_.RefreshAfterImageGrowth();
-      return finish(report);
-    }
-  }
-  auto funcref_of = [&](const Resolved& resolved) -> uint32_t {
-    switch (resolved.kind) {
-      case Resolved::Kind::kFunction:
-      case Resolved::Kind::kNative:
-        return EncodeFuncRef(resolved.callable);
-      case Resolved::Kind::kBound:
-        // Address-of a slot-bound symbol bakes the CURRENT target; the commit
-        // step below repoints stored refs when the slot retargets.
-        return EncodeFuncRef(image.bindings[resolved.callable].target);
-      case Resolved::Kind::kData:
-        return resolved.address;
-      case Resolved::Kind::kUnresolved:
-        break;
-    }
-    return 0;
-  };
-
-  // Patch the appended code, exactly as the linker's Patch phase does: a call
-  // to a data symbol is an error there too.
-  for (int f = old_count; f < static_cast<int>(image.functions.size()); ++f) {
-    for (Insn& insn : image.functions[f].code) {
-      if (insn.op == Op::kConstSym) {
-        insn.op = Op::kConstInt;
-        insn.a = static_cast<int32_t>(funcref_of(table[insn.a]));
-      } else if (insn.op == Op::kCall) {
-        const Resolved& resolved = table[insn.a];
-        if (resolved.kind == Resolved::Kind::kBound) {
-          insn.op = Op::kCallBound;
-          insn.a = resolved.callable;
-        } else if (resolved.kind == Resolved::Kind::kFunction ||
-                   resolved.kind == Resolved::Kind::kNative) {
-          insn.a = resolved.callable;
-        } else if (resolved.kind == Resolved::Kind::kData) {
-          if (report.error.empty()) {
-            report.error = "replacement's '" + image.functions[f].name + "' calls '" +
-                           object.symbols[insn.a].name + "', which is data, not a function";
-          }
-        } else {
-          insn.a = -1;  // a dead local reference: nothing reaches it
-        }
-      }
-    }
-  }
-  if (!report.error.empty()) {
-    machine_.RefreshAfterImageGrowth();
+  // The build's linker appends the functions past the existing text and
+  // resolves the imports against the running image; a failure leaves the image
+  // untouched. From here on every mutation keeps the RUNNING code correct even
+  // if the swap later aborts (the new generation is never made reachable).
+  Result<std::vector<uint8_t>> data = LinkAppend(image, object, data_address, diags);
+  if (!data.ok()) {
+    report.error = "replacement failed to link: " + RenderErrors(diags, "link error");
     return finish(report);
   }
-  // Replacement data relocations, against the heap placement.
-  for (const DataReloc& reloc : object.data_relocs) {
-    uint32_t at = data_base + static_cast<uint32_t>(reloc.data_offset);
-    uint32_t addend = machine_.ReadWord(at);
-    const Resolved& resolved = table[reloc.symbol];
-    machine_.WriteWord(at, funcref_of(resolved) + addend);
-    if (resolved.kind != Resolved::Kind::kData &&
-        resolved.kind != Resolved::Kind::kUnresolved) {
-      image.func_ref_data.push_back(at);
-    }
+  for (size_t i = 0; i < data.value().size(); ++i) {
+    machine_.WriteByte(data_address + static_cast<uint32_t>(i), data.value()[i]);
   }
-
-  // Register the versioned globals, remembering them for abandon-cleanup.
-  std::vector<std::string> added_functions;
-  std::vector<std::string> added_data;
-  for (const ObjSymbol& symbol : object.symbols) {
-    if (!symbol.global || symbol.section == ObjSymbol::Section::kUndefined) {
-      continue;
-    }
-    if (symbol.section == ObjSymbol::Section::kText) {
-      image.function_symbols[symbol.name] = old_count + symbol.index;
-      added_functions.push_back(symbol.name);
-    } else {
-      image.data_symbols[symbol.name] = data_base + static_cast<uint32_t>(symbol.index);
-      added_data.push_back(symbol.name);
-    }
+  // The append shifted native ids in the image; shift the stored native refs in
+  // machine memory to match, so the shift is unobservable.
+  for (size_t r = 0; r < old_refs; ++r) {
+    uint32_t address = image.func_ref_data[r];
+    machine_.WriteWord(address, ShiftNativeRef(machine_.ReadWord(address), old_count,
+                                               static_cast<int>(image.natives.size()),
+                                               appended));
   }
   report.new_functions = appended;
 
@@ -371,11 +202,11 @@ SwapReport ReconfigEngine::Execute(const SwapSpec& spec, int deferred_packets) {
     // Exact rollback: the binding slots were never touched, so the old
     // generation keeps serving. The appended text is unreachable and leaked by
     // design (no caller enumeration, ever); the versioned symbols are removed.
-    for (const std::string& name : added_functions) {
-      image.function_symbols.erase(name);
-    }
-    for (const std::string& name : added_data) {
-      image.data_symbols.erase(name);
+    for (const ObjSymbol& symbol : object.symbols) {
+      if (symbol.global && symbol.section != ObjSymbol::Section::kUndefined) {
+        image.function_symbols.erase(symbol.name);
+        image.data_symbols.erase(symbol.name);
+      }
     }
     report.error = error;
     return finish(report);
@@ -496,10 +327,18 @@ SwapReport ReconfigEngine::Execute(const SwapSpec& spec, int deferred_packets) {
   }
   for (uint32_t address : image.func_ref_data) {
     uint32_t value = machine_.ReadWord(address);
-    if (IsFuncRef(value)) {
-      auto it = retargeted.find(DecodeFuncRef(value));
-      if (it != retargeted.end()) {
-        patch_data_word(address, EncodeFuncRef(it->second));
+    auto it = IsFuncRef(value) ? retargeted.find(DecodeFuncRef(value)) : retargeted.end();
+    if (it == retargeted.end()) {
+      continue;
+    }
+    value = EncodeFuncRef(it->second);
+    machine_.WriteWord(address, value);
+    // Mirror into image.data when the word lives in the linked data image, so a
+    // later inspection of the image sees what the machine sees.
+    uint64_t offset = static_cast<uint64_t>(address) - image.data_base;
+    if (address >= image.data_base && offset + 4 <= image.data.size()) {
+      for (int i = 0; i < 4; ++i) {
+        image.data[offset + i] = static_cast<uint8_t>((value >> (8 * i)) & 0xFF);
       }
     }
   }

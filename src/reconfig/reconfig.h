@@ -12,10 +12,11 @@
 //   2. compile   — CompileInstanceReplacement() builds the new unit against the
 //                  SAME import/export contract, its globals renamed with a
 //                  generation suffix (__vN) so both generations coexist;
-//   3. patch-link— append the new functions past the existing text, place its
-//                  data on the VM heap, and resolve its imports against the
-//                  running image (binding slots first, so swappable-to-swappable
-//                  edges stay retargetable);
+//   3. patch-link— LinkAppend (src/ld, the build's linker) resolves the
+//                  imports against the running image, routing calls into other
+//                  swappable instances through their binding slots, then
+//                  appends the new functions past the existing text; the data
+//                  goes on the VM heap. A link error leaves the image untouched;
 //   4. init      — run the replacement's initializers on the live machine; a
 //                  nonzero status or a trap ABANDONS the new generation with the
 //                  binding slots untouched: exact rollback, the old instance
@@ -32,8 +33,8 @@
 // Known costs, by design (documented in DESIGN.md §11): an abandoned or retired
 // generation's text is leaked (stubbed ids stay valid, so no caller enumeration
 // is ever needed), and appending functions shifts native callable ids — the
-// engine patches every stored native reference in the same growth step, so the
-// shift is never observable by running code.
+// linker and the engine patch every stored native reference in the same growth
+// step, so the shift is never observable by running code.
 #ifndef SRC_RECONFIG_RECONFIG_H_
 #define SRC_RECONFIG_RECONFIG_H_
 

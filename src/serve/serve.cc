@@ -10,23 +10,8 @@ namespace knit {
 
 namespace {
 
-// Re-reports one Diagnostics into another (shard workers accumulate privately —
-// Diagnostics is not thread-safe — and Serve merges the failures afterwards).
-void MergeDiags(const Diagnostics& from, Diagnostics& into) {
-  for (const Diagnostic& d : from.entries()) {
-    switch (d.severity) {
-      case Severity::kError:
-        into.Error(d.loc, d.message);
-        break;
-      case Severity::kWarning:
-        into.Warning(d.loc, d.message);
-        break;
-      case Severity::kNote:
-        into.Note(d.loc, d.message);
-        break;
-    }
-  }
-}
+// Per-shard queue bound (backpressure toward the feeder) in streaming mode.
+constexpr size_t kQueueCapacity = 1024;
 
 // Exact per-component sum of shard profiles: every counter of the aggregate is
 // the sum of the shard rows for that component / edge — attribution never
@@ -328,8 +313,7 @@ Result<ServeReport> RouterFleet::Serve(const std::vector<TracePacket>& trace,
   // sharded up front, closed before any worker runs.
   bool streamed = jobs >= shards() + 1;
   for (std::unique_ptr<Shard>& shard : shards_) {
-    shard->queue =
-        std::make_unique<PacketQueue>(streamed ? options_.queue_capacity : 0);
+    shard->queue = std::make_unique<PacketQueue>(streamed ? kQueueCapacity : 0);
   }
 
   TaskSet tasks;
@@ -358,7 +342,7 @@ Result<ServeReport> RouterFleet::Serve(const std::vector<TracePacket>& trace,
     if (shard->failed) {
       failed = true;
     }
-    MergeDiags(shard->diags, diags);
+    diags.Append(shard->diags);  // shards report privately (Diagnostics is not thread-safe)
   }
   if (failed) {
     return Result<ServeReport>::Failure();

@@ -46,9 +46,6 @@ struct ServeOptions {
   // acquisition and one entry-symbol resolution amortized over the batch.
   int batch = 32;
 
-  // Per-shard queue bound (backpressure toward the feeder) in streaming mode.
-  size_t queue_capacity = 1024;
-
   // Worker-pool width. 0 sizes it as shards + 1 (N shard workers + the feed
   // task) — full streaming. Anything smaller switches the fleet to pre-feed
   // mode: the queues become unbounded, the whole trace is sharded up front,

@@ -44,6 +44,12 @@ void Diagnostics::Note(SourceLoc loc, std::string message) {
   Add(Severity::kNote, std::move(loc), std::move(message));
 }
 
+void Diagnostics::Append(const Diagnostics& other) {
+  for (const Diagnostic& d : other.entries_) {
+    Add(d.severity, d.loc, d.message);
+  }
+}
+
 void Diagnostics::Add(Severity severity, SourceLoc loc, std::string message) {
   if (severity == Severity::kError) {
     ++error_count_;

@@ -49,6 +49,10 @@ class Diagnostics {
   void Warning(SourceLoc loc, std::string message);
   void Note(SourceLoc loc, std::string message);
 
+  // Re-reports every entry of `other`, in order and with its severity (for
+  // merging per-task or per-shard sinks into the caller's).
+  void Append(const Diagnostics& other);
+
   bool has_errors() const { return error_count_ > 0; }
   size_t error_count() const { return error_count_; }
   size_t warning_count() const { return warning_count_; }

@@ -12,6 +12,20 @@
 
 namespace knit {
 
+// Where every linked image loads its data.
+inline constexpr uint32_t kDataBase = 0x1000;
+
+// Every function starts on a kTextAlign-byte text boundary (the I-cache model
+// sees the padding).
+inline constexpr int kTextAlign = 16;
+
+// Places `function` at text offset `cursor` and returns the cursor past it. The
+// linker, swap appends and the image layout passes all place text through it.
+inline int PlaceText(BytecodeFunction& function, int cursor) {
+  function.text_offset = cursor;
+  return cursor + RoundUp(function.TextBytes(), kTextAlign);
+}
+
 // One rebindable call target. Slots exist for the global text symbols of
 // components the link marked swappable (LinkOptions::swappable_components):
 // cross-component calls into such a symbol compile to kCallBound on the slot
@@ -20,7 +34,7 @@ namespace knit {
 struct BindingSlot {
   std::string symbol;     // global link name the slot stands for
   std::string component;  // instance path that owns the definition
-  int target = -1;        // current callee: VM function id (>= 0) or native (< 0)
+  int target = -1;        // current callee's callable id (natives are ids >= functions.size())
 };
 
 struct Image {
@@ -30,7 +44,7 @@ struct Image {
   std::vector<std::string> natives;         // native callable names, in id order
 
   std::vector<uint8_t> data;       // initialized data image, loaded at data_base
-  uint32_t data_base = 0x1000;
+  uint32_t data_base = kDataBase;
 
   std::map<std::string, int> function_symbols;     // global name -> function id
   std::map<std::string, uint32_t> data_symbols;    // global name -> absolute address
@@ -52,16 +66,6 @@ struct Image {
   int FindFunction(const std::string& name) const {
     auto it = function_symbols.find(name);
     return it == function_symbols.end() ? -1 : it->second;
-  }
-
-  // Binding-slot index for `symbol`, or -1.
-  int FindBinding(const std::string& symbol) const {
-    for (size_t i = 0; i < bindings.size(); ++i) {
-      if (bindings[i].symbol == symbol) {
-        return static_cast<int>(i);
-      }
-    }
-    return -1;
   }
 
   bool IsNativeId(int callable) const {

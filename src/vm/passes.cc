@@ -449,17 +449,16 @@ class ImageSimplifyPass : public ImagePass {
   }
 };
 
-// Re-places the text segment after code shrank: same formula as the linker's
-// Layout phase, so images remain deterministic and the I-cache simulator sees
-// the denser footprint (the paper's flattened-is-smaller effect).
+// Re-places the text segment after code shrank with the linker's PlaceText, so
+// images remain deterministic and the I-cache simulator sees the denser
+// footprint (the paper's flattened-is-smaller effect).
 class ImageLayoutPass : public ImagePass {
  public:
   const char* name() const override { return "layout"; }
-  void Run(Image& image, const ImagePassOptions& options) override {
+  void Run(Image& image, const ImagePassOptions&) override {
     int text_cursor = 0;
     for (BytecodeFunction& function : image.functions) {
-      function.text_offset = text_cursor;
-      text_cursor += RoundUp(function.TextBytes(), options.text_align);
+      text_cursor = PlaceText(function, text_cursor);
     }
     image.text_bytes = text_cursor;
   }
@@ -598,8 +597,7 @@ class PgoLayoutPass : public ImagePass {
                FunctionCallsOf(index, image.functions[b].name);
       });
       for (int f : group) {
-        image.functions[f].text_offset = text_cursor;
-        text_cursor += RoundUp(image.functions[f].TextBytes(), options.text_align);
+        text_cursor = PlaceText(image.functions[f], text_cursor);
       }
     }
     image.text_bytes = text_cursor;
@@ -643,12 +641,10 @@ class OutlineColdPass : public ImagePass {
     }
     int text_cursor = 0;
     for (int f : hot) {
-      image.functions[f].text_offset = text_cursor;
-      text_cursor += RoundUp(image.functions[f].TextBytes(), options.text_align);
+      text_cursor = PlaceText(image.functions[f], text_cursor);
     }
     for (int f : cold) {
-      image.functions[f].text_offset = text_cursor;
-      text_cursor += RoundUp(image.functions[f].TextBytes(), options.text_align);
+      text_cursor = PlaceText(image.functions[f], text_cursor);
     }
     image.text_bytes = text_cursor;
   }

@@ -56,13 +56,12 @@ void MergePassStats(std::vector<PassStats>& into, const std::vector<PassStats>& 
 
 // Configuration for the image-scope passes. Budgets mirror CodegenOptions; the
 // extra fields exist because a linked image has no symbol table scoping — entry
-// points must be named explicitly, and re-layout must match the linker's.
+// points must be named explicitly.
 struct ImagePassOptions {
   int inline_limit = 48;
   bool inline_single_call = true;
   int single_call_limit = 8192;
   int caller_growth = 32768;
-  int text_align = 16;  // must match the LinkOptions the image was produced with
   // Link names that stay callable from the host (exports, knit__init/fini/
   // rollback). Everything unreachable from these is dead.
   std::vector<std::string> entry_points;

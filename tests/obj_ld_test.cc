@@ -1,8 +1,12 @@
 // Object-file surgery (objcopy) and bag-of-objects linker tests: archive pull
 // semantics, override-by-ordering, duplicate/undefined diagnostics, localization,
-// duplication for multiple instantiation, and data relocations (function pointers
-// in initialized data).
+// duplication for multiple instantiation, data relocations (function pointers
+// in initialized data), and LinkAppend, the incremental link a hot swap uses.
 #include <gtest/gtest.h>
+
+#include <map>
+#include <string>
+#include <vector>
 
 #include "src/ld/link.h"
 #include "src/minic/cparser.h"
@@ -256,6 +260,226 @@ TEST(Linker, TextPlacementAndSymbols) {
   // Functions placed in order, 16-byte aligned.
   EXPECT_EQ(image.functions[0].text_offset % 16, 0);
   EXPECT_GT(image.functions[1].text_offset, image.functions[0].text_offset);
+}
+
+// ---- LinkAppend ----------------------------------------------------------------
+
+// `source` compiled as instance `component` (every function stamped with it).
+ObjectFile InstanceObject(const std::string& name, const std::string& component,
+                          const std::string& source) {
+  ObjectFile object = CompileOrDie(name, source);
+  for (BytecodeFunction& function : object.functions) {
+    function.component = component;
+  }
+  return object;
+}
+
+// Two instances, A -> B, with B swappable: A's call to b_get goes through a slot.
+Image LinkAToSwappableB() {
+  std::vector<LinkItem> items;
+  items.emplace_back(InstanceObject("a.o", "A",
+                                    "extern int b_get(void);\n"
+                                    "int a_use(void) { return b_get(); }\n"));
+  items.emplace_back(InstanceObject("b.o", "B",
+                                    "int b_get(void) { return 7; }\n"
+                                    "int b_twice(void) { return 2 * b_get(); }\n"));
+  Diagnostics diags;
+  LinkOptions options;
+  options.swappable_components = {"B"};
+  Result<LinkResult> linked = Link(std::move(items), options, diags);
+  EXPECT_TRUE(linked.ok()) << diags.ToString();
+  return linked.take().image;
+}
+
+// The first kCall/kCallBound in `function`, or nullptr.
+const Insn* FirstCall(const BytecodeFunction& function) {
+  for (const Insn& insn : function.code) {
+    if (insn.op == Op::kCall || insn.op == Op::kCallBound) {
+      return &insn;
+    }
+  }
+  return nullptr;
+}
+
+TEST(LinkAppend, CallIntoASwappableComponentIsBound) {
+  Image image = LinkAToSwappableB();
+  // Both of B's functions have slots, in symbol order.
+  ASSERT_EQ(image.bindings.size(), 2u);
+  ASSERT_EQ(image.bindings[0].symbol, "b_get");
+  const int slot = 0;
+  Diagnostics diags;
+  ASSERT_TRUE(LinkAppend(image,
+                         InstanceObject("c.o", "C",
+                                        "extern int b_get(void);\n"
+                                        "int c_use(void) { return b_get() + 1; }\n"),
+                         0, diags)
+                  .ok())
+      << diags.ToString();
+  const Insn* call = FirstCall(image.functions[image.FindFunction("c_use")]);
+  ASSERT_NE(call, nullptr);
+  EXPECT_EQ(call->op, Op::kCallBound);
+  EXPECT_EQ(call->a, slot);
+  Machine machine(image);
+  EXPECT_EQ(machine.Call("c_use").value, 8u);
+}
+
+TEST(LinkAppend, CallInsideTheSameComponentStaysDirect) {
+  Image image = LinkAToSwappableB();
+  const int b_get = image.FindFunction("b_get");
+  Diagnostics diags;
+  ASSERT_TRUE(LinkAppend(image,
+                         InstanceObject("b2.o", "B",
+                                        "extern int b_get(void);\n"
+                                        "int b_next(void) { return b_get() + 2; }\n"
+                                        "int b_last(void) { return b_next() + 3; }\n"),
+                         0, diags)
+                  .ok())
+      << diags.ToString();
+  // Into the image's B, and within the appended object: every call is direct.
+  const Insn* into_image = FirstCall(image.functions[image.FindFunction("b_next")]);
+  ASSERT_NE(into_image, nullptr);
+  EXPECT_EQ(into_image->op, Op::kCall);
+  EXPECT_EQ(into_image->a, b_get);
+  for (const char* name : {"b_next", "b_last"}) {
+    for (const Insn& insn : image.functions[image.FindFunction(name)].code) {
+      EXPECT_NE(insn.op, Op::kCallBound) << name;
+    }
+  }
+  Machine machine(image);
+  EXPECT_EQ(machine.Call("b_last").value, 12u);
+}
+
+TEST(LinkAppend, NativeIdsInOldCodeAndDataShiftByTheAppendedCount) {
+  std::vector<LinkItem> items;
+  items.emplace_back(CompileOrDie("a.o", R"(
+extern int host_fn(int);
+int twice(int x) { return 2 * x; }
+int (*g_native)(int) = host_fn;
+int (*g_local)(int) = twice;
+int call_direct(int x) { return host_fn(x); }
+int call_stored(int x) { return g_native(x) + g_local(x); }
+)"));
+  std::string error;
+  Result<LinkResult> linked = TryLink(std::move(items), &error, {"host_fn"});
+  ASSERT_TRUE(linked.ok()) << error;
+  Image image = linked.take().image;
+  const int old_count = static_cast<int>(image.functions.size());
+  const uint32_t native_slot = image.data_symbols.at("g_native");
+  const uint32_t local_slot = image.data_symbols.at("g_local");
+  auto data_word = [&](uint32_t address) {
+    uint32_t word = 0;
+    for (int i = 0; i < 4; ++i) {
+      word |= static_cast<uint32_t>(image.data[address - image.data_base + i]) << (8 * i);
+    }
+    return word;
+  };
+  ASSERT_EQ(data_word(native_slot), EncodeFuncRef(old_count));
+  const uint32_t local_ref = data_word(local_slot);
+
+  Diagnostics diags;
+  ASSERT_TRUE(LinkAppend(image,
+                         CompileOrDie("n.o", "int n1(void) { return 1; }\n"
+                                             "int n2(void) { return 2; }\n"),
+                         0, diags)
+                  .ok())
+      << diags.ToString();
+  ASSERT_EQ(static_cast<int>(image.functions.size()), old_count + 2);
+  const Insn* call = FirstCall(image.functions[image.FindFunction("call_direct")]);
+  ASSERT_NE(call, nullptr);
+  EXPECT_EQ(call->a, old_count + 2);  // native 0, past the appended functions
+  EXPECT_EQ(data_word(native_slot), EncodeFuncRef(old_count + 2));
+  EXPECT_EQ(data_word(local_slot), local_ref);  // a VM function ref stays
+
+  Machine machine(image);
+  machine.BindNative("host_fn", [](Machine&, const std::vector<uint32_t>& args) {
+    return args[0] + 100;
+  });
+  EXPECT_EQ(machine.Call("call_direct", {5}).value, 105u);
+  EXPECT_EQ(machine.Call("call_stored", {5}).value, 115u);
+  EXPECT_EQ(machine.Call("n2").value, 2u);
+}
+
+TEST(LinkAppend, FailedAppendNamesBothEndsAndLeavesTheImageUntouched) {
+  std::vector<LinkItem> items;
+  items.emplace_back(CompileOrDie("a.o", "int counter = 3;\n"
+                                         "int f(void) { return counter; }\n"));
+  std::string error;
+  Result<LinkResult> linked = TryLink(std::move(items), &error);
+  ASSERT_TRUE(linked.ok()) << error;
+  Image image = linked.take().image;
+  const size_t functions = image.functions.size();
+  const int text_bytes = image.text_bytes;
+  const std::map<std::string, int> function_symbols = image.function_symbols;
+  const std::map<std::string, uint32_t> data_symbols = image.data_symbols;
+
+  Diagnostics diags;
+  EXPECT_FALSE(LinkAppend(image,
+                          CompileOrDie("b.o", "extern int counter(void);\n"
+                                              "int g(void) { return counter(); }\n"),
+                          0x8000, diags)
+                   .ok());
+  EXPECT_NE(diags.ToString().find("'g' calls 'counter', which is data, not a function"),
+            std::string::npos)
+      << diags.ToString();
+  diags.Clear();
+  EXPECT_FALSE(LinkAppend(image,
+                          CompileOrDie("c.o", "extern int nowhere(void);\n"
+                                              "int g(void) { return nowhere(); }\n"),
+                          0x8000, diags)
+                   .ok());
+  EXPECT_NE(diags.ToString().find("undefined reference to 'nowhere'"), std::string::npos)
+      << diags.ToString();
+
+  EXPECT_EQ(image.functions.size(), functions);
+  EXPECT_EQ(image.text_bytes, text_bytes);
+  EXPECT_EQ(image.function_symbols, function_symbols);
+  EXPECT_EQ(image.data_symbols, data_symbols);
+  EXPECT_TRUE(image.func_ref_data.empty());
+}
+
+TEST(LinkAppend, AppendedTextFollowsKTextAlignAndDataItsAddress) {
+  std::vector<LinkItem> items;
+  items.emplace_back(CompileOrDie("a.o", "int f(void) { return 1; }\n"));
+  std::string error;
+  Result<LinkResult> linked = TryLink(std::move(items), &error);
+  ASSERT_TRUE(linked.ok()) << error;
+  Image image = linked.take().image;
+  const int old_count = static_cast<int>(image.functions.size());
+  const int old_text = image.text_bytes;
+
+  const uint32_t data_address = 0x20000;
+  Diagnostics diags;
+  Result<std::vector<uint8_t>> data =
+      LinkAppend(image, CompileOrDie("b.o", R"(
+int tiny(void) { return 2; }
+int bigger(int x) { int y = x * 3; if (y > 7) { y = y - 7; } return y + tiny(); }
+int (*g_fn)(int) = bigger;
+int g_value = 5;
+)"),
+                 data_address, diags);
+  ASSERT_TRUE(data.ok()) << diags.ToString();
+
+  int cursor = old_text;
+  for (size_t f = static_cast<size_t>(old_count); f < image.functions.size(); ++f) {
+    EXPECT_EQ(image.functions[f].text_offset, cursor) << f;
+    EXPECT_EQ(image.functions[f].text_offset % kTextAlign, 0) << f;
+    cursor += RoundUp(image.functions[f].TextBytes(), kTextAlign);
+  }
+  EXPECT_EQ(image.text_bytes, cursor);
+  EXPECT_GT(image.text_bytes, old_text);
+
+  // Data symbols live at the caller's address; the function pointer in the
+  // relocated blob names the appended function and is recorded as a funcref.
+  const uint32_t g_fn = image.data_symbols.at("g_fn");
+  ASSERT_GE(g_fn, data_address);
+  ASSERT_LE(g_fn - data_address + 4, data.value().size());
+  uint32_t word = 0;
+  for (int i = 0; i < 4; ++i) {
+    word |= static_cast<uint32_t>(data.value()[g_fn - data_address + i]) << (8 * i);
+  }
+  EXPECT_EQ(word, EncodeFuncRef(image.FindFunction("bigger")));
+  EXPECT_EQ(image.func_ref_data, std::vector<uint32_t>({g_fn}));
+  EXPECT_GE(image.data_symbols.at("g_value"), data_address);
 }
 
 }  // namespace

@@ -23,6 +23,7 @@
 #include "src/clack/harness.h"
 #include "src/clack/trace.h"
 #include "src/driver/knitc.h"
+#include "src/driver/pipeline.h"
 #include "src/reconfig/reconfig.h"
 #include "src/support/mangle.h"
 #include "src/vm/machine.h"
@@ -650,6 +651,68 @@ TEST(ReconfigClack, SwapEveryElementUnderTrafficWithZeroDroppedPackets) {
     EXPECT_EQ(run.value().tx_count, base.value().tx_count);
     EXPECT_EQ(run.value().tx_hash, base.value().tx_hash);
   }
+}
+
+// A replacement that fails to link (here: a call to an extern nobody provides)
+// is rejected before the image changes: no appended text, no new symbols, the
+// same fingerprint, and the router keeps forwarding byte-identically.
+TEST(ReconfigClack, ReplacementWithAnUndefinedReferenceLeavesTheImageUntouched) {
+  TraceOptions trace_options;
+  trace_options.count = 120;
+  std::vector<TracePacket> trace = GenerateTrace(trace_options);
+
+  KnitcOptions options;
+  options.swappable = {"*"};
+  Diagnostics diags;
+  KnitPipeline pipeline(options);
+  Result<RouterProgram> baseline = RouterProgram::FromClack(pipeline, "ClackRouter", diags);
+  ASSERT_TRUE(baseline.ok()) << diags.ToString();
+  Result<RouterStats> base = baseline.value().RunTrace(trace, diags);
+  ASSERT_TRUE(base.ok()) << diags.ToString();
+
+  Result<RouterProgram> built = RouterProgram::FromClack(pipeline, "ClackRouter", diags);
+  ASSERT_TRUE(built.ok()) << diags.ToString();
+  RouterProgram& program = built.value();
+  ReconfigEngine engine(*program.mutable_build(), program.machine(), ClackSources());
+  const Image& image = program.build()->image;
+  const auto& instance = program.build()->config.instances.front();
+
+  bool attempted = false;
+  program.session().SetPacketHook([&](int packet) {
+    if (packet != trace_options.count / 2) {
+      return;
+    }
+    attempted = true;
+    const size_t functions = image.functions.size();
+    const int text_bytes = image.text_bytes;
+    const std::map<std::string, int> function_symbols = image.function_symbols;
+    const uint64_t fingerprint = FingerprintImage(image);
+
+    SwapSpec spec;
+    spec.instance = instance.path;
+    spec.source_name = instance.unit->files[0];
+    spec.source = ClackSources().at(spec.source_name) +
+                  "\nextern int nowhere(void);\n"
+                  "int swap_probe_nowhere(void) { return nowhere(); }\n";
+    SwapReport report = engine.Request(spec);
+    EXPECT_FALSE(report.ok);
+    EXPECT_FALSE(report.deferred);
+    EXPECT_NE(report.error.find("undefined reference to 'nowhere'"), std::string::npos)
+        << report.error;
+    EXPECT_EQ(report.new_functions, 0);
+
+    EXPECT_EQ(image.functions.size(), functions);
+    EXPECT_EQ(image.text_bytes, text_bytes);
+    EXPECT_EQ(image.function_symbols, function_symbols);
+    EXPECT_EQ(FingerprintImage(image), fingerprint);
+  });
+
+  Result<RouterStats> run = program.RunTrace(trace, diags);
+  ASSERT_TRUE(run.ok()) << diags.ToString();
+  EXPECT_TRUE(attempted);
+  EXPECT_EQ(run.value().packets, trace_options.count);
+  EXPECT_EQ(run.value().tx_count, base.value().tx_count);
+  EXPECT_EQ(run.value().tx_hash, base.value().tx_hash);
 }
 
 // ---------------------------------------------------------------------------

@@ -93,6 +93,34 @@ TEST(Diagnostics, CountsAndRendering) {
   EXPECT_EQ(diags.ToString(), "");
 }
 
+TEST(Diagnostics, AppendKeepsOrderSeveritiesAndCounts) {
+  Diagnostics task;
+  task.Note(SourceLoc{"a.c", 1, 2}, "first");
+  task.Error(SourceLoc{"a.c", 3, 0}, "broken");
+  task.Warning(SourceLoc::Unknown(), "odd");
+  task.Error(SourceLoc{"b.c", 0, 0}, "also broken");
+
+  Diagnostics into;
+  into.Warning(SourceLoc{"top.knit", 9, 1}, "earlier");
+  into.Append(task);
+  into.Append(Diagnostics());  // appending nothing changes nothing
+
+  EXPECT_EQ(into.error_count(), 2u);
+  EXPECT_EQ(into.warning_count(), 2u);
+  EXPECT_EQ(into.FirstError(), "broken");
+  ASSERT_EQ(into.entries().size(), 5u);
+  const Severity expected[] = {Severity::kWarning, Severity::kNote, Severity::kError,
+                               Severity::kWarning, Severity::kError};
+  for (size_t i = 0; i < into.entries().size(); ++i) {
+    EXPECT_EQ(into.entries()[i].severity, expected[i]) << i;
+  }
+  EXPECT_EQ(into.entries()[1].loc.ToString(), "a.c:1:2");
+  EXPECT_EQ(into.entries()[4].message, "also broken");
+  // The source sink is left as it was.
+  EXPECT_EQ(task.entries().size(), 4u);
+  EXPECT_EQ(task.error_count(), 2u);
+}
+
 TEST(ResultType, ValueAndFailure) {
   Result<int> ok = 7;
   EXPECT_TRUE(ok.ok());

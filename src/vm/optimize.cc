@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cassert>
-#include <map>
+#include <cstdint>
+#include <iterator>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "src/vm/passes.h"
@@ -136,20 +138,54 @@ uint32_t FoldUnary(Op op, uint32_t x) {
 
 // ---- basic-block structure ------------------------------------------------------
 
-std::set<int> LeadersOf(const BytecodeFunction& function) {
-  std::set<int> leaders;
-  leaders.insert(0);
-  for (size_t i = 0; i < function.code.size(); ++i) {
+// leaders[i] is true when instruction i starts a basic block: the entry, every
+// jump target, and every instruction after a jump or a kRet.
+std::vector<char> LeaderBitmap(const BytecodeFunction& function) {
+  const int size = static_cast<int>(function.code.size());
+  std::vector<char> leaders(function.code.size(), 0);
+  auto mark = [&](int index) {
+    if (index >= 0 && index < size) {
+      leaders[index] = 1;
+    }
+  };
+  mark(0);
+  for (int i = 0; i < size; ++i) {
     const Insn& insn = function.code[i];
     if (IsJump(insn.op)) {
-      leaders.insert(insn.a);
-      leaders.insert(static_cast<int>(i) + 1);
+      mark(insn.a);
+      mark(i + 1);
     } else if (insn.op == Op::kRet) {
-      leaders.insert(static_cast<int>(i) + 1);
+      mark(i + 1);
     }
   }
-  leaders.erase(static_cast<int>(function.code.size()));
   return leaders;
+}
+
+bool TouchesLocal(Op op) {
+  return op == Op::kLoadLocal || op == Op::kStoreLocal || op == Op::kAddrLocal;
+}
+
+// The frame offsets named by a function's kLoadLocal/kStoreLocal/kAddrLocal
+// instructions all lie in [lo, lo + span), so per-offset tables can be flat.
+struct OffsetSpan {
+  int lo = 0;
+  int span = 0;
+};
+
+OffsetSpan LocalOffsets(const BytecodeFunction& function) {
+  int lo = 0;
+  int hi = -1;
+  for (const Insn& insn : function.code) {
+    if (TouchesLocal(insn.op)) {
+      if (hi < lo) {
+        lo = hi = insn.a;
+      } else {
+        lo = std::min(lo, insn.a);
+        hi = std::max(hi, insn.a);
+      }
+    }
+  }
+  return OffsetSpan{lo, hi - lo + 1};
 }
 
 // Rebuilds code without kNop, remapping jump targets.
@@ -184,6 +220,20 @@ void CompactNops(BytecodeFunction& function) {
 // consumed how often) and an emission pass. Both must create VNs in the same order
 // and evolve the physical/lazy state of the symbolic stack identically; only the
 // code emission differs.
+//
+// Cost contract: VNs are interned in a hash table, and a VN's cost, flags and
+// read set are computed once, when it is created, from its operands. Per-index
+// and per-local state lives in flat tables. The forward tables are flat lists of
+// their live entries: a lookup or a store scrub walks those entries, and a
+// snapshot copies them plus the per-local generations and the VNs that hold a
+// slot, never one entry per VN ever created.
+
+// Recompute costs above this are all "expensive": the caching rule below gives
+// the same answer for every cost >= 4, so saturating keeps the emitted code and
+// makes costs immune to overflow on exponentially shared expressions.
+constexpr int kMaxCost = 1 << 20;
+
+int AddCost(int x, int y) { return std::min(kMaxCost, x + y); }
 
 struct VN {
   enum class K {
@@ -198,6 +248,7 @@ struct VN {
     kBinary,     // op(x, y)
     kLoadMem,    // *(x), a = sext flag, b = size, gen
   };
+  // Identity (with the block epoch it was created in):
   K k = K::kOpaque;
   Op op = Op::kNop;
   int32_t a = 0;
@@ -205,13 +256,78 @@ struct VN {
   int x = -1;
   int y = -1;
   int gen = 0;
+  int epoch = 0;
+  // Derived from the operands when the VN is created:
+  int cost = 1;                // instructions to recompute it, saturated at kMaxCost
+  bool mem_dep = false;        // transitively contains a memory load
+  bool has_opaque = false;     // transitively contains an opaque value (cannot be
+                               // rematerialized -> never forwarded into lazy entries)
+  bool reads_memory_state = false;  // mem_dep, or reads an escaped local
+  std::vector<int> local_deps;  // sorted dense indices of the locals transitively read
   // Analysis state:
-  int uses = 0;              // counted in pass 1
-  int scratch = -1;          // frame slot caching the value (pass 2)
-  bool mem_dep = false;      // transitively contains a memory load
-  bool has_opaque = false;   // transitively contains an opaque value (cannot be
-                             // rematerialized -> never forwarded into lazy entries)
-  std::set<int> local_deps;  // frame offsets transitively read
+  int uses = 0;       // counted in pass 1
+  int scratch = -1;   // frame slot caching the value (pass 2)
+  int slot_pos = -1;  // position in LvnPass::slotted_ while scratch >= 0
+};
+
+bool SameIdentity(const VN& p, const VN& q) {
+  return p.k == q.k && p.op == q.op && p.a == q.a && p.b == q.b && p.x == q.x && p.y == q.y &&
+         p.gen == q.gen && p.epoch == q.epoch;
+}
+
+uint64_t IdentityHash(const VN& vn) {
+  uint64_t h = 0;
+  for (int32_t field : {static_cast<int32_t>(vn.k), static_cast<int32_t>(vn.op), vn.a, vn.b, vn.x,
+                        vn.y, vn.gen, vn.epoch}) {
+    h = (h ^ static_cast<uint32_t>(field)) * 0x9e3779b97f4a7c15ull;
+  }
+  return h ^ (h >> 32);
+}
+
+// A map from an (int, int) key to a VN, kept as a flat list of live entries so a
+// snapshot copies exactly those.
+class ForwardTable {
+ public:
+  struct Entry {
+    int first;
+    int second;
+    int vn;
+  };
+
+  int Find(int first, int second) const {
+    for (const Entry& e : entries_) {
+      if (e.first == first && e.second == second) {
+        return e.vn;
+      }
+    }
+    return -1;
+  }
+
+  void Set(int first, int second, int vn) {
+    for (Entry& e : entries_) {
+      if (e.first == first && e.second == second) {
+        e.vn = vn;
+        return;
+      }
+    }
+    entries_.push_back(Entry{first, second, vn});
+  }
+
+  // Drops every entry `drop` selects. Each entry is decided on its own, so the
+  // walk order cannot matter.
+  template <typename Pred>
+  void EraseIf(Pred drop) {
+    entries_.erase(std::remove_if(entries_.begin(), entries_.end(), drop), entries_.end());
+  }
+
+  void Clear() { entries_.clear(); }
+
+  const std::vector<Entry>& entries() const { return entries_; }
+
+  void Assign(const std::vector<Entry>& entries) { entries_ = entries; }
+
+ private:
+  std::vector<Entry> entries_;
 };
 
 class LvnPass {
@@ -219,24 +335,19 @@ class LvnPass {
   explicit LvnPass(BytecodeFunction& function) : fn_(function) {}
 
   void Run() {
+    const size_t size = fn_.code.size();
     depths_ = ComputeDepths(fn_);
-    leaders_ = LeadersOf(fn_);
+    leader_ = LeaderBitmap(fn_);
+    inherits_.assign(size, 0);
+    snapshot_target_.assign(size, -1);
     ComputeInheritingLeaders();
-    for (const Insn& insn : fn_.code) {
-      if (insn.op == Op::kAddrLocal) {
-        escaped_.insert(insn.a);
-      }
-    }
+    IndexLocals();
     Simulate(/*emit=*/false);
-    for (VN& vn : vns_) {
-      vn.scratch = -1;
-    }
     Simulate(/*emit=*/true);
     for (Insn& insn : out_) {
       if (IsJump(insn.op)) {
-        auto it = index_map_.find(insn.a);
-        assert(it != index_map_.end());
-        insn.a = it->second;
+        assert(index_map_[insn.a] >= 0);
+        insn.a = index_map_[insn.a];
       }
     }
     fn_.code = std::move(out_);
@@ -260,72 +371,146 @@ class LvnPass {
   // inheritance, loads of packet fields are eliminated across former component
   // boundaries — the global-CSE effect the paper gets from gcc on flattened source.
   void ComputeInheritingLeaders() {
-    std::map<int, std::vector<int>> jump_preds;
-    for (size_t i = 0; i < fn_.code.size(); ++i) {
-      if (IsJump(fn_.code[i].op)) {
-        jump_preds[fn_.code[i].a].push_back(static_cast<int>(i));
+    const int size = static_cast<int>(fn_.code.size());
+    std::vector<int> jumps(fn_.code.size(), 0);
+    std::vector<int> first_jump(fn_.code.size(), -1);
+    for (int i = 0; i < size; ++i) {
+      const Insn& insn = fn_.code[i];
+      if (IsJump(insn.op) && insn.a >= 0 && insn.a < size && jumps[insn.a]++ == 0) {
+        first_jump[insn.a] = i;
       }
     }
-    for (int leader : leaders_) {
-      if (leader == 0) {
+    for (int leader = 1; leader < size; ++leader) {
+      if (!leader_[leader]) {
         continue;
       }
       const Insn& prev = fn_.code[leader - 1];
       bool has_fallthrough = prev.op != Op::kJmp && prev.op != Op::kRet &&
                              depths_[leader - 1] >= 0;
-      auto it = jump_preds.find(leader);
-      int jumps = it == jump_preds.end() ? 0 : static_cast<int>(it->second.size());
-      if (has_fallthrough && jumps == 0) {
-        inheriting_leaders_.insert(leader);
-      } else if (!has_fallthrough && jumps == 1 && it->second[0] < leader) {
-        snapshot_at_jump_[it->second[0]] = leader;
+      if (has_fallthrough && jumps[leader] == 0) {
+        inherits_[leader] = 1;
+      } else if (!has_fallthrough && jumps[leader] == 1 && first_jump[leader] < leader) {
+        snapshot_target_[first_jump[leader]] = leader;
       }
     }
   }
 
+  // Gives every frame offset a local instruction names a dense index; the
+  // per-local state (generations, escapes, homes, read sets) is indexed by it.
+  void IndexLocals() {
+    offsets_ = LocalOffsets(fn_);
+    local_of_offset_.assign(static_cast<size_t>(offsets_.span), -1);
+    for (const Insn& insn : fn_.code) {
+      if (TouchesLocal(insn.op) && local_of_offset_[insn.a - offsets_.lo] < 0) {
+        local_of_offset_[insn.a - offsets_.lo] = static_cast<int>(offset_of_local_.size());
+        offset_of_local_.push_back(insn.a);
+      }
+    }
+    escaped_.assign(offset_of_local_.size(), 0);
+    for (const Insn& insn : fn_.code) {
+      if (insn.op == Op::kAddrLocal && !escaped_[LocalOf(insn.a)]) {
+        escaped_[LocalOf(insn.a)] = 1;
+        escaped_locals_.push_back(LocalOf(insn.a));
+      }
+    }
+    home_of_.assign(offset_of_local_.size(), -1);
+  }
+
+  // Dense index of a frame offset some local instruction names, else -1 (a
+  // scratch slot of this pass).
+  int LocalOf(int offset) const {
+    int rel = offset - offsets_.lo;
+    return rel >= 0 && rel < offsets_.span ? local_of_offset_[rel] : -1;
+  }
+
+  struct SlotState {
+    int vn;
+    int scratch;
+    bool home;  // the slot is the program local the value was stored to
+  };
+
   struct StateSnapshot {
-    std::map<std::pair<int, int>, int> local_forward;
-    std::map<std::pair<int, int>, int> mem_forward;
-    std::map<int, int> local_gen;
+    std::vector<ForwardTable::Entry> local_forward;
+    std::vector<ForwardTable::Entry> mem_forward;
+    std::vector<int> local_gen;
     int mem_gen = 0;
     int block_epoch = 0;
-    std::vector<int> scratches;  // scratch slot of every VN at snapshot time
-    std::map<int, int> scratch_home;
+    std::vector<SlotState> slots;  // every VN holding a slot at snapshot time
   };
 
   void TakeSnapshot(int target) {
     StateSnapshot snap;
-    snap.local_forward = local_forward_;
-    snap.mem_forward = mem_forward_;
+    snap.local_forward = local_forward_.entries();
+    snap.mem_forward = mem_forward_.entries();
     snap.local_gen = local_gen_;
     snap.mem_gen = mem_gen_;
     snap.block_epoch = block_epoch_;
-    snap.scratches.reserve(vns_.size());
-    for (const VN& vn : vns_) {
-      snap.scratches.push_back(vn.scratch);
+    snap.slots.reserve(slotted_.size());
+    for (int id : slotted_) {
+      snap.slots.push_back(SlotState{id, vns_[id].scratch, IsHome(id)});
     }
-    snap.scratch_home = scratch_home_;
-    snapshots_[target] = std::move(snap);
+    snapshot_of_[target] = static_cast<int>(snapshots_.size());
+    snapshots_.push_back(std::move(snap));
   }
 
   // Restores a dominating jump's state. Scratch caches created after the snapshot
   // were filled on paths that do not reach the target; revert them.
   bool RestoreSnapshot(int leader) {
-    auto it = snapshots_.find(leader);
-    if (it == snapshots_.end()) {
+    if (snapshot_of_[leader] < 0) {
       return false;
     }
-    const StateSnapshot& snap = it->second;
-    local_forward_ = snap.local_forward;
-    mem_forward_ = snap.mem_forward;
-    local_gen_ = snap.local_gen;
+    StateSnapshot& snap = snapshots_[snapshot_of_[leader]];
+    local_forward_.Assign(snap.local_forward);
+    mem_forward_.Assign(snap.mem_forward);
+    local_gen_ = std::move(snap.local_gen);
     mem_gen_ = snap.mem_gen;
     block_epoch_ = snap.block_epoch;
-    for (size_t v = 0; v < vns_.size(); ++v) {
-      vns_[v].scratch = v < snap.scratches.size() ? snap.scratches[v] : -1;
+    ClearSlots();
+    for (const SlotState& slot : snap.slots) {
+      SetScratch(slot.vn, slot.scratch);
+      if (slot.home) {
+        home_of_[LocalOf(slot.scratch)] = slot.vn;
+      }
     }
-    scratch_home_ = snap.scratch_home;
+    snap = StateSnapshot();  // each leader restores once
     return true;
+  }
+
+  // ---- scratch slots ----
+
+  // Every scratch change goes through here so slotted_ lists exactly the VNs
+  // holding a slot.
+  void SetScratch(int id, int scratch) {
+    VN& vn = vns_[id];
+    if (scratch >= 0 && vn.slot_pos < 0) {
+      vn.slot_pos = static_cast<int>(slotted_.size());
+      slotted_.push_back(id);
+    } else if (scratch < 0 && vn.slot_pos >= 0) {
+      int moved = slotted_.back();
+      slotted_[vn.slot_pos] = moved;
+      vns_[moved].slot_pos = vn.slot_pos;
+      slotted_.pop_back();
+      vn.slot_pos = -1;
+    }
+    vn.scratch = scratch;
+  }
+
+  // A homed VN's slot is the program local it was stored to; home_of_ maps that
+  // local back to it (so every home is also in slotted_).
+  bool IsHome(int id) const {
+    int local = LocalOf(vns_[id].scratch);
+    return local >= 0 && home_of_[local] == id;
+  }
+
+  void ClearSlots() {
+    for (int id : slotted_) {
+      if (IsHome(id)) {
+        home_of_[LocalOf(vns_[id].scratch)] = -1;
+      }
+      vns_[id].scratch = -1;
+      vns_[id].slot_pos = -1;
+    }
+    slotted_.clear();
   }
 
   // ---- value numbering ----
@@ -335,16 +520,79 @@ class LvnPass {
     // counts never span basic blocks (a cached value does not dominate other
     // blocks, and cross-block "reuse" would double-count uses and trigger
     // pessimizing caching).
-    auto key = std::make_tuple(block_epoch_, static_cast<int>(vn.k), static_cast<int>(vn.op),
-                               vn.a, vn.b, vn.x, vn.y, vn.gen);
-    auto it = intern_.find(key);
-    if (it != intern_.end()) {
-      return it->second;
+    vn.epoch = block_epoch_;
+    if ((vns_.size() + 1) * 2 > intern_.size()) {
+      GrowIntern();
     }
-    vns_.push_back(std::move(vn));
-    int id = static_cast<int>(vns_.size()) - 1;
-    intern_[key] = id;
-    return id;
+    const size_t mask = intern_.size() - 1;
+    for (size_t i = IdentityHash(vn) & mask;; i = (i + 1) & mask) {
+      int id = intern_[i];
+      if (id < 0) {
+        Derive(vn);
+        id = static_cast<int>(vns_.size());
+        vns_.push_back(std::move(vn));
+        intern_[i] = id;
+        return id;
+      }
+      if (SameIdentity(vns_[id], vn)) {
+        return id;
+      }
+    }
+  }
+
+  void GrowIntern() {
+    intern_.assign(std::max<size_t>(64, intern_.size() * 2), -1);
+    const size_t mask = intern_.size() - 1;
+    for (size_t id = 0; id < vns_.size(); ++id) {
+      size_t i = IdentityHash(vns_[id]) & mask;
+      while (intern_[i] >= 0) {
+        i = (i + 1) & mask;
+      }
+      intern_[i] = static_cast<int>(id);
+    }
+  }
+
+  // Fills in a new VN's cost, flags and read set from its operands.
+  void Derive(VN& vn) const {
+    switch (vn.k) {
+      case VN::K::kOpaque:
+        vn.has_opaque = true;
+        break;
+      case VN::K::kLoadLocal: {
+        int local = LocalOf(vn.a);
+        vn.local_deps.push_back(local);
+        vn.reads_memory_state = escaped_[local] != 0;
+        break;
+      }
+      case VN::K::kUnary:
+        Inherit(vn, vns_[vn.x]);
+        vn.cost = AddCost(1, vns_[vn.x].cost);
+        break;
+      case VN::K::kBinary:
+        Inherit(vn, vns_[vn.x]);
+        Inherit(vn, vns_[vn.y]);
+        vn.cost = AddCost(1, AddCost(vns_[vn.x].cost, vns_[vn.y].cost));
+        break;
+      case VN::K::kLoadMem:
+        Inherit(vn, vns_[vn.x]);
+        vn.mem_dep = true;
+        vn.reads_memory_state = true;
+        vn.cost = AddCost(2, vns_[vn.x].cost);
+        break;
+      default:
+        break;
+    }
+  }
+
+  // Adds an operand's flags and read set to a new VN.
+  static void Inherit(VN& vn, const VN& operand) {
+    vn.mem_dep |= operand.mem_dep;
+    vn.has_opaque |= operand.has_opaque;
+    vn.reads_memory_state |= operand.reads_memory_state;
+    std::vector<int> deps;
+    std::set_union(vn.local_deps.begin(), vn.local_deps.end(), operand.local_deps.begin(),
+                   operand.local_deps.end(), std::back_inserter(deps));
+    vn.local_deps = std::move(deps);
   }
 
   int ConstVN(uint32_t value) {
@@ -360,14 +608,7 @@ class LvnPass {
     vn.k = VN::K::kOpaque;
     vn.a = site;
     vn.b = position;
-    vn.has_opaque = true;
     return InternVN(std::move(vn));
-  }
-
-  void InheritDeps(VN& vn, int operand) {
-    vn.mem_dep |= vns_[operand].mem_dep;
-    vn.has_opaque |= vns_[operand].has_opaque;
-    vn.local_deps.insert(vns_[operand].local_deps.begin(), vns_[operand].local_deps.end());
   }
 
   void CountUse(int id) {
@@ -388,7 +629,6 @@ class LvnPass {
     vn.k = VN::K::kUnary;
     vn.op = op;
     vn.x = x;
-    InheritDeps(vn, x);
     return InternVN(std::move(vn));
   }
 
@@ -445,8 +685,6 @@ class LvnPass {
     vn.op = op;
     vn.x = nx;
     vn.y = ny;
-    InheritDeps(vn, nx);
-    InheritDeps(vn, ny);
     return InternVN(std::move(vn));
   }
 
@@ -465,24 +703,16 @@ class LvnPass {
     return offset;
   }
 
-  int CostOf(int id) const {
-    const VN& vn = vns_[id];
-    switch (vn.k) {
-      case VN::K::kUnary:
-        return 1 + CostOf(vn.x);
-      case VN::K::kBinary:
-        return 1 + CostOf(vn.x) + CostOf(vn.y);
-      case VN::K::kLoadMem:
-        return 2 + CostOf(vn.x);
-      default:
-        return 1;
-    }
+  // Cache only when it pays: recomputing u times costs u*c instructions; caching
+  // costs c + 2 (store+reload) + (u-1) reloads. Cache iff (u-1)*(c-1) > 2.
+  static bool PaysToCache(const VN& vn) {
+    return static_cast<int64_t>(vn.uses - 1) * (vn.cost - 1) > 2;
   }
 
   // Emits code pushing the value of `id` onto the real stack. Only pass 2 calls
   // this. Caches multi-use values in scratch slots.
   void Materialize(int id) {
-    VN& vn = vns_[id];
+    const VN& vn = vns_[id];
     if (vn.scratch >= 0) {
       EmitOut(Op::kLoadLocal, vn.scratch, kWordSize);
       return;
@@ -517,14 +747,16 @@ class LvnPass {
         EmitOut(Op::kLoadMem, vn.a, vn.b);
         break;
     }
-    // Cache only when it pays: recomputing u times costs u*c instructions; caching
-    // costs c + 2 (store+reload) + (u-1) reloads. Cache iff (u-1)*(c-1) > 2.
-    VN& self = vns_[id];
-    int cost = CostOf(id);
-    if (self.scratch < 0 && (self.uses - 1) * (cost - 1) > 2) {
-      self.scratch = AllocScratch();
-      EmitOut(Op::kStoreLocal, self.scratch, kWordSize);
-      EmitOut(Op::kLoadLocal, self.scratch, kWordSize);
+    CacheIfReused(id);
+  }
+
+  // After the value of `id` was pushed: if it pays, keep a copy in a new scratch
+  // slot (store + reload leaves the value on the stack).
+  void CacheIfReused(int id) {
+    if (emitting_ && vns_[id].scratch < 0 && PaysToCache(vns_[id])) {
+      SetScratch(id, AllocScratch());
+      EmitOut(Op::kStoreLocal, vns_[id].scratch, kWordSize);
+      EmitOut(Op::kLoadLocal, vns_[id].scratch, kWordSize);
     }
   }
 
@@ -543,11 +775,12 @@ class LvnPass {
 
   // Before a state-changing op: lazy entries whose value depends on state the op
   // will clobber must be computed NOW into scratch slots (pass 2 only — no
-  // physical flags change, so the passes stay in sync).
+  // physical flags change, so the passes stay in sync). `local` is the dense
+  // index of the local the op overwrites, or -1.
   // `consumed_top` entries at the top of the stack are exempt: the current op
   // materializes and consumes them itself, so pre-computing them into scratch
   // slots would only add store/load traffic.
-  void ForceStale(const std::vector<Entry>& stack, bool invalidate_mem, int local_offset,
+  void ForceStale(const std::vector<Entry>& stack, bool invalidate_mem, int local,
                   int consumed_top) {
     if (!emitting_) {
       return;
@@ -560,113 +793,79 @@ class LvnPass {
       if (entry.physical || vns_[entry.vn].scratch >= 0) {
         continue;
       }
-      const VN& vn = vns_[entry.vn];
-      bool stale = false;
-      if (invalidate_mem && vn.mem_dep) {
-        stale = true;
-      }
-      if (invalidate_mem && !stale) {
-        for (int dep : vn.local_deps) {
-          if (escaped_.count(dep) > 0) {
-            stale = true;
-            break;
-          }
-        }
-      }
-      if (local_offset >= 0 && vn.local_deps.count(local_offset) > 0) {
-        stale = true;
-      }
+      bool stale = (invalidate_mem && vns_[entry.vn].reads_memory_state) ||
+                   (local >= 0 && DependsOnLocal(entry.vn, local));
       if (!stale) {
         continue;
       }
       Materialize(entry.vn);
       if (vns_[entry.vn].scratch < 0) {
-        int scratch = AllocScratch();
-        vns_[entry.vn].scratch = scratch;
-        EmitOut(Op::kStoreLocal, scratch, kWordSize);
+        SetScratch(entry.vn, AllocScratch());
+        EmitOut(Op::kStoreLocal, vns_[entry.vn].scratch, kWordSize);
       } else {
         EmitOut(Op::kPop);  // Materialize cached it and left a copy on the stack
       }
     }
   }
 
-  bool DependsOnLocal(int vn, int offset) const {
-    return vns_[vn].local_deps.count(offset) > 0;
-  }
-
-  bool DependsOnMemoryState(int vn) const {
-    if (vns_[vn].mem_dep) {
-      return true;
-    }
-    for (int dep : vns_[vn].local_deps) {
-      if (escaped_.count(dep) > 0) {
-        return true;
-      }
-    }
-    return false;
+  bool DependsOnLocal(int vn, int local) const {
+    const std::vector<int>& deps = vns_[vn].local_deps;
+    return std::binary_search(deps.begin(), deps.end(), local);
   }
 
   // Forward-map hygiene: an entry whose VN reads state that is about to change
   // must not be handed out afterwards — it would rematerialize with the NEW state.
   // (Stack entries are handled by ForceStale; these maps are the other channel.)
-  // A VN whose value was just stored into program local `offset` can be reloaded
+  // A VN whose value was just stored into program local `local` can be reloaded
   // from there — no separate scratch needed. The home is evicted when the slot is
   // overwritten (or may be, via escape).
-  void HomeValueInSlot(int offset, int value) {
-    if (!emitting_ || vns_[value].scratch >= 0 || escaped_.count(offset) > 0 ||
-        CostOf(value) < 2) {
+  void HomeValueInSlot(int local, int value) {
+    if (!emitting_ || vns_[value].scratch >= 0 || escaped_[local] || vns_[value].cost < 2) {
       return;  // trivial values are cheaper to rematerialize than to reload
     }
-    EvictHome(offset);
-    vns_[value].scratch = offset;
-    scratch_home_[offset] = value;
+    EvictHome(local);
+    SetScratch(value, offset_of_local_[local]);
+    home_of_[local] = value;
   }
 
-  void EvictHome(int offset) {
-    auto it = scratch_home_.find(offset);
-    if (it != scratch_home_.end()) {
-      if (vns_[it->second].scratch == offset) {
-        vns_[it->second].scratch = -1;
+  void EvictHome(int local) {
+    int value = home_of_[local];
+    if (value >= 0) {
+      if (vns_[value].scratch == offset_of_local_[local]) {
+        SetScratch(value, -1);
       }
-      scratch_home_.erase(it);
+      home_of_[local] = -1;
     }
   }
 
-  void ScrubForwardsForLocal(int offset) {
-    for (auto it = local_forward_.begin(); it != local_forward_.end();) {
-      if (it->first.first == offset || DependsOnLocal(it->second, offset)) {
-        it = local_forward_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-    for (auto it = mem_forward_.begin(); it != mem_forward_.end();) {
-      if (DependsOnLocal(it->second, offset) || DependsOnLocal(it->first.first, offset)) {
-        it = mem_forward_.erase(it);
-      } else {
-        ++it;
-      }
-    }
+  void ScrubForwardsForLocal(int local) {
+    local_forward_.EraseIf([&](const ForwardTable::Entry& e) {
+      return e.first == local || DependsOnLocal(e.vn, local);
+    });
+    mem_forward_.EraseIf([&](const ForwardTable::Entry& e) {
+      return DependsOnLocal(e.vn, local) || DependsOnLocal(e.first, local);
+    });
   }
 
   void ScrubForwardsForMemory() {
-    for (auto it = local_forward_.begin(); it != local_forward_.end();) {
-      if (escaped_.count(it->first.first) > 0 || DependsOnMemoryState(it->second)) {
-        it = local_forward_.erase(it);
-      } else {
-        ++it;
-      }
+    local_forward_.EraseIf([&](const ForwardTable::Entry& e) {
+      return escaped_[e.first] || vns_[e.vn].reads_memory_state;
+    });
+  }
+
+  // Every escaped local may have been written through its address.
+  void ClobberEscapedLocals() {
+    for (int local : escaped_locals_) {
+      ++local_gen_[local];
+      EvictHome(local);
     }
   }
 
   void InvalidateMemory() {
     ++mem_gen_;
-    mem_forward_.clear();
+    mem_forward_.Clear();
     ScrubForwardsForMemory();
-    for (int offset : escaped_) {
-      ++local_gen_[offset];
-      EvictHome(offset);
-    }
+    ClobberEscapedLocals();
   }
 
   // Decomposes an address VN into (base VN, constant offset) for alias checks.
@@ -702,14 +901,9 @@ class LvnPass {
   // (plus anything whose *value* depends on memory, via the generation bump the
   // caller performs).
   void InvalidateMemoryForStore(int addr, int size) {
-    for (auto it = mem_forward_.begin(); it != mem_forward_.end();) {
-      if (MayAlias(addr, size, it->first.first, it->first.second) ||
-          vns_[it->second].mem_dep) {
-        it = mem_forward_.erase(it);
-      } else {
-        ++it;
-      }
-    }
+    mem_forward_.EraseIf([&](const ForwardTable::Entry& e) {
+      return MayAlias(addr, size, e.first, e.second) || vns_[e.vn].mem_dep;
+    });
     ScrubForwardsForMemory();
   }
 
@@ -719,15 +913,16 @@ class LvnPass {
     emitting_ = emit;
     counting_ = !emit;
     out_.clear();
-    index_map_.clear();
+    index_map_.assign(fn_.code.size(), -1);
     mem_gen_ = 0;
     block_epoch_ = 0;
     next_epoch_ = 0;
     snapshots_.clear();
-    scratch_home_.clear();
-    local_gen_.clear();
-    local_forward_.clear();
-    mem_forward_.clear();
+    snapshot_of_.assign(fn_.code.size(), -1);
+    ClearSlots();
+    local_gen_.assign(offset_of_local_.size(), 0);
+    local_forward_.Clear();
+    mem_forward_.Clear();
     frame_size_ = fn_.frame_size;
 
     std::vector<Entry> stack;
@@ -735,9 +930,9 @@ class LvnPass {
 
     for (size_t i = 0; i < fn_.code.size(); ++i) {
       int index = static_cast<int>(i);
-      if (leaders_.count(index) > 0) {
-        index_map_[index] = static_cast<int>(out_.size());
-        bool inherit = inheriting_leaders_.count(index) > 0 && block_live;
+      if (leader_[i]) {
+        index_map_[i] = static_cast<int>(out_.size());
+        bool inherit = inherits_[i] && block_live;
         stack.clear();
         int depth = depths_[i] < 0 ? 0 : depths_[i];
         for (int d = 0; d < depth; ++d) {
@@ -745,8 +940,8 @@ class LvnPass {
         }
         if (!inherit) {
           if (!RestoreSnapshot(index)) {
-            local_forward_.clear();
-            mem_forward_.clear();
+            local_forward_.Clear();
+            mem_forward_.Clear();
             mem_gen_ += 1;                 // fresh generation per block
             block_epoch_ = ++next_epoch_;  // fresh, never-reused VN space
           }
@@ -760,7 +955,7 @@ class LvnPass {
       SimulateInsn(index, insn, stack);
       if (insn.op == Op::kRet || insn.op == Op::kJmp) {
         block_live = false;
-      } else if (leaders_.count(index + 1) > 0) {
+      } else if (i + 1 < fn_.code.size() && leader_[i + 1]) {
         // Falling through into the next block: everything still lazy must be
         // physically on the stack at the boundary.
         MaterializeAll(stack);
@@ -809,52 +1004,52 @@ class LvnPass {
         return;
       }
       case Op::kLoadLocal: {
-        auto fwd = local_forward_.find({insn.a, insn.b});
-        if (fwd != local_forward_.end()) {
-          stack.push_back(Entry{fwd->second, false});
+        const int local = LocalOf(insn.a);
+        int fwd = local_forward_.Find(local, insn.b);
+        if (fwd >= 0) {
+          stack.push_back(Entry{fwd, false});
           return;
         }
         VN vn;
         vn.k = VN::K::kLoadLocal;
         vn.a = insn.a;
         vn.b = insn.b;
-        vn.gen = local_gen_[insn.a];
-        vn.local_deps.insert(insn.a);
+        vn.gen = local_gen_[local];
         int id = InternVN(std::move(vn));
-        local_forward_[{insn.a, insn.b}] = id;  // subsequent loads reuse this VN
+        local_forward_.Set(local, insn.b, id);  // subsequent loads reuse this VN
         stack.push_back(Entry{id, false});
         return;
       }
       case Op::kStoreLocal: {
-        ForceStale(stack, /*invalidate_mem=*/false, insn.a, /*consumed_top=*/1);
+        const int local = LocalOf(insn.a);
+        ForceStale(stack, /*invalidate_mem=*/false, local, /*consumed_top=*/1);
         MaterializeTop(stack);
         int value = Pop(stack);
-        ++local_gen_[insn.a];
+        ++local_gen_[local];
         EmitOut(Op::kStoreLocal, insn.a, insn.b);
-        ScrubForwardsForLocal(insn.a);
-        EvictHome(insn.a);
-        if (insn.b == kWordSize && !vns_[value].has_opaque &&
-            !DependsOnLocal(value, insn.a)) {
-          local_forward_[{insn.a, insn.b}] = value;
-          HomeValueInSlot(insn.a, value);
+        ScrubForwardsForLocal(local);
+        EvictHome(local);
+        if (insn.b == kWordSize && !vns_[value].has_opaque && !DependsOnLocal(value, local)) {
+          local_forward_.Set(local, insn.b, value);
+          HomeValueInSlot(local, value);
         }
-        if (escaped_.count(insn.a) > 0) {
+        if (escaped_[local]) {
           ++mem_gen_;
-          mem_forward_.clear();
+          mem_forward_.Clear();
           ScrubForwardsForMemory();
         }
         return;
       }
       case Op::kLoadMem: {
         Entry addr_entry = stack.back();
-        auto fwd = mem_forward_.find({addr_entry.vn, insn.b});
-        if (fwd != mem_forward_.end()) {
+        int fwd = mem_forward_.Find(addr_entry.vn, insn.b);
+        if (fwd >= 0) {
           if (addr_entry.physical) {
             EmitOut(Op::kPop);  // drop the already-pushed address
           }
           stack.pop_back();
           CountUse(addr_entry.vn);
-          stack.push_back(Entry{fwd->second, false});
+          stack.push_back(Entry{fwd, false});
           return;
         }
         bool addr_physical = addr_entry.physical;
@@ -865,21 +1060,13 @@ class LvnPass {
         vn.b = insn.b;
         vn.x = addr;
         vn.gen = mem_gen_;
-        InheritDeps(vn, addr);
-        vn.mem_dep = true;
         int id = InternVN(std::move(vn));
-        mem_forward_[{addr, insn.b}] = id;
+        mem_forward_.Set(addr, insn.b, id);
         if (addr_physical) {
           // The address is already on the real stack: load eagerly and (if the
           // value is reused) cache it.
           EmitOut(Op::kLoadMem, insn.a, insn.b);
-          if (emitting_ && vns_[id].scratch < 0 &&
-              (vns_[id].uses - 1) * (CostOf(id) - 1) > 2) {
-            int scratch = AllocScratch();
-            vns_[id].scratch = scratch;
-            EmitOut(Op::kStoreLocal, scratch, kWordSize);
-            EmitOut(Op::kLoadLocal, scratch, kWordSize);
-          }
+          CacheIfReused(id);
           stack.push_back(Entry{id, true});
         } else {
           stack.push_back(Entry{id, false});
@@ -894,12 +1081,9 @@ class LvnPass {
         EmitOut(Op::kStoreMem, insn.a, insn.b);
         ++mem_gen_;
         InvalidateMemoryForStore(addr, insn.b);
-        for (int offset : escaped_) {
-          ++local_gen_[offset];
-          EvictHome(offset);
-        }
+        ClobberEscapedLocals();
         if (insn.b == kWordSize && !vns_[value].has_opaque) {
-          mem_forward_[{addr, insn.b}] = value;  // store-to-load forwarding
+          mem_forward_.Set(addr, insn.b, value);  // store-to-load forwarding
         }
         return;
       }
@@ -931,8 +1115,8 @@ class LvnPass {
       }
       case Op::kJmp:
         MaterializeAll(stack);
-        if (snapshot_at_jump_.count(site) > 0) {
-          TakeSnapshot(snapshot_at_jump_[site]);
+        if (snapshot_target_[site] >= 0) {
+          TakeSnapshot(snapshot_target_[site]);
         }
         EmitOut(Op::kJmp, insn.a);
         return;
@@ -941,8 +1125,8 @@ class LvnPass {
         Entry cond = stack.back();
         stack.pop_back();
         MaterializeAll(stack);  // survivors cross the block boundary
-        if (snapshot_at_jump_.count(site) > 0) {
-          TakeSnapshot(snapshot_at_jump_[site]);
+        if (snapshot_target_[site] >= 0) {
+          TakeSnapshot(snapshot_target_[site]);
         }
         if (!cond.physical && vns_[cond.vn].k == VN::K::kConst) {
           bool taken = (vns_[cond.vn].a != 0) == (insn.op == Op::kJnz);
@@ -1020,26 +1204,33 @@ class LvnPass {
 
   BytecodeFunction& fn_;
   std::vector<int> depths_;
-  std::set<int> leaders_;
-  std::set<int> inheriting_leaders_;
-  std::map<int, int> snapshot_at_jump_;  // jump insn index -> target leader
-  std::map<int, StateSnapshot> snapshots_;
-  std::set<int> escaped_;
+  std::vector<char> leader_;          // per instruction: starts a block
+  std::vector<char> inherits_;        // per leader: inherits the fallthrough state
+  std::vector<int> snapshot_target_;  // per jump: leader it snapshots for, or -1
+  std::vector<int> snapshot_of_;      // per leader: index into snapshots_, or -1
+  std::vector<StateSnapshot> snapshots_;
+
+  OffsetSpan offsets_;
+  std::vector<int> local_of_offset_;  // offset - offsets_.lo -> dense local index
+  std::vector<int> offset_of_local_;  // dense local index -> frame offset
+  std::vector<char> escaped_;         // per local: its address is taken
+  std::vector<int> escaped_locals_;
 
   std::vector<VN> vns_;
-  std::map<std::tuple<int, int, int, int32_t, int32_t, int, int, int>, int> intern_;
+  std::vector<int> intern_;  // open-addressing table of VN ids, keyed by identity
+  std::vector<int> slotted_;  // VNs with scratch >= 0
   int block_epoch_ = 0;
   int next_epoch_ = 0;
   std::vector<Insn> out_;
-  std::map<int, int> index_map_;
+  std::vector<int> index_map_;  // leader index -> its index in out_
   bool emitting_ = false;
   bool counting_ = false;
   int frame_size_ = 0;
   int mem_gen_ = 0;
-  std::map<int, int> local_gen_;
-  std::map<std::pair<int, int>, int> local_forward_;  // (offset, size) -> VN
-  std::map<std::pair<int, int>, int> mem_forward_;    // (addr VN, size) -> VN
-  std::map<int, int> scratch_home_;                   // offset -> VN homed there
+  std::vector<int> local_gen_;    // per local
+  std::vector<int> home_of_;      // per local: VN homed there, or -1
+  ForwardTable local_forward_;    // (local, size) -> VN
+  ForwardTable mem_forward_;      // (addr VN, size) -> VN
 };
 
 // ---- cleanup passes ---------------------------------------------------------------
@@ -1048,14 +1239,15 @@ class LvnPass {
 // that offset anywhere in the function) with kPop: store-to-load forwarding in the
 // LVN pass routinely makes the original slot dead, especially at inline seams.
 void DeadStoreElim(BytecodeFunction& function) {
-  std::set<int> read;
+  const OffsetSpan offsets = LocalOffsets(function);
+  std::vector<char> read(static_cast<size_t>(offsets.span), 0);
   for (const Insn& insn : function.code) {
     if (insn.op == Op::kLoadLocal || insn.op == Op::kAddrLocal) {
-      read.insert(insn.a);
+      read[insn.a - offsets.lo] = 1;
     }
   }
   for (Insn& insn : function.code) {
-    if (insn.op == Op::kStoreLocal && read.count(insn.a) == 0) {
+    if (insn.op == Op::kStoreLocal && !read[insn.a - offsets.lo]) {
       insn = Insn{Op::kPop, 0, 0};
     }
   }
@@ -1070,11 +1262,10 @@ void DeadStoreElim(BytecodeFunction& function) {
 //   dup + pop              -> (nothing)
 // Runs to a fixpoint together with nop compaction.
 bool PopCancellation(BytecodeFunction& function) {
-  std::set<int> leaders = LeadersOf(function);
+  const std::vector<char> leaders = LeaderBitmap(function);
   bool changed = false;
   for (size_t i = 0; i + 1 < function.code.size(); ++i) {
-    if (function.code[i + 1].op != Op::kPop ||
-        leaders.count(static_cast<int>(i) + 1) > 0) {
+    if (function.code[i + 1].op != Op::kPop || leaders[i + 1]) {
       continue;
     }
     Op op = function.code[i].op;
@@ -1105,20 +1296,20 @@ void StoreLoadPeephole(BytecodeFunction& function) {
   bool changed = true;
   while (changed) {
     changed = false;
-    std::map<int, int> touches;
+    const OffsetSpan offsets = LocalOffsets(function);
+    std::vector<int> touches(static_cast<size_t>(offsets.span), 0);
     for (const Insn& insn : function.code) {
-      if (insn.op == Op::kLoadLocal || insn.op == Op::kStoreLocal ||
-          insn.op == Op::kAddrLocal) {
-        ++touches[insn.a];
+      if (TouchesLocal(insn.op)) {
+        ++touches[insn.a - offsets.lo];
       }
     }
-    std::set<int> leaders = LeadersOf(function);
+    const std::vector<char> leaders = LeaderBitmap(function);
     for (size_t i = 0; i + 1 < function.code.size(); ++i) {
       const Insn& store = function.code[i];
       const Insn& load = function.code[i + 1];
       if (store.op == Op::kStoreLocal && load.op == Op::kLoadLocal && store.a == load.a &&
-          store.b == load.b && store.b == kWordSize && touches[store.a] == 2 &&
-          leaders.count(static_cast<int>(i) + 1) == 0) {
+          store.b == load.b && store.b == kWordSize && touches[store.a - offsets.lo] == 2 &&
+          !leaders[i + 1]) {
         function.code[i].op = Op::kNop;
         function.code[i + 1].op = Op::kNop;
         changed = true;

@@ -8,12 +8,20 @@
 // multi-unit Knit configurations: behaviour bit-identical to -O0, dead-export
 // elimination never strips a reachable symbol, and the optimized image is
 // bit-identical across --jobs values.
+//
+// A last section pins the emitted code itself (image fingerprints of the corpus
+// and of the seeded programs) and compiles a hostile input whose expression trees
+// grow exponentially.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <random>
 #include <string>
 
+#include "src/clack/corpus.h"
 #include "src/driver/knitc.h"
+#include "src/driver/pipeline.h"
+#include "src/oskit/corpus.h"
 #include "src/vm/machine.h"
 #include "tests/testutil.h"
 
@@ -523,6 +531,134 @@ TEST_P(ImagePassPropertyTest, PgoImageIdenticalAcrossJobs) {
       EXPECT_EQ(baseline, fingerprint)
           << "PGO image differs at --jobs=" << jobs << "\n"
           << config.knit;
+    }
+  }
+}
+
+// ---- code goldens ----------------------------------------------------------------
+//
+// The properties above compare run results, so a change to the emitted code that
+// keeps behaviour passes them. These goldens pin the code itself. They were
+// captured before the optimizer's data structures were rewritten for near-linear
+// cost (hashed value-number interning, memoized costs, slot-only snapshots,
+// flat forward tables), a change that had to leave every emitted instruction as
+// it was. A legitimate change to codegen, the optimizer, the linker or the
+// corpus sources moves them; re-capture them in that change and say why here.
+
+struct CorpusGolden {
+  const char* top;
+  int opt_level;
+  bool swappable;
+  uint64_t fingerprint;
+};
+
+// FingerprintImage of the corpus images the build benchmark compiles, plus the
+// hot-swap image (--swappable=*).
+constexpr CorpusGolden kCorpusGoldens[] = {
+    {"ClackRouter", 1, false, 0x5df8b62d63b8c443ull},
+    {"ClackRouter", 2, false, 0xaed62ea02a49d535ull},
+    {"ClackRouterFlat", 1, false, 0x0d2116414c8aebccull},
+    {"ClackRouterFlat", 2, false, 0xcaf82454fa5eaa37ull},
+    {"HandRouter", 1, false, 0x16edf4a361c48190ull},
+    {"HandRouter", 2, false, 0x0e3e7fa6505581caull},
+    {"HandRouterFlat", 1, false, 0x259eab0df9c75bb4ull},
+    {"HandRouterFlat", 2, false, 0x0c144182fa3dd4b1ull},
+    {"WebKernel", 1, false, 0x7c9b5dc9d21ea1fcull},
+    {"WebKernel", 2, false, 0x7e83feb1689e1abaull},
+    {"WebKernelFlat", 1, false, 0xf64a71b161583433ull},
+    {"WebKernelFlat", 2, false, 0x1f0baf4c1470eeb2ull},
+    {"ClackRouter", 2, true, 0x09b378e8839f8482ull},
+};
+
+TEST(OptimizerGoldens, CorpusImagesUnchanged) {
+  for (const CorpusGolden& golden : kCorpusGoldens) {
+    const bool oskit = std::string(golden.top).rfind("Web", 0) == 0;
+    KnitcOptions options;
+    options.opt_level = golden.opt_level;
+    if (golden.swappable) {
+      options.swappable = {"*"};
+    }
+    Diagnostics diags;
+    Result<KnitBuildResult> build =
+        KnitBuild(oskit ? OskitKnit() : ClackKnit(), oskit ? OskitSources() : ClackSources(),
+                  golden.top, options, diags);
+    ASSERT_TRUE(build.ok()) << golden.top << ": " << diags.ToString();
+    EXPECT_EQ(FingerprintImage(build.value().image), golden.fingerprint)
+        << golden.top << " -O" << golden.opt_level << (golden.swappable ? " --swappable=*" : "");
+  }
+}
+
+// FingerprintImage of the -O1 image of each OptimizerEquivalenceTest seed (1..40).
+constexpr uint64_t kSeedGoldens[] = {
+    0xa9a36683d8f69125ull, 0x6fd560076c9118e9ull, 0x2b1b75d381f8abc0ull, 0x50fada019289a461ull,
+    0x8699ab4b886ce484ull, 0x54a595e6c7bb4473ull, 0xd9e14a6e1ae946d4ull, 0xc6cce4afaf41aa1dull,
+    0xb9ee11c9f8c29fabull, 0x5ccceb94e9158709ull, 0xe5f053e43fa5ed6eull, 0x54c4c92efa502479ull,
+    0x46cf40361c7b4b5aull, 0xa234f0bdb898a7a2ull, 0x2fa9b86c1f821e25ull, 0xd18d23a7343832adull,
+    0x03c6113d671ee136ull, 0xbfa7629a8fa67c8full, 0xb876d70b1283ccb9ull, 0x1b3503ea13160bd2ull,
+    0x9d9568c0432ce6dcull, 0x2e494d70b3d228a7ull, 0xd70c8fc1d84463d0ull, 0x95ad52119514b0abull,
+    0x1241c20b0ae66a5aull, 0x716f65c5d0b1f6a2ull, 0xfb0151d0569676fbull, 0x04d31f2356eac835ull,
+    0x9a37ccbb6cf9ace5ull, 0x72d3ee665abe145bull, 0x22491e0b8868e105ull, 0xb3aa201dd8657dbeull,
+    0x0e771aa3c3a909a7ull, 0xf7b6df40c9fbb525ull, 0x5d7795033ebc03bcull, 0x380f738294215b79ull,
+    0x3dbe03414d291ddbull, 0x62a43cf2ac19e506ull, 0x32974798247ded6full, 0xba373295b4b82f19ull,
+};
+
+TEST(OptimizerGoldens, EquivalenceSeedCodeUnchanged) {
+  for (int seed = 1; seed <= 40; ++seed) {
+    ProgramGenerator generator(static_cast<unsigned>(seed) * 2654435761u);
+    TestProgram optimized = BuildProgram(generator.Generate(), /*optimize=*/true);
+    ASSERT_TRUE(optimized.ok()) << optimized.error;
+    EXPECT_EQ(FingerprintImage(*optimized.image), kSeedGoldens[seed - 1]) << "seed " << seed;
+  }
+}
+
+// ---- hostile input ---------------------------------------------------------------
+//
+// `int v_i = v_{i-1} + v_{i-1};` forty times: every value's expression tree
+// doubles, although its value-number DAG grows by one node per line. A cost
+// computed by walking the tree takes 2^40 steps (and overflows int); the
+// optimizer must compile this in linear time and keep its result.
+
+constexpr const char* kChainKnit = R"(
+bundletype Chain = { chain }
+unit Doubling = {
+  imports [];
+  exports [ out : Chain ];
+  files { "chain.c" };
+}
+)";
+
+std::string DoublingChainSource(int n) {
+  std::string source = "int chain(int v0) {\n";
+  for (int i = 1; i <= n; ++i) {
+    source += "  int v" + std::to_string(i) + " = v" + std::to_string(i - 1) + " + v" +
+              std::to_string(i - 1) + ";\n";
+  }
+  source += "  return v" + std::to_string(n) + " + v" + std::to_string(n - 9) + " + v" +
+            std::to_string(n / 2) + " + v1;\n}\n";
+  return source;
+}
+
+TEST(OptimizerRobustness, DoublingChainCompilesAndKeepsItsValue) {
+  const SourceMap sources = {{"chain.c", DoublingChainSource(40)}};
+  std::vector<uint32_t> expected;
+  for (int level : {0, 1, 2}) {
+    KnitcOptions options;
+    options.opt_level = level;
+    Diagnostics diags;
+    Result<KnitBuildResult> build = KnitBuild(kChainKnit, sources, "Doubling", options, diags);
+    ASSERT_TRUE(build.ok()) << "-O" << level << ": " << diags.ToString();
+    Machine machine(build.value().image);
+    std::vector<uint32_t> values;
+    for (uint32_t input : {1u, 3u, 0x12345u}) {
+      RunResult run = machine.Call(build.value().ExportedSymbol("out", "chain"), {input});
+      ASSERT_TRUE(run.ok) << "-O" << level << ": " << run.error;
+      values.push_back(run.value);
+    }
+    if (level == 0) {
+      expected = values;
+      EXPECT_NE(expected[0], 0u);
+    } else {
+      EXPECT_EQ(values, expected) << "-O" << level;
     }
   }
 }

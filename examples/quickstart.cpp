@@ -77,7 +77,7 @@ int main() {
   // 2. Load the image; the environment supplies the raw console.
   Machine machine(kernel.image);
   machine.BindNative(EnvSymbol("raw", "raw_putc"),
-                     [](Machine&, const std::vector<uint32_t>& args) {
+                     [](Machine&, std::span<const uint32_t> args) {
                        if (!args.empty()) {
                          std::fputc(static_cast<char>(args[0] & 0xFF), stdout);
                        }

@@ -1,5 +1,8 @@
 #include "src/clack/session.h"
 
+#include <algorithm>
+#include <span>
+
 namespace knit {
 
 namespace {
@@ -43,7 +46,7 @@ Result<std::unique_ptr<RouterSession>> RouterSession::Open(
   std::shared_ptr<TxAccum> accum = session->accum_;
   std::shared_ptr<RouterStats> stats = session->stats_;
   machine.BindNative(dev_native, [accum, stats](Machine& m,
-                                                const std::vector<uint32_t>& args) {
+                                                std::span<const uint32_t> args) {
     if (args.size() < 3) {
       return 0u;
     }
@@ -56,8 +59,18 @@ Result<std::unique_ptr<RouterSession>> RouterSession::Open(
     digest = FnvMix(digest, static_cast<uint8_t>(port));
     digest = FnvMix(digest, static_cast<uint8_t>(len & 0xFF));
     digest = FnvMix(digest, static_cast<uint8_t>((len >> 8) & 0xFF));
-    for (uint32_t i = 0; i < len && i < kFrameCapacity; ++i) {
-      digest = FnvMix(digest, m.ReadByte(data + i));
+    // One range check for the whole frame; a frame that is not wholly in
+    // memory is read byte by byte, trapping where that read leaves it.
+    const uint32_t size = std::min(len, kFrameCapacity);
+    std::span<const uint8_t> bytes = m.BytesAt(data, size);
+    if (bytes.size() == size) {
+      for (uint8_t byte : bytes) {
+        digest = FnvMix(digest, byte);
+      }
+    } else {
+      for (uint32_t i = 0; i < size; ++i) {
+        digest = FnvMix(digest, m.ReadByte(data + i));
+      }
     }
     accum->packet_digest = digest;
     return 0u;
@@ -95,9 +108,7 @@ Result<void> RouterSession::FeedBatch(const TracePacket* const* packets,
       diags.Error(SourceLoc::Unknown(), "trace frame exceeds buffer capacity");
       return Result<void>::Failure();
     }
-    for (size_t i = 0; i < packet.frame.size(); ++i) {
-      machine_->WriteByte(frame_addr_ + static_cast<uint32_t>(i), packet.frame[i]);
-    }
+    machine_->WriteBytes(frame_addr_, packet.frame);
     // struct pkt { char *data; int len; int port; unsigned nexthop; }
     machine_->WriteWord(pkt_struct_addr_ + 0, frame_addr_);
     machine_->WriteWord(pkt_struct_addr_ + 4, static_cast<uint32_t>(packet.frame.size()));

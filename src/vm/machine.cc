@@ -82,7 +82,8 @@ Machine::Machine(const Image& image, CostModel cost, uint32_t memory_bytes)
     : image_(image),
       cost_(cost),
       memory_(memory_bytes, 0),
-      max_insns_(cost.max_insns) {
+      max_insns_(cost.max_insns),
+      icache_(cost.icache_bytes, cost.icache_line, cost.icache_ways) {
   assert(image.data_base >= kNullGuardBytes);
   // Load the data image.
   for (size_t i = 0; i < image.data.size(); ++i) {
@@ -91,9 +92,6 @@ Machine::Machine(const Image& image, CostModel cost, uint32_t memory_bytes)
   heap_end_ = image.data_base + static_cast<uint32_t>(image.data.size());
   heap_end_ = (heap_end_ + 0xFFF) & ~0xFFFu;  // page align
   stack_pointer_ = memory_bytes;
-
-  icache_sets_ = cost_.icache_bytes / (cost_.icache_line * cost_.icache_ways);
-  icache_.assign(static_cast<size_t>(icache_sets_) * cost_.icache_ways, CacheWay{});
 
   VerifyResult verified = VerifyImage(image);
   verify_error_ = verified.error;
@@ -108,36 +106,41 @@ void Machine::AdoptFunctions(const VerifyResult& verified) {
     FunctionInfo info;
     info.max_depth = verified.ok() ? verified.max_depth[f - first] : -1;
     info.site_base = call_sites_;
-    call_sites_ += static_cast<int>(image_.functions[f].code.size());
+    const BytecodeFunction& function = image_.functions[f];
+    const uint32_t text_base = static_cast<uint32_t>(function.text_offset);
+    for (size_t pc = 0; pc < function.code.size(); ++pc) {
+      icache_slots_.push_back(icache_.Locate(text_base + static_cast<uint32_t>(pc) * 4));
+    }
+    call_sites_ += static_cast<int>(function.code.size());
     function_info_.push_back(info);
   }
   btb_.resize(static_cast<size_t>(call_sites_), kNoPrediction);
 }
 
 void Machine::BindBuiltins() {
-  BindNative("__sbrk", [](Machine& m, const std::vector<uint32_t>& args) {
+  BindNative("__sbrk", [](Machine& m, std::span<const uint32_t> args) {
     return m.Sbrk(args.empty() ? 0 : args[0]);
   });
-  BindNative("__putchar", [](Machine& m, const std::vector<uint32_t>& args) {
+  BindNative("__putchar", [](Machine& m, std::span<const uint32_t> args) {
     if (!args.empty()) {
       m.console_ += static_cast<char>(args[0] & 0xFF);
     }
     return 0u;
   });
-  BindNative("__cycles", [](Machine& m, const std::vector<uint32_t>&) {
+  BindNative("__cycles", [](Machine& m, std::span<const uint32_t>) {
     return static_cast<uint32_t>(m.cycles_);
   });
-  BindNative("__vararg_count", [](Machine& m, const std::vector<uint32_t>&) {
+  BindNative("__vararg_count", [](Machine& m, std::span<const uint32_t>) {
     return static_cast<uint32_t>(m.CurrentVarargCount());
   });
-  BindNative("__vararg", [](Machine& m, const std::vector<uint32_t>& args) {
+  BindNative("__vararg", [](Machine& m, std::span<const uint32_t> args) {
     return m.CurrentVararg(args.empty() ? 0 : static_cast<int>(args[0]));
   });
-  BindNative("__abort", [](Machine& m, const std::vector<uint32_t>& args) {
+  BindNative("__abort", [](Machine& m, std::span<const uint32_t> args) {
     m.Trap("program aborted (code " + std::to_string(args.empty() ? 0 : args[0]) + ")");
     return 0u;
   });
-  BindNative("__trace", [](Machine& m, const std::vector<uint32_t>& args) {
+  BindNative("__trace", [](Machine& m, std::span<const uint32_t> args) {
     m.console_ += "[trace " + std::to_string(args.empty() ? 0 : static_cast<int32_t>(args[0])) +
                   "]";
     return 0u;
@@ -145,11 +148,11 @@ void Machine::BindBuiltins() {
   // Heap accounting intrinsics: allocator units report each SUCCESSFUL
   // malloc/free so the machine can keep exact totals (and, while profiling,
   // per-requester attribution) without knowing any allocator's internals.
-  BindNative("__alloc_note", [](Machine& m, const std::vector<uint32_t>& args) {
+  BindNative("__alloc_note", [](Machine& m, std::span<const uint32_t> args) {
     m.NoteAlloc(args.empty() ? 0 : args[0]);
     return 0u;
   });
-  BindNative("__free_note", [](Machine& m, const std::vector<uint32_t>& args) {
+  BindNative("__free_note", [](Machine& m, std::span<const uint32_t> args) {
     m.NoteFree(args.empty() ? 0 : args[0]);
     return 0u;
   });
@@ -327,19 +330,51 @@ std::string Machine::TrapError() const {
 
 void Machine::set_fault_plan(FaultPlan plan) {
   fault_plan_ = std::move(plan);
-  invocation_counts_.clear();
+  fault_names_.clear();
+  fault_injection_slot_.clear();
+  fault_function_slot_.clear();
+  fault_native_slot_.clear();
+  for (const FaultInjection& injection : fault_plan_.injections) {
+    const int next = static_cast<int>(fault_names_.size());
+    fault_injection_slot_.push_back(fault_names_.emplace(injection.function, next).first->second);
+  }
+  fault_counts_.assign(fault_names_.size(), 0);
+  if (fault_names_.empty()) {
+    return;
+  }
+  InternFaultFunctions();
+  for (const std::string& native : image_.natives) {
+    auto it = fault_names_.find(native);
+    fault_native_slot_.push_back(it == fault_names_.end() ? -1 : it->second);
+  }
+}
+
+void Machine::InternFaultFunctions() {
+  for (size_t f = fault_function_slot_.size(); f < image_.functions.size(); ++f) {
+    auto it = fault_names_.find(image_.functions[f].name);
+    fault_function_slot_.push_back(it == fault_names_.end() ? -1 : it->second);
+  }
 }
 
 // Decides the planned fate of this invocation; the caller raises the trap itself so
 // the backtrace reflects where the fault lands (inside the callee for functions, at
 // the call site for natives).
-Machine::FaultAction Machine::CheckFault(const std::string& function, uint32_t* value_out) {
-  if (fault_plan_.injections.empty()) {
+Machine::FaultAction Machine::CheckFault(int callable, uint32_t* value_out) {
+  if (fault_counts_.empty()) {
     return FaultAction::kNone;
   }
-  long long count = ++invocation_counts_[function];
-  for (const FaultInjection& injection : fault_plan_.injections) {
-    if (injection.function != function || injection.invocation != count) {
+  const size_t functions = image_.functions.size();
+  const size_t id = static_cast<size_t>(callable);
+  const std::vector<int>& slots = id < functions ? fault_function_slot_ : fault_native_slot_;
+  const size_t index = id < functions ? id : id - functions;
+  const int slot = index < slots.size() ? slots[index] : -1;
+  if (slot < 0) {
+    return FaultAction::kNone;
+  }
+  const long long count = ++fault_counts_[static_cast<size_t>(slot)];
+  for (size_t i = 0; i < fault_plan_.injections.size(); ++i) {
+    const FaultInjection& injection = fault_plan_.injections[i];
+    if (fault_injection_slot_[i] != slot || injection.invocation != count) {
       continue;
     }
     if (injection.trap) {
@@ -389,6 +424,24 @@ void Machine::WriteByte(uint32_t address, uint8_t value) {
     return;
   }
   memory_[address] = value;
+}
+
+void Machine::WriteBytes(uint32_t address, std::span<const uint8_t> bytes) {
+  if (bytes.size() <= memory_.size() &&
+      BytesAt(address, static_cast<uint32_t>(bytes.size())).size() == bytes.size()) {
+    std::copy(bytes.begin(), bytes.end(), memory_.begin() + address);
+    return;
+  }
+  for (size_t i = 0; i < bytes.size(); ++i) {
+    WriteByte(address + static_cast<uint32_t>(i), bytes[i]);
+  }
+}
+
+std::span<const uint8_t> Machine::BytesAt(uint32_t address, uint32_t size) const {
+  if (address < kNullGuardBytes || size > memory_.size() || address > memory_.size() - size) {
+    return {};
+  }
+  return {memory_.data() + address, size};
 }
 
 std::string Machine::ReadCString(uint32_t address, uint32_t max_length) {
@@ -507,6 +560,9 @@ std::string Machine::RefreshAfterImageGrowth() {
     error = verified.error;
     AdoptFunctions(verified);
   }
+  if (!fault_names_.empty()) {
+    InternFaultFunctions();
+  }
   if (!profiling_) {
     return error;
   }
@@ -536,31 +592,6 @@ std::string Machine::RefreshAfterImageGrowth() {
   }
   profile_fn_calls_.resize(image_.functions.size(), 0);
   return error;
-}
-
-void Machine::ICacheAccess(uint32_t text_address) {
-  const uint32_t line_bytes = static_cast<uint32_t>(cost_.icache_line);
-  int64_t line = text_address / line_bytes;
-  icache_line_start_ = static_cast<uint64_t>(line) * line_bytes;
-  int set = static_cast<int>(line % icache_sets_);
-  int64_t tag = line / icache_sets_;
-  CacheWay* ways = &icache_[static_cast<size_t>(set) * cost_.icache_ways];
-  ++icache_clock_;
-  int victim = 0;
-  for (int w = 0; w < cost_.icache_ways; ++w) {
-    if (ways[w].tag == tag) {
-      ways[w].stamp = icache_clock_;
-      return;  // hit
-    }
-    if (ways[w].stamp < ways[victim].stamp) {
-      victim = w;
-    }
-  }
-  // Miss: fill + stall.
-  ways[victim].tag = tag;
-  ways[victim].stamp = icache_clock_;
-  ifetch_stalls_ += cost_.icache_miss_stall;
-  cycles_ += cost_.icache_miss_stall;
 }
 
 bool Machine::EnterFunction(int function_id, int argc) {
@@ -657,6 +688,105 @@ RunResult Machine::Call(const std::string& name, std::vector<uint32_t> args) {
   return CallId(id, std::move(args));
 }
 
+void Machine::Attribute(int function, ProfileMarks& marks) {
+  const int component = function_component_[function];
+  profile_cycles_[component] += cycles_ - marks.cycles;
+  profile_stalls_[component] += ifetch_stalls_ - marks.stalls;
+  ++profile_insns_[component];
+  marks.cycles = cycles_;
+  marks.stalls = ifetch_stalls_;
+}
+
+bool Machine::ExecuteCall(Op op, int32_t a, int32_t b, int caller) {
+  const int argc = CallArgc(b);
+  int callable;
+  if (op == Op::kCall) {
+    callable = a;
+    cycles_ += cost_.call_overhead;
+  } else {
+    if (op == Op::kCallBound) {
+      // A bound call pays the direct-call overhead plus one memory access to
+      // load the slot, and resolves like an indirect branch: the steady-state
+      // cost of swappability is call_overhead + mem_access + indirect_predicted
+      // per boundary call.
+      callable = image_.bindings[a].target;
+      cycles_ += cost_.call_overhead + cost_.mem_access;
+    } else {
+      const uint32_t ref = eval_[--eval_top_];
+      if (!IsFuncRef(ref)) {
+        Trap("indirect call through a non-function value");
+        return false;
+      }
+      callable = DecodeFuncRef(ref);
+    }
+    const int site = function_info_[caller].site_base + frames_.back().pc - 1;
+    if (!ResolveTarget(site, callable, b)) {
+      return false;
+    }
+  }
+  cycles_ += cost_.per_argument * argc;
+  uint32_t fault_value = 0;
+  const FaultAction action = CheckFault(callable, &fault_value);
+  if (action == FaultAction::kReturn) {
+    eval_top_ -= static_cast<size_t>(argc);
+    if (CallReturns(b)) {
+      eval_[eval_top_++] = fault_value;
+    }
+    return true;
+  }
+  const int functions = static_cast<int>(image_.functions.size());
+  if (callable < functions) {
+    if (!EnterFunction(callable, argc)) {
+      return false;
+    }
+    if (profiling_) {
+      ProfileCall(function_component_[caller], function_component_[callable]);
+    }
+    if (action == FaultAction::kTrap) {
+      // Trap inside the callee's frame so the backtrace names it.
+      Trap("fault injected into '" + image_.functions[callable].name + "'");
+      return false;
+    }
+    return true;
+  }
+  const int native = callable - functions;
+  if (action == FaultAction::kTrap) {
+    Trap("fault injected into '" + image_.natives[native] + "'");
+    return false;
+  }
+  const NativeFn& bound = natives_[native];
+  if (!bound) {
+    Trap("native '" + image_.natives[native] + "' is not bound");
+    return false;
+  }
+  // The arguments leave the evaluation stack for storage of this call's own: a
+  // native may re-enter the machine, whose pushes reuse (and may reallocate) the
+  // stack. Natives take a few arguments; only a long argument list allocates.
+  constexpr int kInlineArgs = 8;
+  uint32_t inline_args[kInlineArgs];
+  std::vector<uint32_t> long_args;
+  uint32_t* args = inline_args;
+  if (argc > kInlineArgs) {
+    long_args.resize(static_cast<size_t>(argc));
+    args = long_args.data();
+  }
+  eval_top_ -= static_cast<size_t>(argc);
+  std::copy_n(eval_.data() + eval_top_, argc, args);
+  cycles_ += cost_.native_cost;
+  if (profiling_) {
+    ProfileCall(function_component_[caller], env_component_);
+  }
+  const uint32_t result =
+      bound(*this, std::span<const uint32_t>(args, static_cast<size_t>(argc)));
+  if (trapped_) {
+    return false;
+  }
+  if (CallReturns(b)) {
+    eval_[eval_top_++] = result;
+  }
+  return true;
+}
+
 RunResult Machine::CallId(int function_id, std::vector<uint32_t> args) {
   if (!verify_error_.empty()) {
     return RunResult{false, 0, verify_error_, {}, {}};
@@ -675,7 +805,7 @@ RunResult Machine::CallId(int function_id, std::vector<uint32_t> args) {
     return RunResult{false, 0, "function '" + entry.name + "' has no verified body", {}, {}};
   }
   uint32_t injected = 0;
-  FaultAction action = CheckFault(entry.name, &injected);
+  FaultAction action = CheckFault(function_id, &injected);
   if (action == FaultAction::kReturn) {
     return FinishRun(RunResult{true, injected, "", {}, {}});
   }
@@ -697,44 +827,67 @@ RunResult Machine::CallId(int function_id, std::vector<uint32_t> args) {
   // Profiling: everything an instruction adds to the counters — its I-fetch and
   // any per-op costs — is attributed to the component of the frame it ran in,
   // so per-component sums equal the counter deltas exactly.
-  long long profile_cycles_mark = cycles_;
-  long long profile_stalls_mark = ifetch_stalls_;
-  auto attribute = [&](int function) {
-    const int component = function_component_[function];
-    profile_cycles_[component] += cycles_ - profile_cycles_mark;
-    profile_stalls_[component] += ifetch_stalls_ - profile_stalls_mark;
-    ++profile_insns_[component];
-    profile_cycles_mark = cycles_;
-    profile_stalls_mark = ifetch_stalls_;
-  };
+  ProfileMarks marks{cycles_, ifetch_stalls_};
 
-  // The executing frame's hot state lives in locals, reloaded when the frame
-  // changes (call, return) or a native ran (it may re-enter the machine, grow
-  // the image or the evaluation stack). store() writes back what a trap's
-  // backtrace, a callee or a native can observe.
+  // The loop's hot state lives in locals the compiler keeps in registers: the
+  // executing frame's code, pc, fp and evaluation-stack top, the counters, the
+  // fuel limit and the last fetched line. It is written back (save_*) only where
+  // something outside the loop can observe it: calls, returns, natives, traps
+  // and profiling points. It is reloaded (load_*) after the frame changed or a
+  // native ran, since a native may read the counters, re-enter the machine, or
+  // grow the image or the evaluation stack. The helpers are forced inline so no
+  // local's address escapes.
   uint8_t* const memory = memory_.data();
-  Frame* frame = nullptr;
+  const long long base_cost = cost_.base;
+  const long long mem_cost = cost_.mem_access;
+  const long long divide_cost = cost_.divide;
+  const long long ret_cost = cost_.ret_overhead;
+  const long long miss_stall = cost_.icache_miss_stall;
+  const uint64_t line_bytes = static_cast<uint64_t>(cost_.icache_line);
   int fn = 0;
   const Insn* code = nullptr;
+  const ICacheSlot* slots = nullptr;
   uint32_t text_base = 0;
   uint32_t fp = 0;
   int pc = 0;
   uint32_t* sp = nullptr;
-  auto load = [&] {
-    frame = &frames_.back();
-    fn = frame->function;
+  long long cycles = 0;
+  long long stalls = 0;
+  long long insns = 0;
+  long long fuel = 0;
+  uint64_t line_start = 0;
+  bool profiling = false;
+  auto load_frame = [&]() __attribute__((always_inline)) {
+    const Frame& frame = frames_.back();
+    fn = frame.function;
     const BytecodeFunction& function = image_.functions[fn];
     code = function.code.data();
+    slots = icache_slots_.data() + function_info_[fn].site_base;
     text_base = static_cast<uint32_t>(function.text_offset);
-    fp = frame->fp;
-    pc = frame->pc;
+    fp = frame.fp;
+    pc = frame.pc;
     sp = eval_.data() + eval_top_;
   };
-  auto store = [&] {
-    frame->pc = pc;
+  auto save_frame = [&]() __attribute__((always_inline)) {
+    frames_.back().pc = pc;
     eval_top_ = static_cast<size_t>(sp - eval_.data());
   };
-  load();
+  auto load_counters = [&]() __attribute__((always_inline)) {
+    cycles = cycles_;
+    stalls = ifetch_stalls_;
+    insns = insns_;
+    fuel = max_insns_;
+    line_start = icache_line_start_;
+    profiling = profiling_;
+  };
+  auto save_counters = [&]() __attribute__((always_inline)) {
+    cycles_ = cycles;
+    ifetch_stalls_ = stalls;
+    insns_ = insns;
+    icache_line_start_ = line_start;
+  };
+  load_frame();
+  load_counters();
   if (action == FaultAction::kTrap) {
     // Trap inside the callee's frame so the backtrace names it.
     Trap("fault injected into '" + entry.name + "'");
@@ -744,17 +897,24 @@ RunResult Machine::CallId(int function_id, std::vector<uint32_t> args) {
   // The verifier proved every reachable instruction well formed: opcodes,
   // stack depths, jump targets, local-slot operands and direct callees. Only
   // data-dependent conditions are checked here.
-  for (int insn_fn = fn;;) {
+  for (;;) {
     const Insn insn = code[pc];
-    insn_fn = fn;
+    const int insn_fn = fn;
     const uint32_t text_address = text_base + static_cast<uint32_t>(pc) * 4;
-    if (text_address - icache_line_start_ >= static_cast<uint64_t>(cost_.icache_line)) {
-      ICacheAccess(text_address);
+    if (text_address - line_start >= line_bytes) {
+      // Only a fetch outside the last line touched probes the cache: that line
+      // is its set's most recent, so a fetch inside it hits and changes nothing.
+      const ICacheSlot slot = slots[pc];
+      line_start = icache_.LineStart(slot);
+      const long long stall = miss_stall * static_cast<long long>(icache_.Probe(slot));
+      stalls += stall;
+      cycles += stall;
     }
     ++pc;
-    cycles_ += cost_.base;
-    if (++insns_ > max_insns_) {
-      store();
+    cycles += base_cost;
+    if (++insns > fuel) [[unlikely]] {
+      save_frame();
+      save_counters();
       Trap("fuel exhausted (instruction budget of " + std::to_string(max_insns_) +
            " insns exceeded)");
       goto trapped;
@@ -787,9 +947,10 @@ RunResult Machine::CallId(int function_id, std::vector<uint32_t> args) {
       case Op::kLoadMem: {
         const uint32_t address = sp[-1];
         const uint32_t size = static_cast<uint32_t>(insn.b);
-        cycles_ += cost_.mem_access;
-        if (!InRange(address, size)) {
-          store();
+        cycles += mem_cost;
+        if (!InRange(address, size)) [[unlikely]] {
+          save_frame();
+          save_counters();
           CheckRange(address, size);
           goto trapped;
         }
@@ -801,9 +962,10 @@ RunResult Machine::CallId(int function_id, std::vector<uint32_t> args) {
         const uint32_t address = sp[-2];
         const uint32_t size = static_cast<uint32_t>(insn.b);
         sp -= 2;
-        cycles_ += cost_.mem_access;
-        if (!InRange(address, size)) {
-          store();
+        cycles += mem_cost;
+        if (!InRange(address, size)) [[unlikely]] {
+          save_frame();
+          save_counters();
           CheckRange(address, size);
           goto trapped;
         }
@@ -865,13 +1027,14 @@ RunResult Machine::CallId(int function_id, std::vector<uint32_t> args) {
       case Op::kDivU:
       case Op::kModS:
       case Op::kModU: {
-        cycles_ += cost_.divide;
+        cycles += divide_cost;
         --sp;
         const uint32_t x = sp[-1];
         const uint32_t y = sp[0];
-        const bool is_div = insn.op == Op::kDivS || insn.op == Op::kDivU;
-        if (y == 0) {
-          store();
+        if (y == 0) [[unlikely]] {
+          save_frame();
+          save_counters();
+          const bool is_div = insn.op == Op::kDivS || insn.op == Op::kDivU;
           Trap(is_div ? "division by zero" : "modulo by zero");
           goto trapped;
         }
@@ -962,109 +1125,27 @@ RunResult Machine::CallId(int function_id, std::vector<uint32_t> args) {
         break;
       case Op::kCall:
       case Op::kCallIndirect:
-      case Op::kCallBound: {
-        const int argc = CallArgc(insn.b);
-        int callable;
-        if (insn.op == Op::kCall) {
-          callable = insn.a;
-          cycles_ += cost_.call_overhead;
-          store();
-        } else {
-          if (insn.op == Op::kCallBound) {
-            // A bound call pays the direct-call overhead plus one memory access
-            // to load the slot, and resolves like an indirect branch: the
-            // steady-state cost of swappability is call_overhead + mem_access +
-            // indirect_predicted per boundary call.
-            callable = image_.bindings[insn.a].target;
-            cycles_ += cost_.call_overhead + cost_.mem_access;
-            store();
-          } else {
-            const uint32_t ref = *--sp;
-            store();
-            if (!IsFuncRef(ref)) {
-              Trap("indirect call through a non-function value");
-              goto trapped;
-            }
-            callable = DecodeFuncRef(ref);
-          }
-          if (!ResolveTarget(function_info_[fn].site_base + pc - 1, callable, insn.b)) {
-            goto trapped;
-          }
-        }
-        cycles_ += cost_.per_argument * argc;
-        const int functions = static_cast<int>(image_.functions.size());
-        if (callable >= functions) {
-          const int native = callable - functions;
-          const std::string& native_name = image_.natives[native];
-          uint32_t fault_value = 0;
-          FaultAction native_action = CheckFault(native_name, &fault_value);
-          if (native_action == FaultAction::kTrap) {
-            Trap("fault injected into '" + native_name + "'");
-            goto trapped;
-          }
-          if (native_action == FaultAction::kReturn) {
-            sp -= argc;
-            if (CallReturns(insn.b)) {
-              *sp++ = fault_value;
-            }
-            break;
-          }
-          const NativeFn& bound = natives_[native];
-          if (!bound) {
-            Trap("native '" + native_name + "' is not bound");
-            goto trapped;
-          }
-          std::vector<uint32_t> native_args(sp - argc, sp);
-          sp -= argc;
-          store();
-          cycles_ += cost_.native_cost;
-          if (profiling_) {
-            ProfileCall(function_component_[fn], env_component_);
-          }
-          const uint32_t result = bound(*this, native_args);
-          load();
-          if (trapped_) {
-            goto trapped;
-          }
-          if (CallReturns(insn.b)) {
-            *sp++ = result;
-          }
-          break;
-        }
-        uint32_t fault_value = 0;
-        FaultAction callee_action = CheckFault(image_.functions[callable].name, &fault_value);
-        if (callee_action == FaultAction::kReturn) {
-          sp -= argc;
-          if (CallReturns(insn.b)) {
-            *sp++ = fault_value;
-          }
-          break;
-        }
-        if (!EnterFunction(callable, argc)) {
+      case Op::kCallBound:
+        save_frame();
+        save_counters();
+        if (!ExecuteCall(insn.op, insn.a, insn.b, fn)) {
           goto trapped;
         }
-        if (profiling_) {
-          ProfileCall(function_component_[fn], function_component_[callable]);
-        }
-        if (callee_action == FaultAction::kTrap) {
-          // Trap inside the callee's frame so the backtrace names it.
-          Trap("fault injected into '" + image_.functions[callable].name + "'");
-          goto trapped;
-        }
-        load();
+        load_frame();
+        load_counters();
         break;
-      }
       case Op::kRet: {
-        cycles_ += cost_.ret_overhead;
+        cycles += ret_cost;
         // A bare kRet in a value-returning function returns 0 (see verify.h).
         const bool returns_value = image_.functions[fn].returns_value;
         const uint32_t value = insn.a != 0 ? sp[-1] : 0;
         // Discard the callee's leftover stack and frame.
-        eval_top_ = frame->eval_base;
-        stack_pointer_ = frame->saved_sp;
+        eval_top_ = frames_.back().eval_base;
+        stack_pointer_ = frames_.back().saved_sp;
         const bool caller_exists = frames_.size() > base_frames + 1;
-        if (profiling_) {
+        if (profiling) {
           // Close the span if control moves to a different component (or the host).
+          save_counters();
           int parent =
               caller_exists ? function_component_[frames_[frames_.size() - 2].function] : -1;
           if (function_component_[fn] != parent) {
@@ -1073,12 +1154,13 @@ RunResult Machine::CallId(int function_id, std::vector<uint32_t> args) {
         }
         frames_.pop_back();
         if (!caller_exists) {
-          if (profiling_) {
-            attribute(insn_fn);
+          save_counters();
+          if (profiling) {
+            Attribute(insn_fn, marks);
           }
           return FinishRun(RunResult{true, value, "", {}, {}});
         }
-        load();
+        load_frame();
         // The verifier and ResolveTarget matched the call site's return
         // convention to the callee's.
         if (returns_value) {
@@ -1089,13 +1171,15 @@ RunResult Machine::CallId(int function_id, std::vector<uint32_t> args) {
       default:
         __builtin_unreachable();  // the verifier rejects unknown opcodes and kConstSym
     }
-    if (profiling_) {
-      attribute(insn_fn);
+    if (profiling) [[unlikely]] {
+      save_counters();
+      Attribute(insn_fn, marks);
     }
     continue;
   trapped:
+    // Every trap site saved the state before trapping.
     if (profiling_) {
-      attribute(insn_fn);
+      Attribute(insn_fn, marks);
     }
     break;
   }

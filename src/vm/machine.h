@@ -28,9 +28,11 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "src/vm/icache.h"
 #include "src/vm/image.h"
 
 namespace knit {
@@ -60,8 +62,9 @@ class Machine;
 struct VerifyResult;
 
 // A native (environment) callable. Receives the machine (for memory access) and the
-// popped argument values; returns the result (ignored for void uses).
-using NativeFn = std::function<uint32_t(Machine&, const std::vector<uint32_t>&)>;
+// popped argument values, which stay valid for the whole call even if the native
+// re-enters the machine; returns the result (ignored for void uses).
+using NativeFn = std::function<uint32_t(Machine&, std::span<const uint32_t>)>;
 
 // One forced failure: the Nth invocation of `function` (a VM function or a native,
 // by link name) is intercepted before its body runs. `trap` makes it trap the
@@ -237,7 +240,9 @@ class Machine {
 
   // Fault injection: installing a plan resets the per-function invocation counters;
   // every subsequent call of a planned function is counted and the matching
-  // invocation is forced to fail (see FaultInjection).
+  // invocation is forced to fail (see FaultInjection). The plan's names are
+  // resolved to callable ids here (and for functions a hot swap appends), so a
+  // call does no string compare.
   void set_fault_plan(FaultPlan plan);
   void ClearFaultPlan() { set_fault_plan(FaultPlan()); }
   const FaultPlan& fault_plan() const { return fault_plan_; }
@@ -248,6 +253,13 @@ class Machine {
   void WriteWord(uint32_t address, uint32_t value);
   uint8_t ReadByte(uint32_t address);
   void WriteByte(uint32_t address, uint8_t value);
+  // Bulk forms of the byte accessors, with one range check for the whole span.
+  // WriteBytes falls back to WriteByte per byte when the span is not wholly in
+  // range, so it traps exactly where that loop would. BytesAt is a read-only
+  // view of [address, address + size), empty (and no trap) when that range is
+  // not wholly in memory.
+  void WriteBytes(uint32_t address, std::span<const uint8_t> bytes);
+  std::span<const uint8_t> BytesAt(uint32_t address, uint32_t size) const;
   std::string ReadCString(uint32_t address, uint32_t max_length = 4096);
 
   // Console output captured from __putchar (and from environment natives that
@@ -333,14 +345,22 @@ class Machine {
 
   enum class FaultAction { kNone, kTrap, kReturn };
 
+  // Where a profiled run last attributed: the counter values already charged.
+  struct ProfileMarks {
+    long long cycles = 0;
+    long long stalls = 0;
+  };
+
   void Trap(const std::string& message);
   std::string TrapError() const;
-  FaultAction CheckFault(const std::string& function, uint32_t* value_out);
+  FaultAction CheckFault(int callable, uint32_t* value_out);
+  // Maps functions [fault_function_slot_.size(), functions.size()) to their
+  // planned-name counters (see fault_counts_).
+  void InternFaultFunctions();
   bool CheckRange(uint32_t address, uint32_t size);
   bool InRange(uint32_t address, uint32_t size) const {
     return address >= kNullGuardBytes && address <= memory_.size() - size;
   }
-  void ICacheAccess(uint32_t text_address);
   // Moves the top `argc` evaluation-stack values into a new frame of
   // `function_id` and reserves the callee's verified stack depth.
   bool EnterFunction(int function_id, int argc);
@@ -354,11 +374,18 @@ class Machine {
   // Charges the call site's last-target predictor and checks the target of an
   // indirect or bound call; false after trapping.
   bool ResolveTarget(int site, int callable, int32_t call_b);
+  // Runs one call instruction (`op a b`) of `caller`, the top frame, whose pc is
+  // past the call, on the machine's saved state: charges it, then enters the
+  // callee or runs the native. False after trapping.
+  bool ExecuteCall(Op op, int32_t a, int32_t b, int caller);
   void BindBuiltins();
 
   // Profiling helpers (only called when profiling_).
   void ProfileCall(int caller_component, int callee_component);
   void ProfileMark(int component, bool begin);
+  // Charges the counters' growth since `marks` to `function`'s component as one
+  // instruction's worth, and advances the marks.
+  void Attribute(int function, ProfileMarks& marks);
   // The component a heap note is charged to: walking frames innermost-first,
   // the first frame whose component differs from the innermost's (the
   // allocator unit running the note); the allocator's own component when no
@@ -402,8 +429,16 @@ class Machine {
   std::string trap_message_;
   std::vector<std::string> trap_backtrace_;
 
+  // The installed plan, interned: every distinct injected name owns one
+  // invocation counter (two functions that share a name, say two static
+  // helpers, share it too); each injection and each callable id maps to its
+  // name's counter, -1 when no injection names it. All empty without a plan.
   FaultPlan fault_plan_;
-  std::map<std::string, long long> invocation_counts_;
+  std::vector<long long> fault_counts_;
+  std::vector<int> fault_injection_slot_;  // injection index -> counter
+  std::vector<int> fault_function_slot_;   // function id -> counter
+  std::vector<int> fault_native_slot_;     // native index -> counter
+  std::map<std::string, int> fault_names_;  // injected name -> counter
 
   // Profiling state. component id = index into profile_components_; natives all
   // attribute to env_component_; the host side of a Call is id -1 (no bucket).
@@ -424,14 +459,11 @@ class Machine {
   std::vector<ProfileEvent> profile_events_;
   bool profile_events_truncated_ = false;
 
-  // I-cache state: per set, per way: tag (-1 empty) and LRU stamp.
-  struct CacheWay {
-    int64_t tag = -1;
-    uint64_t stamp = 0;
-  };
-  std::vector<CacheWay> icache_;
-  int icache_sets_ = 0;
-  uint64_t icache_clock_ = 0;
+  // I-cache state, and where each instruction's text lives in it: one slot per
+  // instruction, indexed like the BTB (site_base + pc), filled when the function
+  // is adopted.
+  ICacheModel icache_;
+  std::vector<ICacheSlot> icache_slots_;
   // The line the last fetch touched, [start, start + line bytes): already MRU in
   // its set, so a fetch inside it is a hit that changes no LRU order. The
   // initial start lies far above any 32-bit text address: no fetch matches it.

@@ -162,7 +162,7 @@ unit A = {
   ASSERT_TRUE(built.result.ok()) << built.error;
   Machine machine(built.result.value().image);
   machine.BindNative("custom_host",
-                     [](Machine&, const std::vector<uint32_t>& args) { return args[0] * 3; });
+                     [](Machine&, std::span<const uint32_t> args) { return args[0] * 3; });
   EXPECT_EQ(machine.Call(built.result.value().ExportedSymbol("o", "f")).value, 15u);
 }
 

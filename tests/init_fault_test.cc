@@ -109,7 +109,7 @@ ChainProgram BuildChain() {
   program.machine = std::make_unique<Machine>(program.build->image);
   ChainProgram* raw = &program;
   program.machine->BindNative(EnvSymbol("e", "ev"),
-                              [raw](Machine&, const std::vector<uint32_t>& args) {
+                              [raw](Machine&, std::span<const uint32_t> args) {
                                 raw->events.push_back(static_cast<int>(args[0]));
                                 return 0u;
                               });

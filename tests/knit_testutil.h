@@ -88,7 +88,7 @@ inline KernelProgram BuildKernel(const std::string& top_unit,
   program.machine = std::make_unique<Machine>(program.build->image);
   // The environment's raw console feeds the machine's console buffer.
   program.machine->BindNative(EnvSymbol("raw", "raw_putc"),
-                              [](Machine& m, const std::vector<uint32_t>& args) {
+                              [](Machine& m, std::span<const uint32_t> args) {
                                 if (!args.empty()) {
                                   m.AppendConsole(static_cast<char>(args[0] & 0xFF));
                                 }

@@ -224,7 +224,7 @@ TEST(Linker, NativesResolveRemainingUndefineds) {
   Result<LinkResult> linked = TryLink(std::move(items), &error, {"host_fn"});
   ASSERT_TRUE(linked.ok()) << error;
   Machine machine(linked.value().image);
-  machine.BindNative("host_fn", [](Machine&, const std::vector<uint32_t>& args) {
+  machine.BindNative("host_fn", [](Machine&, std::span<const uint32_t> args) {
     return args[0] + 100;
   });
   EXPECT_EQ(machine.Call("f", {5}).value, 210u);
@@ -391,7 +391,7 @@ int call_stored(int x) { return g_native(x) + g_local(x); }
   EXPECT_EQ(data_word(local_slot), local_ref);  // a VM function ref stays
 
   Machine machine(image);
-  machine.BindNative("host_fn", [](Machine&, const std::vector<uint32_t>& args) {
+  machine.BindNative("host_fn", [](Machine&, std::span<const uint32_t> args) {
     return args[0] + 100;
   });
   EXPECT_EQ(machine.Call("call_direct", {5}).value, 105u);

@@ -144,7 +144,7 @@ std::unique_ptr<SwapKit> BuildSwapKit(const std::string& worker_source = kWorker
   kit->machine = std::make_unique<Machine>(kit->build->image);
   SwapKit* raw = kit.get();
   kit->machine->BindNative(EnvSymbol("e", "ev"),
-                           [raw](Machine&, const std::vector<uint32_t>& args) {
+                           [raw](Machine&, std::span<const uint32_t> args) {
                              int code = static_cast<int>(args[0]);
                              raw->events.push_back(code);
                              if (raw->on_event) {

@@ -2,7 +2,10 @@
 // traps, determinism, and the memory interface.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
 #include <utility>
+#include <vector>
 
 #include "tests/testutil.h"
 
@@ -188,6 +191,37 @@ TEST(Machine, HostMemoryInterface) {
   EXPECT_EQ(machine.ReadByte(address), 0xEF);
 }
 
+TEST(Machine, BulkByteAccessMatchesPerByteAccess) {
+  TestProgram program = BuildProgram(
+      "extern void fill(int at);\nint f(int at) { fill(at); return 1; }", false, {"fill"});
+  ASSERT_TRUE(program.ok()) << program.error;
+  Machine& machine = *program.machine;
+  const uint32_t address = machine.Sbrk(64);
+  const std::vector<uint8_t> bytes = {1, 2, 3, 4, 5};
+  machine.WriteBytes(address, bytes);
+  std::span<const uint8_t> view = machine.BytesAt(address, 5);
+  ASSERT_EQ(view.size(), 5u);
+  EXPECT_TRUE(std::equal(view.begin(), view.end(), bytes.begin()));
+
+  // A range not wholly in memory has no view, and a write to it stores the
+  // in-range bytes one by one and traps at the first byte outside.
+  const uint32_t top = 1u << 24;  // the default memory size
+  EXPECT_TRUE(machine.BytesAt(top - 2, 5).empty());
+  EXPECT_TRUE(machine.BytesAt(0x800, 4).empty());  // the null guard page
+  EXPECT_TRUE(machine.BytesAt(address, 0xFFFFFFFFu).empty());
+  machine.BindNative("fill", [&bytes](Machine& m, std::span<const uint32_t> args) {
+    m.WriteBytes(args[0], bytes);
+    return 0u;
+  });
+  RunResult result = machine.Call("f", {top - 2});
+  EXPECT_FALSE(result.ok);
+  EXPECT_NE(result.error.find("out-of-range memory access at address 16777216"),
+            std::string::npos)
+      << result.error;
+  EXPECT_EQ(machine.ReadByte(top - 2), 1);
+  EXPECT_EQ(machine.ReadByte(top - 1), 2);
+}
+
 TEST(Machine, TrapMessageNamesFunctionAndPc) {
   TestProgram program = BuildProgram(
       "int inner(int *p) { return *p; }\n"
@@ -272,7 +306,7 @@ TEST(Machine, FaultPlanAppliesToNatives) {
       false, {"ping"});
   ASSERT_TRUE(program.ok());
   program.machine->BindNative(
-      "ping", [](Machine&, const std::vector<uint32_t>&) { return 1u; });
+      "ping", [](Machine&, std::span<const uint32_t>) { return 1u; });
   EXPECT_EQ(program.machine->Call("f").value, 2u);
 
   FaultPlan trap_plan;
@@ -330,7 +364,7 @@ struct QuiescenceProbe {
 void BindProbe(TestProgram& program, QuiescenceProbe& probe) {
   QuiescenceProbe* raw = &probe;
   program.machine->BindNative(
-      "probe", [raw](Machine& machine, const std::vector<uint32_t>&) {
+      "probe", [raw](Machine& machine, std::span<const uint32_t>) {
         raw->a_quiescent = machine.ComponentQuiescent("A");
         raw->b_quiescent = machine.ComponentQuiescent("B");
         raw->frame_depth = machine.FrameDepth();
@@ -386,7 +420,7 @@ TEST(Machine, ComponentQuiescentSeesCallerFramesAfterCalleeReturns) {
 
   std::vector<std::pair<bool, bool>> observations;  // (A quiescent, B quiescent)
   program.machine->BindNative(
-      "probe", [&observations](Machine& machine, const std::vector<uint32_t>&) {
+      "probe", [&observations](Machine& machine, std::span<const uint32_t>) {
         observations.emplace_back(machine.ComponentQuiescent("A"),
                                   machine.ComponentQuiescent("B"));
         return 0u;

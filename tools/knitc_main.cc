@@ -530,7 +530,7 @@ void BindEnvironment(Machine& machine, const KnitBuildResult& build) {
       continue;  // intrinsics are pre-bound by the Machine
     }
     if (EndsWith(native, "putc")) {
-      machine.BindNative(native, [](Machine&, const std::vector<uint32_t>& args) {
+      machine.BindNative(native, [](Machine&, std::span<const uint32_t> args) {
         if (!args.empty()) {
           std::fputc(static_cast<char>(args[0] & 0xFF), stdout);
         }
@@ -538,7 +538,7 @@ void BindEnvironment(Machine& machine, const KnitBuildResult& build) {
       });
     } else {
       std::string name = native;
-      machine.BindNative(native, [name](Machine&, const std::vector<uint32_t>& args) {
+      machine.BindNative(native, [name](Machine&, std::span<const uint32_t> args) {
         std::printf("[env %s(", name.c_str());
         for (size_t i = 0; i < args.size(); ++i) {
           std::printf("%s%u", i > 0 ? ", " : "", args[i]);

@@ -15,68 +15,17 @@
 #include <cstdio>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "src/clack/corpus.h"
 #include "src/oskit/alloc_corpus.h"
-#include "src/vm/profile_trace.h"
 
 namespace knit {
 namespace {
 
 const char* kTop = "ClackAllocRouter";
-
-bool Measure(const std::string& label, const std::string& knit_text, int opt_level,
-             std::shared_ptr<const LoadedProfile> profile,
-             const std::shared_ptr<BuildCache>& cache, const CostModel& cost,
-             const std::vector<TracePacket>& trace, RouterStats& out) {
-  Diagnostics diags;
-  KnitcOptions options;
-  options.opt_level = opt_level;
-  options.profile = std::move(profile);
-  options.cache = cache;
-  KnitPipeline pipeline(options);
-  Result<RouterProgram> program =
-      RouterProgram::FromKnit(pipeline, knit_text, ClackSources(), kTop, diags, cost);
-  if (!program.ok()) {
-    std::fprintf(stderr, "build failed for %s:\n%s", label.c_str(), diags.ToString().c_str());
-    return false;
-  }
-  program.value().EnableProfiling();
-  Result<RouterStats> stats = program.value().RunTrace(trace, diags);
-  if (!stats.ok()) {
-    std::fprintf(stderr, "run failed for %s:\n%s", label.c_str(), diags.ToString().c_str());
-    return false;
-  }
-  out = stats.take();
-  return true;
-}
-
-// Records the -O2 profile and pushes it through the on-disk document round trip
-// (what `knitc --profile` / `--profile-use` do), so the PGO column exercises
-// the real workflow, not a shortcut.
-std::shared_ptr<const LoadedProfile> RoundTripProfile(const std::string& knit_text,
-                                                      const RouterStats& at_o2) {
-  Diagnostics diags;
-  KnitPipeline pipeline{KnitcOptions{}};
-  Result<ParsedProgram> parsed = pipeline.Parse(knit_text, diags);
-  if (!parsed.ok()) {
-    return nullptr;
-  }
-  Result<ElaboratedConfig> elaborated = pipeline.Elaborate(parsed.value(), kTop, diags);
-  if (!elaborated.ok()) {
-    return nullptr;
-  }
-  ProfileMeta meta = MakeProfileMeta(elaborated.value(), 2);
-  std::string document = SerializeComponentProfile(at_o2.profile, meta, kTop);
-  Result<LoadedProfile> loaded = ParseComponentProfile(document, diags);
-  if (!loaded.ok()) {
-    return nullptr;
-  }
-  return std::make_shared<const LoadedProfile>(loaded.take());
-}
 
 struct AllocRow {
   std::string name;       // CLI short name
@@ -106,21 +55,27 @@ int Run() {
       std::fprintf(stderr, "expected exactly one Alloc provider site in ClackKnit\n");
       return 1;
     }
-    if (!Measure(row.name + " -O0", knit_text, 0, nullptr, cache, RouterCostModel(), trace,
-                 row.o0) ||
-        !Measure(row.name + " -O1", knit_text, 1, nullptr, cache, RouterCostModel(), trace,
-                 row.o1) ||
-        !Measure(row.name + " -O2", knit_text, 2, nullptr, cache, RouterCostModel(), trace,
-                 row.o2)) {
+    // Each cell keeps only its stats; the program it ran on is dropped here.
+    auto measure = [&](const char* suffix, int opt_level,
+                       std::shared_ptr<const LoadedProfile> profile, RouterStats& cell) {
+      KnitcOptions options;
+      options.opt_level = opt_level;
+      options.profile = std::move(profile);
+      options.cache = cache;
+      std::optional<MeasuredRouter> run = MeasureRouter(row.name + suffix, kTop, options, trace,
+                                                        RouterCostModel(), knit_text);
+      if (run) {
+        cell = std::move(run->stats);
+      }
+      return run.has_value();
+    };
+    if (!measure(" -O0", 0, nullptr, row.o0) || !measure(" -O1", 1, nullptr, row.o1) ||
+        !measure(" -O2", 2, nullptr, row.o2)) {
       return 1;
     }
-    std::shared_ptr<const LoadedProfile> profile = RoundTripProfile(knit_text, row.o2);
-    if (profile == nullptr) {
-      std::fprintf(stderr, "profile round trip failed for %s\n", name);
-      return 1;
-    }
-    if (!Measure(row.name + " PGO", knit_text, 2, profile, cache, RouterCostModel(), trace,
-                 row.pgo)) {
+    std::shared_ptr<const LoadedProfile> profile =
+        RoundTripProfile(kTop, row.o2.profile, knit_text);
+    if (profile == nullptr || !measure(" PGO", 2, profile, row.pgo)) {
       return 1;
     }
     // One behaviour across the whole matrix: the scratch element forwards the

@@ -11,34 +11,23 @@
 //      flattening, with measured boundary-call counts written to BENCH_lto.json.
 #include <cstdio>
 #include <fstream>
+#include <optional>
 
 #include "bench/bench_util.h"
-#include "src/clack/corpus.h"
 
 namespace knit {
 namespace {
 
-bool Measure(const char* label, const char* top, KnitcOptions options,
-             const std::vector<TracePacket>& trace, RouterStats* out = nullptr) {
-  Diagnostics diags;
-  KnitPipeline pipeline(options);
-  Result<RouterProgram> program =
-      RouterProgram::FromClack(pipeline, top, diags, RouterCostModel());
-  if (!program.ok()) {
-    std::fprintf(stderr, "build failed for %s:\n%s", label, diags.ToString().c_str());
+// Measures one configuration and prints its row; `out`, if given, keeps the stats.
+bool MeasureRow(const char* label, const char* top, const KnitcOptions& options,
+                const std::vector<TracePacket>& trace, RouterStats* out = nullptr) {
+  std::optional<MeasuredRouter> run = MeasureRouter(label, top, options, trace);
+  if (!run) {
     return false;
   }
+  PrintRouterRow(label, run->stats);
   if (out != nullptr) {
-    program.value().EnableProfiling();
-  }
-  Result<RouterStats> stats = program.value().RunTrace(trace, diags);
-  if (!stats.ok()) {
-    std::fprintf(stderr, "run failed for %s:\n%s", label, diags.ToString().c_str());
-    return false;
-  }
-  PrintRouterRow(label, stats.value());
-  if (out != nullptr) {
-    *out = stats.take();
+    *out = std::move(run->stats);
   }
   return true;
 }
@@ -53,9 +42,9 @@ int Run() {
   unsorted.sort_definitions = false;
   KnitcOptions callers_first;
   callers_first.callers_first_definitions = true;
-  if (!Measure("flattened, defs sorted", "ClackRouterFlat", sorted, trace) ||
-      !Measure("flattened, source order", "ClackRouterFlat", unsorted, trace) ||
-      !Measure("flattened, callers first", "ClackRouterFlat", callers_first, trace)) {
+  if (!MeasureRow("flattened, defs sorted", "ClackRouterFlat", sorted, trace) ||
+      !MeasureRow("flattened, source order", "ClackRouterFlat", unsorted, trace) ||
+      !MeasureRow("flattened, callers first", "ClackRouterFlat", callers_first, trace)) {
     return 1;
   }
   std::printf("  (source order here is already bottom-up; callers-first is the "
@@ -69,9 +58,9 @@ int Run() {
   KnitcOptions marker;  // honor the `flatten` marker on the router compound
   KnitcOptions everything;
   everything.flatten_everything = true;
-  if (!Measure("per-unit objects", "ClackRouterFlat", none, trace) ||
-      !Measure("router subtree merged", "ClackRouterFlat", marker, trace) ||
-      !Measure("whole program merged", "ClackRouter", everything, trace)) {
+  if (!MeasureRow("per-unit objects", "ClackRouterFlat", none, trace) ||
+      !MeasureRow("router subtree merged", "ClackRouterFlat", marker, trace) ||
+      !MeasureRow("whole program merged", "ClackRouter", everything, trace)) {
     return 1;
   }
 
@@ -80,8 +69,8 @@ int Run() {
               "text bytes");
   KnitcOptions o0;
   o0.opt_level = 0;
-  if (!Measure("modular -O1", "ClackRouter", KnitcOptions(), trace) ||
-      !Measure("modular -O0", "ClackRouter", o0, trace)) {
+  if (!MeasureRow("modular -O1", "ClackRouter", KnitcOptions(), trace) ||
+      !MeasureRow("modular -O0", "ClackRouter", o0, trace)) {
     return 1;
   }
 
@@ -97,9 +86,9 @@ int Run() {
   RouterStats modular_stats;
   RouterStats lto_stats;
   RouterStats flat_stats;
-  if (!Measure("modular -O1", "ClackRouter", KnitcOptions(), trace, &modular_stats) ||
-      !Measure("modular -O2 (lto)", "ClackRouter", lto, trace, &lto_stats) ||
-      !Measure("flattened -O1", "ClackRouterFlat", KnitcOptions(), trace, &flat_stats)) {
+  if (!MeasureRow("modular -O1", "ClackRouter", KnitcOptions(), trace, &modular_stats) ||
+      !MeasureRow("modular -O2 (lto)", "ClackRouter", lto, trace, &lto_stats) ||
+      !MeasureRow("flattened -O1", "ClackRouterFlat", KnitcOptions(), trace, &flat_stats)) {
     return 1;
   }
   std::printf("  boundary calls: %lld modular -> %lld lto -> %lld flattened\n",

@@ -6,57 +6,35 @@
 // (-O2 image passes) with its profile-guided form (--profile-use): same image
 // contents, but text laid out by recorded hot-path affinity with never-executed
 // functions outlined — the layout should matter more the smaller the cache gets.
+// The 1024-byte row is Table 1 (bench/table1_clack) plus its PGO row
+// (bench/pgo_table1): same trace, same cache.
 #include <cstdio>
 #include <memory>
+#include <optional>
 
 #include "bench/bench_util.h"
-#include "src/clack/corpus.h"
-#include "src/vm/profile_trace.h"
 
 namespace knit {
 namespace {
 
 int Run() {
-  std::vector<TracePacket> trace = RouterTrace(600);
+  std::vector<TracePacket> trace = RouterTrace();
 
   // Record the profile that steers the PGO column: one modular -O2 run at the
   // Table-1 cache size, pushed through the on-disk document round trip exactly
   // like a `--profile` / `--profile-use` pair.
-  auto cache = std::make_shared<BuildCache>();
-  std::shared_ptr<const LoadedProfile> profile;
-  {
-    Diagnostics diags;
-    KnitcOptions o2;
-    o2.opt_level = 2;
-    o2.cache = cache;
-    KnitPipeline pipeline(o2);
-    Result<RouterProgram> program =
-        RouterProgram::FromClack(pipeline, "ClackRouter", diags, RouterCostModel());
-    if (!program.ok()) {
-      std::fprintf(stderr, "profiling build failed:\n%s", diags.ToString().c_str());
-      return 1;
-    }
-    program.value().EnableProfiling();
-    Result<RouterStats> stats = program.value().RunTrace(trace, diags);
-    if (!stats.ok()) {
-      return 1;
-    }
-    Result<ParsedProgram> parsed = pipeline.Parse(ClackKnit(), diags);
-    Result<ElaboratedConfig> elaborated =
-        parsed.ok() ? pipeline.Elaborate(parsed.value(), "ClackRouter", diags)
-                    : Result<ElaboratedConfig>::Failure();
-    if (!elaborated.ok()) {
-      std::fprintf(stderr, "elaboration failed:\n%s", diags.ToString().c_str());
-      return 1;
-    }
-    std::string document = SerializeComponentProfile(
-        stats.value().profile, MakeProfileMeta(elaborated.value(), 2), "ClackRouter");
-    Result<LoadedProfile> loaded = ParseComponentProfile(document, diags);
-    if (!loaded.ok()) {
-      std::fprintf(stderr, "profile round-trip failed:\n%s", diags.ToString().c_str());
-      return 1;
-    }
-    profile = std::make_shared<const LoadedProfile>(loaded.take());
+  KnitcOptions o2;
+  o2.opt_level = 2;
+  o2.cache = std::make_shared<BuildCache>();
+  std::optional<MeasuredRouter> recorded =
+      MeasureRouter("profiling run", "ClackRouter", o2, trace);
+  if (!recorded) {
+    return 1;
+  }
+  std::shared_ptr<const LoadedProfile> profile =
+      RoundTripProfile("ClackRouter", recorded->stats.profile);
+  if (profile == nullptr) {
+    return 1;
   }
 
   std::printf("=== Ablation: I-cache size sweep (stall cycles per packet) ===\n");
@@ -77,28 +55,21 @@ int Run() {
   for (int icache : {8192, 4096, 2048, 1024, 512}) {
     std::printf("  %-10d", icache);
     for (const Column& column : columns) {
-      Diagnostics diags;
       CostModel cost;
       cost.icache_bytes = icache;
       KnitcOptions options;
       options.opt_level = column.opt_level;
-      options.cache = cache;
+      options.cache = o2.cache;
       if (column.use_profile) {
         options.profile = profile;
       }
-      KnitPipeline pipeline(options);
-      Result<RouterProgram> program =
-          RouterProgram::FromClack(pipeline, column.top, diags, cost);
-      if (!program.ok()) {
-        std::fprintf(stderr, "build failed:\n%s", diags.ToString().c_str());
+      std::optional<MeasuredRouter> run =
+          MeasureRouter(column.top, column.top, options, trace, cost);
+      if (!run) {
         return 1;
       }
-      Result<RouterStats> stats = program.value().RunTrace(trace, diags);
-      if (!stats.ok()) {
-        return 1;
-      }
-      std::printf(" %8.0f st %5.0f", stats.value().CyclesPerPacket(),
-                  stats.value().StallsPerPacket());
+      std::printf(" %8.0f st %5.0f", run->stats.CyclesPerPacket(),
+                  run->stats.StallsPerPacket());
     }
     std::printf("\n");
   }

@@ -1,6 +1,6 @@
 // Table 1, PGO row: profile-guided LinkOptimize against the paper's flattening
 // baseline. The paper closes the componentization gap by rewriting sources
-// (flattening); PR 7's -O2 image passes close most of it at link time; this
+// (flattening); the -O2 image passes close most of it at link time; this
 // bench measures the rest of the gap closing when the -O2 passes are steered by
 // a recorded ComponentProfile (--profile-use): inline budget spent
 // hottest-first, text laid out by hot-path affinity, never-executed functions
@@ -11,94 +11,57 @@
 // format and parsed back (the --profile / --profile-use round trip), and the
 // rebuild is steered by the parsed copy. The bench fails if the PGO'd image
 // transmits anything different from the plain -O2 image (layout must never
-// change results), and writes the before/after numbers to BENCH_pgo.json.
+// change results) or does not beat plain -O2 on both cycles and I-fetch stalls
+// per packet, and writes the before/after numbers to BENCH_pgo.json. The same
+// comparison under a shrinking L1I is bench/ablation_icache's last two columns.
 #include <cstdio>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "bench/bench_util.h"
-#include "src/clack/corpus.h"
-#include "src/vm/profile_trace.h"
 
 namespace knit {
 namespace {
 
-bool Measure(const char* label, const char* top, int opt_level,
-             std::shared_ptr<const LoadedProfile> profile,
-             const std::shared_ptr<BuildCache>& cache, const CostModel& cost,
-             const std::vector<TracePacket>& trace, RouterStats& out, bool print = true) {
-  Diagnostics diags;
-  KnitcOptions options;
-  options.opt_level = opt_level;
-  options.profile = std::move(profile);
-  options.cache = cache;
-  KnitPipeline pipeline(options);
-  Result<RouterProgram> program = RouterProgram::FromClack(pipeline, top, diags, cost);
-  if (!program.ok()) {
-    std::fprintf(stderr, "build failed for %s:\n%s", label, diags.ToString().c_str());
-    return false;
-  }
-  program.value().EnableProfiling();
-  Result<RouterStats> stats = program.value().RunTrace(trace, diags);
-  if (!stats.ok()) {
-    std::fprintf(stderr, "run failed for %s:\n%s", label, diags.ToString().c_str());
-    return false;
-  }
-  if (print) {
-    PrintRouterRow(label, stats.value());
-  }
-  out = stats.take();
-  return true;
-}
-
 int Run() {
   std::vector<TracePacket> trace = RouterTrace();
-  auto cache = std::make_shared<BuildCache>();
+  KnitcOptions o1_options;
+  o1_options.cache = std::make_shared<BuildCache>();
+  KnitcOptions o2_options = o1_options;
+  o2_options.opt_level = 2;
   std::printf("=== Table 1, PGO row: profile-guided -O2 vs flattening ===\n");
   std::printf("  %-28s %10s %14s %12s\n", "configuration", "cycles/pkt", "ifetch-stall",
               "text bytes");
 
-  RouterStats flat;
-  RouterStats o2;
-  if (!Measure("flattened -O1", "ClackRouterFlat", 1, nullptr, cache, RouterCostModel(),
-               trace, flat) ||
-      !Measure("modular -O2 (image passes)", "ClackRouter", 2, nullptr, cache,
-               RouterCostModel(), trace, o2)) {
+  std::optional<MeasuredRouter> flat_run =
+      MeasureRouter("flattened -O1", "ClackRouterFlat", o1_options, trace);
+  if (!flat_run) {
     return 1;
   }
+  const RouterStats& flat = flat_run->stats;
+  PrintRouterRow("flattened -O1", flat);
+  std::optional<MeasuredRouter> o2_run =
+      MeasureRouter("modular -O2 (image passes)", "ClackRouter", o2_options, trace);
+  if (!o2_run) {
+    return 1;
+  }
+  const RouterStats& o2 = o2_run->stats;
+  PrintRouterRow("modular -O2 (image passes)", o2);
 
-  // The --profile half of the workflow: stamp the recording context and push
-  // the measured attribution through the on-disk document format. Parsing what
-  // we serialized is deliberate — the bench then exercises exactly what a
-  // `knitc --profile=FILE` / `knitc --profile-use=FILE` pair does.
-  Diagnostics diags;
-  KnitPipeline meta_pipeline{KnitcOptions{}};
-  Result<ParsedProgram> parsed = meta_pipeline.Parse(ClackKnit(), diags);
-  if (!parsed.ok()) {
-    std::fprintf(stderr, "parse failed:\n%s", diags.ToString().c_str());
+  KnitcOptions pgo_options = o2_options;
+  pgo_options.profile = RoundTripProfile("ClackRouter", o2.profile);
+  if (pgo_options.profile == nullptr) {
     return 1;
   }
-  Result<ElaboratedConfig> elaborated =
-      meta_pipeline.Elaborate(parsed.value(), "ClackRouter", diags);
-  if (!elaborated.ok()) {
-    std::fprintf(stderr, "elaborate failed:\n%s", diags.ToString().c_str());
+  std::optional<MeasuredRouter> pgo_run =
+      MeasureRouter("modular -O2 + profile (PGO)", "ClackRouter", pgo_options, trace);
+  if (!pgo_run) {
     return 1;
   }
-  ProfileMeta meta = MakeProfileMeta(elaborated.value(), 2);
-  std::string document = SerializeComponentProfile(o2.profile, meta, "ClackRouter");
-  Result<LoadedProfile> loaded = ParseComponentProfile(document, diags);
-  if (!loaded.ok()) {
-    std::fprintf(stderr, "profile round-trip failed:\n%s", diags.ToString().c_str());
-    return 1;
-  }
-  auto profile = std::make_shared<const LoadedProfile>(loaded.take());
-
-  RouterStats pgo;
-  if (!Measure("modular -O2 + profile (PGO)", "ClackRouter", 2, profile, cache,
-               RouterCostModel(), trace, pgo)) {
-    return 1;
-  }
+  const RouterStats& pgo = pgo_run->stats;
+  PrintRouterRow("modular -O2 + profile (PGO)", pgo);
 
   // Layout and inline order must never change what the router does: the PGO'd
   // image has to transmit byte-identical packets with identical counters.
@@ -123,30 +86,15 @@ int Run() {
               o2.profile.boundary_calls, pgo.profile.boundary_calls,
               flat.profile.boundary_calls);
 
-  // The icache-ablation arm: the same PGO'd image under a shrinking L1I. The
-  // affinity layout should matter MORE as the cache gets smaller relative to
-  // the text (the paper's regime is the bottom rows of bench/ablation_icache).
-  std::printf("\n=== I-cache sweep: plain -O2 vs PGO -O2 (stalls per packet) ===\n");
-  std::printf("  %-10s %16s %16s\n", "L1I bytes", "-O2", "-O2 + PGO");
-  struct SweepRow {
-    int icache;
-    RouterStats o2;
-    RouterStats pgo;
-  };
-  std::vector<SweepRow> sweep;
-  for (int icache : {2048, 1024, 512}) {
-    CostModel cost;
-    cost.icache_bytes = icache;
-    SweepRow row;
-    row.icache = icache;
-    if (!Measure("o2", "ClackRouter", 2, nullptr, cache, cost, trace, row.o2, false) ||
-        !Measure("pgo", "ClackRouter", 2, profile, cache, cost, trace, row.pgo, false)) {
-      return 1;
-    }
-    std::printf("  %-10d %8.0f st %5.0f %8.0f st %5.0f\n", icache,
-                row.o2.CyclesPerPacket(), row.o2.StallsPerPacket(),
-                row.pgo.CyclesPerPacket(), row.pgo.StallsPerPacket());
-    sweep.push_back(row);
+  // Both counts are modeled and exact, so the PGO win is asserted outright.
+  if (pgo.CyclesPerPacket() >= o2.CyclesPerPacket() ||
+      pgo.StallsPerPacket() >= o2.StallsPerPacket()) {
+    std::fprintf(stderr,
+                 "PGO did not beat plain -O2: %.1f vs %.1f cycles/pkt, %.1f vs %.1f "
+                 "stalls/pkt\n",
+                 pgo.CyclesPerPacket(), o2.CyclesPerPacket(), pgo.StallsPerPacket(),
+                 o2.StallsPerPacket());
+    return 1;
   }
 
   std::ofstream out("BENCH_pgo.json", std::ios::trunc);
@@ -167,25 +115,14 @@ int Run() {
                   "  \"o2_text_bytes\": %d,\n"
                   "  \"pgo_text_bytes\": %d,\n"
                   "  \"tx_hash\": \"%016llx\",\n"
-                  "  \"tx_hash_equal\": true,\n"
-                  "  \"icache_sweep\": [\n",
+                  "  \"tx_hash_equal\": true\n"
+                  "}\n",
                   o2.packets, flat.cycles, o2.cycles, pgo.cycles,
                   flat.CyclesPerPacket(), o2.CyclesPerPacket(),
                   pgo.CyclesPerPacket(), o2.StallsPerPacket(), pgo.StallsPerPacket(),
                   o2.text_bytes, pgo.text_bytes,
                   static_cast<unsigned long long>(pgo.tx_hash));
     out << buffer;
-    for (size_t i = 0; i < sweep.size(); ++i) {
-      std::snprintf(buffer, sizeof(buffer),
-                    "    {\"icache_bytes\": %d, \"o2_stalls_per_packet\": %.1f, "
-                    "\"pgo_stalls_per_packet\": %.1f, \"o2_cycles_per_packet\": %.1f, "
-                    "\"pgo_cycles_per_packet\": %.1f}%s\n",
-                    sweep[i].icache, sweep[i].o2.StallsPerPacket(),
-                    sweep[i].pgo.StallsPerPacket(), sweep[i].o2.CyclesPerPacket(),
-                    sweep[i].pgo.CyclesPerPacket(), i + 1 < sweep.size() ? "," : "");
-      out << buffer;
-    }
-    out << "  ]\n}\n";
     std::printf("\n  pgo report written to BENCH_pgo.json\n");
   }
   std::printf("\n");

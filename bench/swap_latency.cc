@@ -9,15 +9,16 @@
 //     swappable instance through binding slots (and of deoptimizing -O2
 //     devirtualization at those boundaries).
 //
+// Every number is a modeled count, so the output is the same on every run; the
+// host wall time of a swap is knitbench's `hotswap` workload (swap_pause_ms).
 // Results go to stdout and to BENCH_swap.json.
-#include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "src/clack/corpus.h"
 #include "src/reconfig/reconfig.h"
 
 namespace knit {
@@ -27,7 +28,6 @@ struct SwapBenchRow {
   double plain_cycles_per_packet = 0;
   double swappable_cycles_per_packet = 0;
   long long pause_cycles = 0;
-  double swap_host_us = 0;  // wall time of Request(): compile + patch-link
   int deferred_packets = 0;
   int rebound_slots = 0;
   int new_functions = 0;
@@ -42,50 +42,33 @@ double OverheadPercent(const SwapBenchRow& row) {
 
 bool MeasureOpt(int opt_level, const std::vector<TracePacket>& trace,
                 const std::string& swap_instance, SwapBenchRow* row) {
-  Diagnostics diags;
+  const std::string level = "-O" + std::to_string(opt_level);
   KnitcOptions plain_options;
   plain_options.opt_level = opt_level;
-  KnitPipeline plain_pipeline(plain_options);
-  Result<RouterProgram> plain =
-      RouterProgram::FromClack(plain_pipeline, "ClackRouter", diags, RouterCostModel());
-  if (!plain.ok()) {
-    std::fprintf(stderr, "plain -O%d build failed:\n%s\n", opt_level,
-                 diags.ToString().c_str());
+  std::optional<MeasuredRouter> plain =
+      MeasureRouter("plain " + level, "ClackRouter", plain_options, trace);
+  if (!plain) {
     return false;
   }
-  Result<RouterStats> plain_stats = plain.value().RunTrace(trace, diags);
-  if (!plain_stats.ok()) {
-    std::fprintf(stderr, "plain -O%d run failed:\n%s\n", opt_level, diags.ToString().c_str());
-    return false;
-  }
-  row->plain_cycles_per_packet = plain_stats.value().CyclesPerPacket();
-
-  KnitcOptions swappable_options = plain_options;
-  swappable_options.swappable = {"*"};
-  KnitPipeline swappable_pipeline(swappable_options);
-  Result<RouterProgram> swappable = RouterProgram::FromClack(swappable_pipeline, "ClackRouter",
-                                                             diags, RouterCostModel());
-  if (!swappable.ok()) {
-    std::fprintf(stderr, "swappable -O%d build failed:\n%s\n", opt_level,
-                 diags.ToString().c_str());
-    return false;
-  }
-  RouterProgram& program = swappable.value();
+  const RouterStats& plain_stats = plain->stats;
+  row->plain_cycles_per_packet = plain_stats.CyclesPerPacket();
 
   // Steady state first (no swap in flight).
-  Result<RouterStats> swappable_stats = program.RunTrace(trace, diags);
-  if (!swappable_stats.ok()) {
-    std::fprintf(stderr, "swappable -O%d run failed:\n%s\n", opt_level,
-                 diags.ToString().c_str());
+  KnitcOptions swappable_options = plain_options;
+  swappable_options.swappable = {"*"};
+  std::optional<MeasuredRouter> swappable =
+      MeasureRouter("swappable " + level, "ClackRouter", swappable_options, trace);
+  if (!swappable) {
     return false;
   }
-  row->swappable_cycles_per_packet = swappable_stats.value().CyclesPerPacket();
-  if (swappable_stats.value().tx_hash != plain_stats.value().tx_hash) {
-    std::fprintf(stderr, "-O%d: swappable build diverged from the plain build\n", opt_level);
+  row->swappable_cycles_per_packet = swappable->stats.CyclesPerPacket();
+  if (swappable->stats.tx_hash != plain_stats.tx_hash) {
+    std::fprintf(stderr, "%s: swappable build diverged from the plain build\n", level.c_str());
     return false;
   }
+  RouterProgram& program = swappable->program;
 
-  // Swap latency: same trace again, hot-swapping `swap_instance` with a fresh
+  // The swap: same trace again, hot-swapping `swap_instance` with a fresh
   // copy of its own source at the midpoint, under traffic.
   ReconfigEngine engine(*program.mutable_build(), program.machine(), ClackSources());
   const auto& instances = program.build()->config.instances;
@@ -102,13 +85,10 @@ bool MeasureOpt(int opt_level, const std::vector<TracePacket>& trace,
       spec.instance = instances[target].path;
       spec.source_name = instances[target].unit->files[0];
       spec.source = ClackSources().at(spec.source_name);
-      auto start = std::chrono::steady_clock::now();
       engine.Request(spec);
-      row->swap_host_us =
-          std::chrono::duration<double, std::micro>(std::chrono::steady_clock::now() - start)
-              .count();
     }
   });
+  Diagnostics diags;
   Result<RouterStats> swap_run = program.RunTrace(trace, diags);
   program.session().SetPacketHook(nullptr);
   if (!swap_run.ok()) {
@@ -120,7 +100,7 @@ bool MeasureOpt(int opt_level, const std::vector<TracePacket>& trace,
                  engine.reports().empty() ? "no report" : engine.reports().back().error.c_str());
     return false;
   }
-  if (swap_run.value().tx_hash != plain_stats.value().tx_hash) {
+  if (swap_run.value().tx_hash != plain_stats.tx_hash) {
     std::fprintf(stderr, "-O%d: swap run diverged from the plain build\n", opt_level);
     return false;
   }
@@ -155,8 +135,6 @@ int Main() {
               OverheadPercent(o1), OverheadPercent(o2));
   std::printf("  %-34s %12lld %12lld\n", "swap pause (machine cycles)", o1.pause_cycles,
               o2.pause_cycles);
-  std::printf("  %-34s %12.0f %12.0f\n", "swap latency (host microseconds)",
-              o1.swap_host_us, o2.swap_host_us);
   std::printf("  %-34s %12d %12d\n", "packets deferred by the swap",
               o1.deferred_packets, o2.deferred_packets);
   std::printf("  %-34s %12d %12d\n", "binding slots rebound", o1.rebound_slots,
@@ -176,7 +154,6 @@ int Main() {
                   "  \"o1_swappable_cycles_per_packet\": %.1f,\n"
                   "  \"o1_binding_overhead_percent\": %.2f,\n"
                   "  \"o1_swap_pause_cycles\": %lld,\n"
-                  "  \"o1_swap_host_us\": %.0f,\n"
                   "  \"o1_swap_deferred_packets\": %d,\n"
                   "  \"o1_rebound_slots\": %d,\n"
                   "  \"o1_functions_appended\": %d,\n"
@@ -184,17 +161,16 @@ int Main() {
                   "  \"o2_swappable_cycles_per_packet\": %.1f,\n"
                   "  \"o2_binding_overhead_percent\": %.2f,\n"
                   "  \"o2_swap_pause_cycles\": %lld,\n"
-                  "  \"o2_swap_host_us\": %.0f,\n"
                   "  \"o2_swap_deferred_packets\": %d,\n"
                   "  \"o2_rebound_slots\": %d,\n"
                   "  \"o2_functions_appended\": %d\n"
                   "}\n",
                   trace.size(), swap_instance.c_str(), o1.plain_cycles_per_packet,
                   o1.swappable_cycles_per_packet, OverheadPercent(o1), o1.pause_cycles,
-                  o1.swap_host_us, o1.deferred_packets, o1.rebound_slots, o1.new_functions,
+                  o1.deferred_packets, o1.rebound_slots, o1.new_functions,
                   o2.plain_cycles_per_packet, o2.swappable_cycles_per_packet,
-                  OverheadPercent(o2), o2.pause_cycles, o2.swap_host_us,
-                  o2.deferred_packets, o2.rebound_slots, o2.new_functions);
+                  OverheadPercent(o2), o2.pause_cycles, o2.deferred_packets,
+                  o2.rebound_slots, o2.new_functions);
     out << buffer;
     std::printf("\nwrote BENCH_swap.json\n");
   }

@@ -23,12 +23,11 @@
 // "per-component breakdown" section is regenerated from this output.
 #include <cstdio>
 #include <fstream>
+#include <optional>
 #include <set>
 #include <string>
 
 #include "bench/bench_util.h"
-#include "src/clack/corpus.h"
-#include "src/vm/profile_trace.h"
 
 namespace knit {
 namespace {
@@ -86,32 +85,21 @@ int Run(int argc, char** argv) {
   double base_cycles = 0;
   std::vector<RouterStats> measured;
   for (const Row& row : rows) {
-    Diagnostics diags;
     KnitcOptions row_options = options;
     row_options.opt_level = row.opt_level;
-    KnitPipeline pipeline(row_options);
-    Result<RouterProgram> program =
-        RouterProgram::FromClack(pipeline, row.top, diags, RouterCostModel());
-    if (!program.ok()) {
-      std::fprintf(stderr, "build failed for %s:\n%s", row.top, diags.ToString().c_str());
+    std::optional<MeasuredRouter> run = MeasureRouter(row.label, row.top, row_options, trace);
+    if (!run) {
       return 1;
     }
-    if (profile) {
-      program.value().EnableProfiling();
-    }
-    Result<RouterStats> stats = program.value().RunTrace(trace, diags);
-    if (!stats.ok()) {
-      std::fprintf(stderr, "run failed for %s:\n%s", row.top, diags.ToString().c_str());
-      return 1;
-    }
-    PrintRouterRow(row.label, stats.value());
+    const RouterStats& stats = run->stats;
+    PrintRouterRow(row.label, stats);
     if (base_cycles == 0) {
-      base_cycles = stats.value().CyclesPerPacket();
+      base_cycles = stats.CyclesPerPacket();
     } else {
       std::printf("  %-28s %9.1f%%\n", "  improvement vs modular",
-                  100.0 * (1.0 - stats.value().CyclesPerPacket() / base_cycles));
+                  100.0 * (1.0 - stats.CyclesPerPacket() / base_cycles));
     }
-    measured.push_back(stats.take());
+    measured.push_back(std::move(run->stats));
   }
   std::printf("\n(all four configurations transmit byte-identical packets; "
               "see tests/clack_test.cc)\n\n");

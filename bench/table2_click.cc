@@ -7,6 +7,7 @@
 // Also prints the per-optimization ablation (fast classifier / specializer /
 // xform), which the paper's reference [19] motivates.
 #include <cstdio>
+#include <optional>
 
 #include "bench/bench_util.h"
 #include "src/click/click_gen.h"
@@ -81,22 +82,16 @@ int Run() {
   }
 
   // The in-text Clack comparison.
-  Diagnostics diags;
-  KnitPipeline pipeline(KnitcOptions{});
-  Result<RouterProgram> clack =
-      RouterProgram::FromClack(pipeline, "ClackRouter", diags, RouterCostModel());
-  if (!clack.ok()) {
-    return 1;
-  }
-  Result<RouterStats> clack_stats = clack.value().RunTrace(trace, diags);
-  if (!clack_stats.ok()) {
+  std::optional<MeasuredRouter> clack =
+      MeasureRouter("Clack modular", "ClackRouter", KnitcOptions{}, trace);
+  if (!clack) {
     return 1;
   }
   std::printf("\n  base Click vs base Clack (paper: Click ~3%% slower):\n");
-  PrintRouterRow("Clack modular", clack_stats.value());
+  PrintRouterRow("Clack modular", clack->stats);
   PrintRouterRow("Click unoptimized", unopt);
   std::printf("  %-28s %9.1f%%\n\n", "  Click slower by",
-              100.0 * (unopt.CyclesPerPacket() / clack_stats.value().CyclesPerPacket() - 1.0));
+              100.0 * (unopt.CyclesPerPacket() / clack->stats.CyclesPerPacket() - 1.0));
   return 0;
 }
 

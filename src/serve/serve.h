@@ -7,7 +7,8 @@
 // scale is the *image*: Knit images have per-instance VM state and no globals,
 // so cloning a router is "construct another Machine over the same Image".
 //
-// Guarantees (tested in tests/serve_test.cc, reported by bench/serve_throughput):
+// Guarantees (tested in tests/serve_test.cc; knitbench's fleet workload gates
+// every serve's tx hash against a single -O0 machine):
 //   * per-flow ordering: a flow hashes to exactly one shard, whose queue and
 //     session are FIFO — packets of one flow are processed in stream order;
 //   * exact aggregation: every RouterStats counter (packets, cycles, stalls,

@@ -2,8 +2,9 @@
 // Checks every inline link in README.md / DESIGN.md / EXPERIMENTS.md whose
 // target is a repository path (http(s)/mailto/pure-anchor links are skipped)
 // and fails naming the file and target when the linked path does not exist;
-// also checks section cross-references and that every knitc invocation in a
-// fenced snippet names a command.
+// also checks section cross-references, that every knitc invocation in a
+// fenced snippet names a command, and that every backticked bench/NAME names an
+// existing bench.
 // KNIT_REPO_ROOT is injected by tests/CMakeLists.txt.
 #include <gtest/gtest.h>
 
@@ -229,6 +230,65 @@ TEST(DocsLintTest, KnitcSnippetsNameACommand) {
       }
       EXPECT_FALSE(after_knitc) << doc << ":" << number
                                 << ": knitc snippet without a command at the end of the line";
+    }
+  }
+}
+
+// A backticked `bench/NAME` (with or without `.cc` or arguments, inline or in a
+// fenced snippet) must name a bench that exists, `bench/NAME.cc`; a trailing
+// `*` matches any bench with that prefix. Build-tree paths (`build/bench/*`)
+// and the bare directory are not references to one bench and are skipped.
+TEST(DocsLintTest, BenchReferencesNameABench) {
+  fs::path root = KNIT_REPO_ROOT;
+  std::set<std::string> benches;
+  for (const fs::directory_entry& entry : fs::directory_iterator(root / "bench")) {
+    if (entry.path().extension() == ".cc") {
+      benches.insert(entry.path().stem().string());
+    }
+  }
+  ASSERT_FALSE(benches.empty());
+  auto is_name_char = [](char c) {
+    return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9') ||
+           c == '_';
+  };
+  for (const char* doc : kDocs) {
+    std::string markdown = ReadFileOrDie(root / doc);
+    // Code: inline `spans` and ``` fenced blocks alike.
+    size_t open = 0;
+    while ((open = markdown.find('`', open)) != std::string::npos) {
+      const size_t ticks = markdown.compare(open, 3, "```") == 0 ? 3 : 1;
+      size_t close = markdown.find(std::string(ticks, '`'), open + ticks);
+      if (close == std::string::npos) {
+        break;
+      }
+      std::string span = markdown.substr(open + ticks, close - open - ticks);
+      for (size_t at = span.find("bench/"); at != std::string::npos;
+           at = span.find("bench/", at + 1)) {
+        if (at > 0 && (is_name_char(span[at - 1]) || span[at - 1] == '/' ||
+                       span[at - 1] == '.' || span[at - 1] == '-')) {
+          continue;  // knitbench/..., build/bench/..., .bench_build/...
+        }
+        size_t end = at + 6;
+        while (end < span.size() && is_name_char(span[end])) {
+          ++end;
+        }
+        std::string name = span.substr(at + 6, end - at - 6);
+        if (name.empty()) {
+          continue;  // the directory itself
+        }
+        bool glob = end < span.size() && span[end] == '*';
+        bool found = glob ? std::any_of(benches.begin(), benches.end(),
+                                        [&](const std::string& bench) {
+                                          return bench.rfind(name, 0) == 0;
+                                        })
+                          : benches.count(name) == 1;
+        long offset = static_cast<long>(open + ticks + at);
+        int line = 1 + static_cast<int>(
+                           std::count(markdown.begin(), markdown.begin() + offset, '\n'));
+        EXPECT_TRUE(found) << doc << ":" << line << ": `bench/" << name << (glob ? "*" : "")
+                           << "` names no existing bench/*.cc";
+      }
+      open = close + ticks;
     }
   }
 }

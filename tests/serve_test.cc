@@ -83,15 +83,16 @@ std::vector<TracePacket> TestTrace(int count, uint32_t seed = 0x5e12e) {
 }
 
 // The acceptance criterion: aggregate hash and counters are byte-identical to
-// the single machine for shard counts {1, 2, 4, 8} at -O1 and -O2.
-class FleetEquivalenceTest : public testing::TestWithParam<std::tuple<int, int>> {};
+// the single machine for shard counts {1, 2, 4, 8} at -O1 and -O2. The third
+// parameter is the trace length.
+class FleetEquivalenceTest : public testing::TestWithParam<std::tuple<int, int, int>> {};
 
 TEST_P(FleetEquivalenceTest, AggregateMatchesSingleMachine) {
   const int opt_level = std::get<0>(GetParam());
   const int shards = std::get<1>(GetParam());
   std::shared_ptr<const KnitBuildResult> build = RouterBuild(opt_level);
   ASSERT_NE(build, nullptr);
-  std::vector<TracePacket> trace = TestTrace(600);
+  std::vector<TracePacket> trace = TestTrace(std::get<2>(GetParam()));
   RouterStats single = RunSingle(build, trace);
   ASSERT_GT(single.tx_count, 0u);
 
@@ -122,7 +123,15 @@ TEST_P(FleetEquivalenceTest, AggregateMatchesSingleMachine) {
 
 INSTANTIATE_TEST_SUITE_P(OptLevelsAndShardCounts, FleetEquivalenceTest,
                          testing::Combine(testing::Values(1, 2),
-                                          testing::Values(1, 2, 4, 8)));
+                                          testing::Values(1, 2, 4, 8),
+                                          testing::Values(600)));
+
+// Each shard's streaming queue holds 1,024 packets. 600 packets never fill
+// one; 8,192 packets over 2 or 4 shards give every queue 2,000 or more, so the
+// feeder can block on a full queue and resume, and the hash must not notice.
+INSTANTIATE_TEST_SUITE_P(LongerThanTheQueues, FleetEquivalenceTest,
+                         testing::Combine(testing::Values(1, 2), testing::Values(2, 4),
+                                          testing::Values(8192)));
 
 TEST(Serve, TotalsAreExactSumsOfShardReports) {
   std::shared_ptr<const KnitBuildResult> build = RouterBuild(1);

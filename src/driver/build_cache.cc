@@ -11,7 +11,10 @@ namespace knit {
 
 namespace {
 
-constexpr char kMagic[8] = {'K', 'O', 'B', 'J', '0', '0', '0', '1'};
+// File layout: the magic, the payload, then an FNV-64 checksum of the payload
+// (8 bytes, little-endian). A file whose checksum does not match is corrupt.
+constexpr char kMagic[8] = {'K', 'O', 'B', 'J', '0', '0', '0', '2'};
+constexpr size_t kChecksumSize = 8;
 
 void PutU32(std::string& out, uint32_t value) {
   for (int i = 0; i < 4; ++i) {
@@ -21,6 +24,10 @@ void PutU32(std::string& out, uint32_t value) {
 
 void PutI32(std::string& out, int32_t value) { PutU32(out, static_cast<uint32_t>(value)); }
 
+uint64_t PayloadChecksum(const std::string& bytes, size_t begin, size_t end) {
+  return HashBytes(bytes.data() + begin, end - begin);
+}
+
 void PutString(std::string& out, const std::string& text) {
   PutU32(out, static_cast<uint32_t>(text.size()));
   out.append(text);
@@ -28,12 +35,14 @@ void PutString(std::string& out, const std::string& text) {
 
 class Reader {
  public:
-  Reader(const std::string& bytes, size_t start) : bytes_(bytes), pos_(start) {}
+  // Reads bytes[start, end).
+  Reader(const std::string& bytes, size_t start, size_t end)
+      : bytes_(bytes), pos_(start), end_(end) {}
 
   bool ok() const { return ok_; }
 
   uint32_t U32() {
-    if (pos_ + 4 > bytes_.size()) {
+    if (pos_ + 4 > end_) {
       ok_ = false;
       return 0;
     }
@@ -49,7 +58,7 @@ class Reader {
 
   std::string Str() {
     uint32_t size = U32();
-    if (!ok_ || pos_ + size > bytes_.size()) {
+    if (!ok_ || pos_ + size > end_) {
       ok_ = false;
       return "";
     }
@@ -59,7 +68,7 @@ class Reader {
   }
 
   std::vector<uint8_t> Raw(uint32_t size) {
-    if (!ok_ || pos_ + size > bytes_.size()) {
+    if (!ok_ || pos_ + size > end_) {
       ok_ = false;
       return {};
     }
@@ -69,11 +78,12 @@ class Reader {
     return out;
   }
 
-  bool AtEnd() const { return pos_ == bytes_.size(); }
+  bool AtEnd() const { return pos_ == end_; }
 
  private:
   const std::string& bytes_;
   size_t pos_;
+  size_t end_;
   bool ok_ = true;
 };
 
@@ -117,14 +127,25 @@ std::string SerializeObjectFile(const ObjectFile& object) {
     PutI32(out, reloc.data_offset);
     PutI32(out, reloc.symbol);
   }
+  uint64_t checksum = PayloadChecksum(out, sizeof(kMagic), out.size());
+  PutU32(out, static_cast<uint32_t>(checksum));
+  PutU32(out, static_cast<uint32_t>(checksum >> 32));
   return out;
 }
 
 bool DeserializeObjectFile(const std::string& bytes, ObjectFile* out) {
-  if (bytes.size() < sizeof(kMagic) || std::memcmp(bytes.data(), kMagic, sizeof(kMagic)) != 0) {
+  if (bytes.size() < sizeof(kMagic) + kChecksumSize ||
+      std::memcmp(bytes.data(), kMagic, sizeof(kMagic)) != 0) {
     return false;
   }
-  Reader reader(bytes, sizeof(kMagic));
+  const size_t payload_end = bytes.size() - kChecksumSize;
+  Reader trailer(bytes, payload_end, bytes.size());
+  uint64_t checksum = trailer.U32();
+  checksum |= static_cast<uint64_t>(trailer.U32()) << 32;
+  if (checksum != PayloadChecksum(bytes, sizeof(kMagic), payload_end)) {
+    return false;
+  }
+  Reader reader(bytes, sizeof(kMagic), payload_end);
   ObjectFile object;
   object.name = reader.Str();
 

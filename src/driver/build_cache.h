@@ -48,7 +48,8 @@ class BuildCache {
   std::map<uint64_t, ObjectFile> memory_;
 };
 
-// On-disk object format (versioned; a stale or corrupt file reads as a miss).
+// On-disk object format: versioned and checksummed, so a stale, truncated or
+// corrupt file reads as a miss.
 std::string SerializeObjectFile(const ObjectFile& object);
 bool DeserializeObjectFile(const std::string& bytes, ObjectFile* out);
 

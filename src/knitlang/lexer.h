@@ -13,10 +13,15 @@
 
 namespace knit {
 
-// Tokenizes `source`. `file_name` is used for locations. Reports lexical errors
-// (bad characters, unterminated strings/comments) into `diags` and fails.
+// Tokenizes `source`; the tokens borrow it. `file_name` is used for locations.
+// Reports lexical errors (bad characters, unterminated strings/comments, unknown
+// escapes) into `diags` and fails.
 Result<std::vector<Token>> LexKnit(std::string_view source, const std::string& file_name,
                                    Diagnostics& diags);
+
+// The contents of a string whose raw body is `raw` (a kString token's text), with
+// escapes decoded. The lexer has already rejected unknown escapes.
+std::string DecodeKnitString(std::string_view raw);
 
 }  // namespace knit
 

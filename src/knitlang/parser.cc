@@ -9,8 +9,9 @@ namespace {
 
 class Parser {
  public:
-  Parser(std::vector<Token> tokens, KnitProgram& program, Diagnostics& diags)
-      : tokens_(std::move(tokens)), program_(program), diags_(diags) {}
+  Parser(const std::vector<Token>& tokens, const std::string& file, KnitProgram& program,
+         Diagnostics& diags)
+      : tokens_(tokens), file_(file), program_(program), diags_(diags) {}
 
   bool Run() {
     while (!At(TokenKind::kEnd)) {
@@ -24,24 +25,28 @@ class Parser {
  private:
   const Token& Cur() const { return tokens_[pos_]; }
   bool At(TokenKind kind) const { return Cur().kind == kind; }
-  bool AtIdent(const char* spelling) const { return Cur().IsIdent(spelling); }
+  bool AtWord(KnitWord word) const { return Cur().Is(word); }
 
-  Token Take() { return tokens_[pos_++]; }
+  const Token& Take() { return tokens_[pos_++]; }
+
+  SourceLoc Loc(const Token& token) const {
+    return SourceLoc{file_, token.line, token.column};
+  }
 
   bool Expect(TokenKind kind, const char* what) {
     if (!At(kind)) {
-      diags_.Error(Cur().loc, std::string("expected ") + TokenKindName(kind) + " " + what +
-                                  ", found " + Describe(Cur()));
+      diags_.Error(Loc(Cur()), std::string("expected ") + TokenKindName(kind) + " " + what +
+                                   ", found " + Describe(Cur()));
       return false;
     }
     ++pos_;
     return true;
   }
 
-  bool ExpectIdent(const char* spelling) {
-    if (!AtIdent(spelling)) {
-      diags_.Error(Cur().loc,
-                   std::string("expected '") + spelling + "', found " + Describe(Cur()));
+  bool ExpectWord(KnitWord word) {
+    if (!AtWord(word)) {
+      diags_.Error(Loc(Cur()), std::string("expected '") + KnitWordSpelling(word) +
+                                   "', found " + Describe(Cur()));
       return false;
     }
     ++pos_;
@@ -51,7 +56,7 @@ class Parser {
   // Expects any identifier and stores it into `out`.
   bool ExpectAnyIdent(std::string& out, const char* what) {
     if (!At(TokenKind::kIdent)) {
-      diags_.Error(Cur().loc,
+      diags_.Error(Loc(Cur()),
                    std::string("expected identifier ") + what + ", found " + Describe(Cur()));
       return false;
     }
@@ -61,31 +66,31 @@ class Parser {
 
   static std::string Describe(const Token& token) {
     if (token.kind == TokenKind::kIdent) {
-      return "'" + token.text + "'";
+      return "'" + std::string(token.text) + "'";
     }
     if (token.kind == TokenKind::kString) {
-      return "string \"" + token.text + "\"";
+      return "string \"" + DecodeKnitString(token.text) + "\"";
     }
     return TokenKindName(token.kind);
   }
 
   bool ParseTopDecl() {
-    if (AtIdent("bundletype")) {
+    if (AtWord(KnitWord::kBundletype)) {
       return ParseBundleType();
     }
-    if (AtIdent("flags")) {
+    if (AtWord(KnitWord::kFlags)) {
       return ParseFlags();
     }
-    if (AtIdent("unit")) {
+    if (AtWord(KnitWord::kUnit)) {
       return ParseUnit();
     }
-    if (AtIdent("property")) {
+    if (AtWord(KnitWord::kProperty)) {
       return ParseProperty();
     }
-    if (AtIdent("type")) {
+    if (AtWord(KnitWord::kType)) {
       return ParsePropertyValue();
     }
-    diags_.Error(Cur().loc, "expected 'bundletype', 'flags', 'unit', 'property', or 'type', "
+    diags_.Error(Loc(Cur()), "expected 'bundletype', 'flags', 'unit', 'property', or 'type', "
                             "found " +
                                 Describe(Cur()));
     return false;
@@ -94,7 +99,7 @@ class Parser {
   // bundletype Serve = { serve_web }
   bool ParseBundleType() {
     BundleTypeDecl decl;
-    decl.loc = Cur().loc;
+    decl.loc = Loc(Cur());
     Take();  // bundletype
     if (!ExpectAnyIdent(decl.name, "(bundle type name)") ||
         !Expect(TokenKind::kEq, "after bundle type name") ||
@@ -120,7 +125,7 @@ class Parser {
   // flags CFlags = { "-Ioskit/include" }
   bool ParseFlags() {
     FlagsDecl decl;
-    decl.loc = Cur().loc;
+    decl.loc = Loc(Cur());
     Take();  // flags
     if (!ExpectAnyIdent(decl.name, "(flag set name)") ||
         !Expect(TokenKind::kEq, "after flag set name") ||
@@ -129,10 +134,10 @@ class Parser {
     }
     while (!At(TokenKind::kRBrace)) {
       if (!At(TokenKind::kString)) {
-        diags_.Error(Cur().loc, "expected string flag, found " + Describe(Cur()));
+        diags_.Error(Loc(Cur()), "expected string flag, found " + Describe(Cur()));
         return false;
       }
-      decl.flags.push_back(Take().text);
+      decl.flags.push_back(DecodeKnitString(Take().text));
       if (At(TokenKind::kComma)) {
         Take();
       }
@@ -146,7 +151,7 @@ class Parser {
   // property context
   bool ParseProperty() {
     PropertyDecl decl;
-    decl.loc = Cur().loc;
+    decl.loc = Loc(Cur());
     Take();  // property
     if (!ExpectAnyIdent(decl.name, "(property name)")) {
       return false;
@@ -160,7 +165,7 @@ class Parser {
   // type ProcessContext < NoContext
   bool ParsePropertyValue() {
     PropertyValueDecl decl;
-    decl.loc = Cur().loc;
+    decl.loc = Loc(Cur());
     Take();  // type
     if (current_property_.empty()) {
       diags_.Error(decl.loc, "'type' declaration with no preceding 'property'");
@@ -183,7 +188,7 @@ class Parser {
 
   bool ParseUnit() {
     UnitDecl unit;
-    unit.loc = Cur().loc;
+    unit.loc = Loc(Cur());
     Take();  // unit
     if (!ExpectAnyIdent(unit.name, "(unit name)") ||
         !Expect(TokenKind::kEq, "after unit name") ||
@@ -207,39 +212,39 @@ class Parser {
   }
 
   bool ParseSection(UnitDecl& unit) {
-    if (AtIdent("imports")) {
+    if (AtWord(KnitWord::kImports)) {
       return ParsePortList(unit.imports, "imports");
     }
-    if (AtIdent("exports")) {
+    if (AtWord(KnitWord::kExports)) {
       return ParsePortList(unit.exports, "exports");
     }
-    if (AtIdent("depends")) {
+    if (AtWord(KnitWord::kDepends)) {
       return ParseDepends(unit);
     }
-    if (AtIdent("files")) {
+    if (AtWord(KnitWord::kFiles)) {
       return ParseFiles(unit);
     }
-    if (AtIdent("rename")) {
+    if (AtWord(KnitWord::kRename)) {
       return ParseRename(unit);
     }
-    if (AtIdent("initializer")) {
+    if (AtWord(KnitWord::kInitializer)) {
       return ParseInitFini(unit.initializers);
     }
-    if (AtIdent("finalizer")) {
+    if (AtWord(KnitWord::kFinalizer)) {
       return ParseInitFini(unit.finalizers);
     }
-    if (AtIdent("link")) {
+    if (AtWord(KnitWord::kLink)) {
       return ParseLink(unit);
     }
-    if (AtIdent("constraints")) {
+    if (AtWord(KnitWord::kConstraints)) {
       return ParseConstraints(unit);
     }
-    if (AtIdent("flatten")) {
+    if (AtWord(KnitWord::kFlatten)) {
       Take();
       unit.flatten = true;
       return Expect(TokenKind::kSemi, "after 'flatten'");
     }
-    diags_.Error(Cur().loc, "expected a unit section (imports, exports, depends, files, "
+    diags_.Error(Loc(Cur()), "expected a unit section (imports, exports, depends, files, "
                             "rename, initializer, finalizer, link, constraints, flatten), "
                             "found " +
                                 Describe(Cur()));
@@ -254,7 +259,7 @@ class Parser {
     }
     while (!At(TokenKind::kRBracket)) {
       PortDecl port;
-      port.loc = Cur().loc;
+      port.loc = Loc(Cur());
       if (!ExpectAnyIdent(port.local_name, "(port name)") ||
           !Expect(TokenKind::kColon, "between port name and bundle type") ||
           !ExpectAnyIdent(port.bundle_type, "(bundle type)")) {
@@ -277,8 +282,8 @@ class Parser {
     }
     while (!At(TokenKind::kRBrace)) {
       DependsClause clause;
-      clause.loc = Cur().loc;
-      if (!ParseDepSet(clause.dependents) || !ExpectIdent("needs") ||
+      clause.loc = Loc(Cur());
+      if (!ParseDepSet(clause.dependents) || !ExpectWord(KnitWord::kNeeds) ||
           !ParseDepSet(clause.requirements) || !Expect(TokenKind::kSemi, "after depends clause")) {
         return false;
       }
@@ -331,18 +336,18 @@ class Parser {
     }
     while (!At(TokenKind::kRBrace)) {
       if (!At(TokenKind::kString)) {
-        diags_.Error(Cur().loc, "expected string file name, found " + Describe(Cur()));
+        diags_.Error(Loc(Cur()), "expected string file name, found " + Describe(Cur()));
         return false;
       }
-      unit.files.push_back(Take().text);
+      unit.files.push_back(DecodeKnitString(Take().text));
       if (At(TokenKind::kComma)) {
         Take();
       }
     }
     Take();  // }
-    if (AtIdent("with")) {
+    if (AtWord(KnitWord::kWith)) {
       Take();
-      if (!ExpectIdent("flags") || !ExpectAnyIdent(unit.flags_name, "(flag set name)")) {
+      if (!ExpectWord(KnitWord::kFlags) || !ExpectAnyIdent(unit.flags_name, "(flag set name)")) {
         return false;
       }
     }
@@ -357,10 +362,10 @@ class Parser {
     }
     while (!At(TokenKind::kRBrace)) {
       RenameDecl rename;
-      rename.loc = Cur().loc;
+      rename.loc = Loc(Cur());
       if (!ExpectAnyIdent(rename.port, "(port name)") ||
           !Expect(TokenKind::kDot, "between port and symbol") ||
-          !ExpectAnyIdent(rename.symbol, "(bundle symbol)") || !ExpectIdent("to") ||
+          !ExpectAnyIdent(rename.symbol, "(bundle symbol)") || !ExpectWord(KnitWord::kTo) ||
           !ExpectAnyIdent(rename.c_name, "(C identifier)") ||
           !Expect(TokenKind::kSemi, "after rename")) {
         return false;
@@ -375,9 +380,9 @@ class Parser {
   // initializer open_log for serveLog;
   bool ParseInitFini(std::vector<InitFiniDecl>& out) {
     InitFiniDecl decl;
-    decl.loc = Cur().loc;
+    decl.loc = Loc(Cur());
     Take();  // initializer / finalizer
-    if (!ExpectAnyIdent(decl.function, "(function name)") || !ExpectIdent("for") ||
+    if (!ExpectAnyIdent(decl.function, "(function name)") || !ExpectWord(KnitWord::kFor) ||
         !ExpectAnyIdent(decl.port, "(export bundle name)") ||
         !Expect(TokenKind::kSemi, "after initializer/finalizer")) {
       return false;
@@ -395,13 +400,13 @@ class Parser {
     }
     while (!At(TokenKind::kRBrace)) {
       LinkLine line;
-      line.loc = Cur().loc;
+      line.loc = Loc(Cur());
       if (!ParseBracketedIdentList(line.outputs) ||
           !Expect(TokenKind::kArrowLeft, "after link outputs") ||
           !ExpectAnyIdent(line.unit, "(unit name)")) {
         return false;
       }
-      if (AtIdent("as")) {
+      if (AtWord(KnitWord::kAs)) {
         Take();
         if (!ExpectAnyIdent(line.instance_name, "(instance name)")) {
           return false;
@@ -445,7 +450,7 @@ class Parser {
     }
     while (!At(TokenKind::kRBrace)) {
       ConstraintDecl constraint;
-      constraint.loc = Cur().loc;
+      constraint.loc = Loc(Cur());
       if (!ParsePropertyExpr(constraint.lhs)) {
         return false;
       }
@@ -456,7 +461,7 @@ class Parser {
         Take();
         constraint.relation = ConstraintDecl::Relation::kLessEq;
       } else {
-        diags_.Error(Cur().loc, "expected '=' or '<=' in constraint, found " + Describe(Cur()));
+        diags_.Error(Loc(Cur()), "expected '=' or '<=' in constraint, found " + Describe(Cur()));
         return false;
       }
       if (!ParsePropertyExpr(constraint.rhs) ||
@@ -471,7 +476,7 @@ class Parser {
   }
 
   bool ParsePropertyExpr(PropertyExpr& out) {
-    out.loc = Cur().loc;
+    out.loc = Loc(Cur());
     std::string first;
     if (!ExpectAnyIdent(first, "(property or value name)")) {
       return false;
@@ -483,10 +488,10 @@ class Parser {
     }
     Take();  // (
     out.property = std::move(first);
-    if (AtIdent("imports")) {
+    if (AtWord(KnitWord::kImports)) {
       Take();
       out.kind = PropertyExpr::Kind::kOfImports;
-    } else if (AtIdent("exports")) {
+    } else if (AtWord(KnitWord::kExports)) {
       Take();
       out.kind = PropertyExpr::Kind::kOfExports;
     } else {
@@ -505,7 +510,8 @@ class Parser {
     }
   }
 
-  std::vector<Token> tokens_;
+  const std::vector<Token>& tokens_;
+  const std::string& file_;
   KnitProgram& program_;
   Diagnostics& diags_;
   size_t pos_ = 0;
@@ -520,7 +526,7 @@ Result<void> ParseKnitInto(std::string_view source, const std::string& file_name
   if (!tokens.ok()) {
     return Result<void>::Failure();
   }
-  Parser parser(tokens.take(), program, diags);
+  Parser parser(tokens.value(), file_name, program, diags);
   return parser.Run() ? Result<void>::Success() : Result<void>::Failure();
 }
 

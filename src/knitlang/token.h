@@ -2,15 +2,14 @@
 #ifndef SRC_KNITLANG_TOKEN_H_
 #define SRC_KNITLANG_TOKEN_H_
 
-#include <string>
-
-#include "src/support/diagnostics.h"
+#include <cstdint>
+#include <string_view>
 
 namespace knit {
 
-enum class TokenKind {
-  kIdent,     // identifiers and keywords (the parser distinguishes by text)
-  kString,    // "..." with escapes resolved
+enum class TokenKind : uint8_t {
+  kIdent,     // identifiers, including the contextual words
+  kString,    // "..."
   kLBrace,    // {
   kRBrace,    // }
   kLBracket,  // [
@@ -31,14 +30,44 @@ enum class TokenKind {
 
 const char* TokenKindName(TokenKind kind);
 
+// The words the parser gives meaning to. They are contextual: a kIdent token
+// carries its word code, and where any name is allowed a word is a name.
+enum class KnitWord : uint8_t {
+  kNone,
+  kBundletype,
+  kFlags,
+  kUnit,
+  kProperty,
+  kType,
+  kImports,
+  kExports,
+  kDepends,
+  kFiles,
+  kRename,
+  kInitializer,
+  kFinalizer,
+  kLink,
+  kConstraints,
+  kFlatten,
+  kNeeds,
+  kWith,
+  kTo,
+  kFor,
+  kAs,
+};
+
+const char* KnitWordSpelling(KnitWord word);
+
+// A token borrows the lexed text: `text` is an identifier's spelling or a
+// string's raw body between the quotes (see DecodeKnitString).
 struct Token {
   TokenKind kind = TokenKind::kEnd;
-  std::string text;  // identifier spelling or decoded string contents
-  SourceLoc loc;
+  KnitWord word = KnitWord::kNone;
+  int line = 0;
+  int column = 0;
+  std::string_view text;
 
-  bool IsIdent(const char* spelling) const {
-    return kind == TokenKind::kIdent && text == spelling;
-  }
+  bool Is(KnitWord w) const { return kind == TokenKind::kIdent && word == w; }
 };
 
 }  // namespace knit

@@ -2,10 +2,15 @@
 // caller-provided virtual file system with include-once semantics. No macros — the
 // corpus uses enum constants instead (the paper's Knit likewise leaves cpp to the C
 // compiler; our MiniC is preprocessor-free by design).
+//
+// Tokens are small and borrow the source: every keyword and punctuator is an enum
+// code, identifiers and string literals are views into the lexed text, and a
+// position is a file index plus line and column. The sources must outlive the
+// tokens; the parser copies what the AST keeps.
 #ifndef SRC_MINIC_CLEXER_H_
 #define SRC_MINIC_CLEXER_H_
 
-#include <functional>
+#include <cstdint>
 #include <map>
 #include <string>
 #include <string_view>
@@ -19,38 +24,107 @@ namespace knit {
 // Maps file name -> contents. The whole toolchain works on in-memory sources.
 using SourceMap = std::map<std::string, std::string>;
 
-enum class CTokenKind {
-  kIdent,
-  kKeyword,  // text is the keyword spelling
+// One code per token kind, keyword and punctuator.
+enum class CTok : uint8_t {
+  kIdent,    // text is the spelling
   kIntLit,   // int_value
   kCharLit,  // int_value
-  kStrLit,   // text is decoded contents
-  kPunct,    // text is the operator/punctuator spelling
+  kStrLit,   // text is the raw body between the quotes (see DecodeCString)
   kEnd,
+  // Keywords.
+  kVoid,
+  kChar,
+  kInt,
+  kUnsigned,
+  kStruct,
+  kTypedef,
+  kEnum,
+  kStatic,
+  kExtern,
+  kIf,
+  kElse,
+  kWhile,
+  kFor,
+  kReturn,
+  kBreak,
+  kContinue,
+  kSizeof,
+  // Punctuators.
+  kShlAssign,  // <<=
+  kShrAssign,  // >>=
+  kEllipsis,   // ...
+  kArrow,      // ->
+  kInc,        // ++
+  kDec,        // --
+  kShl,        // <<
+  kShr,        // >>
+  kLe,         // <=
+  kGe,         // >=
+  kEq,         // ==
+  kNe,         // !=
+  kAndAnd,     // &&
+  kOrOr,       // ||
+  kAddAssign,  // +=
+  kSubAssign,  // -=
+  kMulAssign,  // *=
+  kDivAssign,  // /=
+  kModAssign,  // %=
+  kAndAssign,  // &=
+  kOrAssign,   // |=
+  kXorAssign,  // ^=
+  kLParen,
+  kRParen,
+  kLBrace,
+  kRBrace,
+  kLBracket,
+  kRBracket,
+  kSemi,
+  kComma,
+  kDot,
+  kPlus,
+  kMinus,
+  kStar,
+  kSlash,
+  kPercent,
+  kLess,
+  kGreater,
+  kAssign,  // =
+  kNot,     // !
+  kTilde,
+  kAmp,
+  kPipe,
+  kCaret,
+  kQuestion,
+  kColon,
 };
 
-struct CToken {
-  CTokenKind kind = CTokenKind::kEnd;
-  std::string text;
-  long long int_value = 0;
-  SourceLoc loc;
+// The source spelling of a keyword or punctuator code ("" for the other kinds).
+const char* CTokSpelling(CTok code);
 
-  bool IsPunct(const char* spelling) const {
-    return kind == CTokenKind::kPunct && text == spelling;
-  }
-  bool IsKeyword(const char* spelling) const {
-    return kind == CTokenKind::kKeyword && text == spelling;
-  }
+struct CToken {
+  CTok kind = CTok::kEnd;
+  uint32_t file = 0;  // index into the lexed file names (see LexC)
+  int line = 0;       // 1-based; 0 on the end token
+  int column = 0;
+  std::string_view text;
+  long long int_value = 0;
 };
 
 // Tokenizes `file` from `sources`, following #include "..." directives (each included
-// file is lexed at most once per call). Errors go to diags.
+// file is lexed at most once per call). Errors go to diags. The tokens borrow
+// `sources`. When `files` is given, it receives the names CToken::file indexes, in
+// first-lexed order (`file` first).
 Result<std::vector<CToken>> LexC(const SourceMap& sources, const std::string& file,
-                                 Diagnostics& diags);
+                                 Diagnostics& diags, std::vector<std::string>* files = nullptr);
 
-// Tokenizes a bare string (no includes possible unless present in `sources`).
+// Tokenizes a bare string (no includes possible); every token's file index is 0,
+// naming `name`. The tokens borrow `source`.
 Result<std::vector<CToken>> LexCString(std::string_view source, const std::string& name,
                                        Diagnostics& diags);
+
+// The contents of a string literal whose raw body is `raw` (a kStrLit token's
+// text), with escapes decoded. The lexer has already warned about unknown escapes.
+std::string DecodeCString(std::string_view raw);
 
 }  // namespace knit
 

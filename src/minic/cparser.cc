@@ -1,19 +1,19 @@
 #include "src/minic/cparser.h"
 
-#include <cassert>
-#include <functional>
-#include <map>
+#include <memory>
+#include <unordered_map>
 
 namespace knit {
 namespace {
 
 class CParser {
  public:
-  CParser(std::vector<CToken> tokens, TypeTable& types, Diagnostics& diags)
-      : tokens_(std::move(tokens)), types_(types), diags_(diags) {}
+  CParser(const std::vector<CToken>& tokens, const std::vector<std::string>& files,
+          TypeTable& types, Diagnostics& diags)
+      : tokens_(tokens), files_(files), types_(types), diags_(diags) {}
 
   bool ParseInto(TranslationUnit& unit) {
-    while (!At(CTokenKind::kEnd)) {
+    while (!At(CTok::kEnd)) {
       if (!ParseTopDecl(unit)) {
         return false;
       }
@@ -25,18 +25,21 @@ class CParser {
   // ---- token helpers -------------------------------------------------------
 
   const CToken& Cur() const { return tokens_[pos_]; }
-  const CToken& Next() const {
-    return pos_ + 1 < tokens_.size() ? tokens_[pos_ + 1] : tokens_.back();
+  // The token `n` past the current one (the end token past the end).
+  const CToken& Ahead(size_t n) const {
+    return pos_ + n < tokens_.size() ? tokens_[pos_ + n] : tokens_.back();
   }
-  bool At(CTokenKind kind) const { return Cur().kind == kind; }
-  bool AtPunct(const char* spelling) const { return Cur().IsPunct(spelling); }
-  bool AtKeyword(const char* spelling) const { return Cur().IsKeyword(spelling); }
-  CToken Take() { return tokens_[pos_++]; }
+  bool At(CTok kind) const { return Cur().kind == kind; }
+  const CToken& Take() { return tokens_[pos_++]; }
 
-  bool ExpectPunct(const char* spelling, const char* context) {
-    if (!AtPunct(spelling)) {
-      diags_.Error(Cur().loc, std::string("expected '") + spelling + "' " + context +
-                                  ", found " + Describe(Cur()));
+  SourceLoc Loc(const CToken& token) const {
+    return SourceLoc{files_[token.file], token.line, token.column};
+  }
+
+  bool Expect(CTok kind, const char* context) {
+    if (!At(kind)) {
+      diags_.Error(Loc(Cur()), std::string("expected '") + CTokSpelling(kind) + "' " + context +
+                                   ", found " + Describe(Cur()));
       return false;
     }
     ++pos_;
@@ -45,236 +48,243 @@ class CParser {
 
   static std::string Describe(const CToken& token) {
     switch (token.kind) {
-      case CTokenKind::kIdent:
-      case CTokenKind::kKeyword:
-      case CTokenKind::kPunct:
-        return "'" + token.text + "'";
-      case CTokenKind::kIntLit:
-      case CTokenKind::kCharLit:
+      case CTok::kIdent:
+        return "'" + std::string(token.text) + "'";
+      case CTok::kIntLit:
+      case CTok::kCharLit:
         return "integer literal";
-      case CTokenKind::kStrLit:
+      case CTok::kStrLit:
         return "string literal";
-      case CTokenKind::kEnd:
+      case CTok::kEnd:
         return "end of input";
+      default:
+        return std::string("'") + CTokSpelling(token.kind) + "'";
     }
-    return "token";
   }
 
   // ---- type parsing --------------------------------------------------------
 
-  bool AtTypeStart() const {
-    if (AtKeyword("void") || AtKeyword("char") || AtKeyword("int") || AtKeyword("unsigned") ||
-        AtKeyword("struct")) {
-      return true;
+  bool IsTypeStart(const CToken& token) const {
+    switch (token.kind) {
+      case CTok::kVoid:
+      case CTok::kChar:
+      case CTok::kInt:
+      case CTok::kUnsigned:
+      case CTok::kStruct:
+        return true;
+      case CTok::kIdent:
+        return typedefs_.count(token.text) > 0;
+      default:
+        return false;
     }
-    return At(CTokenKind::kIdent) && typedefs_.count(Cur().text) > 0;
   }
 
   // Parses the base type: void/char/int/unsigned/struct tag/typedef-name.
   const Type* ParseBaseType() {
-    if (AtKeyword("void")) {
-      Take();
-      return types_.Void();
-    }
-    if (AtKeyword("char")) {
-      Take();
-      return types_.Char();
-    }
-    if (AtKeyword("int")) {
-      Take();
-      return types_.Int();
-    }
-    if (AtKeyword("unsigned")) {
-      Take();
-      if (AtKeyword("char")) {
+    switch (Cur().kind) {
+      case CTok::kVoid:
         Take();
-        return types_.Char();  // model simplification: unsigned char == char (8-bit)
-      }
-      if (AtKeyword("int")) {
+        return types_.Void();
+      case CTok::kChar:
         Take();
-      }
-      return types_.Unsigned();
-    }
-    if (AtKeyword("struct")) {
-      Take();
-      if (!At(CTokenKind::kIdent)) {
-        diags_.Error(Cur().loc, "expected struct tag, found " + Describe(Cur()));
-        return nullptr;
-      }
-      std::string tag = Take().text;
-      return types_.StructFor(tag);
-    }
-    if (At(CTokenKind::kIdent)) {
-      auto it = typedefs_.find(Cur().text);
-      if (it != typedefs_.end()) {
+        return types_.Char();
+      case CTok::kInt:
         Take();
-        return it->second;
+        return types_.Int();
+      case CTok::kUnsigned:
+        Take();
+        if (At(CTok::kChar)) {
+          Take();
+          return types_.Char();  // model simplification: unsigned char == char (8-bit)
+        }
+        if (At(CTok::kInt)) {
+          Take();
+        }
+        return types_.Unsigned();
+      case CTok::kStruct:
+        Take();
+        if (!At(CTok::kIdent)) {
+          diags_.Error(Loc(Cur()), "expected struct tag, found " + Describe(Cur()));
+          return nullptr;
+        }
+        return types_.StructFor(std::string(Take().text));
+      case CTok::kIdent: {
+        auto it = typedefs_.find(Cur().text);
+        if (it != typedefs_.end()) {
+          Take();
+          return it->second;
+        }
+        break;
       }
+      default:
+        break;
     }
-    diags_.Error(Cur().loc, "expected a type, found " + Describe(Cur()));
+    diags_.Error(Loc(Cur()), "expected a type, found " + Describe(Cur()));
     return nullptr;
   }
 
   // C declarator parsing. Returns the complete type and the declared name ("" when
-  // `allow_abstract` and no name is present). Uses the classic approach: build an
-  // inside-out chain of type constructors, then apply them to the base type.
+  // `allow_abstract` and no name is present).
   struct Declarator {
     const Type* type = nullptr;
-    std::string name;
+    std::string_view name;
     std::vector<ParamDecl> params;  // set when the outermost constructor is a function
     bool is_function = false;
     bool variadic = false;
   };
 
-  bool ParseDeclarator(const Type* base, bool allow_abstract, Declarator& out) {
-    // C declarator semantics, realized with delayed type construction. Each nesting
-    // level parses `'*'* direct suffix*` and returns a Wrap: given the incoming type
-    // T it (1) wraps T in the level's pointers, (2) applies the suffixes
-    // right-to-left (so `x[2][3]` is array-2 of array-3), then (3) hands the result
-    // to the inner declarator. Thus `int (*fp)(int)` makes fp a pointer to function,
-    // while `int *f(void)` makes f a function returning int*.
-    using Wrap = std::function<const Type*(const Type*)>;
-    std::string name;
+  // One array or function suffix of a declarator level.
+  struct Suffix {
+    int count = -1;  // array element count (-1: from the initializer)
+    bool is_function = false;
+    bool variadic = false;
+    std::vector<ParamDecl> params;
+  };
+
+  // One nesting level of a declarator: `'*'* direct suffix*`, where `direct` is
+  // the name or a parenthesized inner level.
+  struct Level {
+    int stars = 0;
+    std::vector<Suffix> suffixes;
+  };
+
+  struct DeclaratorState {
+    std::vector<Level> levels;  // outermost first
+    std::string_view name;
     std::vector<ParamDecl> named_params;
     bool have_named_params = false;
     bool variadic_params = false;
-    bool failed = false;
+  };
 
-    std::function<Wrap()> parse_one = [&]() -> Wrap {
-      int stars = 0;
-      while (AtPunct("*")) {
-        Take();
-        ++stars;
-      }
-      Wrap inner;
-      bool name_bound_here = false;
-      if (AtPunct("(") && IsNestedDeclaratorParen()) {
-        Take();
-        inner = parse_one();
-        if (failed || !ExpectPunct(")", "to close declarator")) {
-          failed = true;
-          return [](const Type* t) { return t; };
-        }
-      } else if (At(CTokenKind::kIdent)) {
-        name = Take().text;
-        name_bound_here = true;
-        inner = [](const Type* t) { return t; };
-      } else if (allow_abstract) {
-        inner = [](const Type* t) { return t; };
-      } else {
-        diags_.Error(Cur().loc, "expected declarator name, found " + Describe(Cur()));
-        failed = true;
-        return [](const Type* t) { return t; };
-      }
-      std::vector<Wrap> suffixes;
-      bool first_suffix = true;
-      while (!failed) {
-        if (AtPunct("[")) {
-          Take();
-          int count = -1;  // unspecified; completed from the initializer
-          if (At(CTokenKind::kIntLit) || At(CTokenKind::kCharLit)) {
-            count = static_cast<int>(Take().int_value);
-          } else if (At(CTokenKind::kIdent)) {
-            auto it = enum_consts_.find(Cur().text);
-            if (it == enum_consts_.end()) {
-              diags_.Error(Cur().loc, "array size must be an integer or enum constant");
-              failed = true;
-              break;
-            }
-            count = static_cast<int>(it->second);
-            Take();
-          }
-          if (!ExpectPunct("]", "to close array size")) {
-            failed = true;
-            break;
-          }
-          suffixes.push_back(
-              [this, count](const Type* t) { return types_.ArrayOf(t, count); });
-          first_suffix = false;
-          continue;
-        }
-        if (AtPunct("(")) {
-          Take();
-          std::vector<ParamDecl> params;
-          bool variadic = false;
-          if (!ParseParamList(params, variadic)) {
-            failed = true;
-            break;
-          }
-          if (name_bound_here && first_suffix) {
-            // `f(int a, int b)` directly after the name: these are the named
-            // parameters of a potential function definition.
-            named_params = params;
-            have_named_params = true;
-            variadic_params = variadic;
-          }
-          first_suffix = false;
-          suffixes.push_back([this, params, variadic](const Type* t) {
-            std::vector<FuncParam> fp;
-            fp.reserve(params.size());
-            for (const ParamDecl& p : params) {
-              fp.push_back(FuncParam{p.type});
-            }
-            return types_.Function(t, std::move(fp), variadic);
-          });
-          continue;
-        }
-        break;
-      }
-      return [this, inner, suffixes, stars](const Type* t) {
-        const Type* cur = t;
-        for (int i = 0; i < stars; ++i) {
-          cur = types_.PointerTo(cur);
-        }
-        for (auto it = suffixes.rbegin(); it != suffixes.rend(); ++it) {
-          cur = (*it)(cur);
-        }
-        return inner(cur);
-      };
-    };
-
-    Wrap chain = parse_one();
-    if (failed) {
+  bool ParseDeclarator(const Type* base, bool allow_abstract, Declarator& out) {
+    // C declarator semantics: each level, from the outermost in, (1) wraps the
+    // incoming type in the level's pointers, (2) applies the level's suffixes
+    // right-to-left (so `x[2][3]` is array-2 of array-3), then (3) hands the
+    // result to the inner level. Thus `int (*fp)(int)` makes fp a pointer to
+    // function, while `int *f(void)` makes f a function returning int*.
+    DeclaratorState state;
+    if (!ParseDeclaratorLevel(allow_abstract, state)) {
       return false;
     }
-    out.type = chain(base);
+    const Type* type = base;
+    for (const Level& level : state.levels) {
+      for (int i = 0; i < level.stars; ++i) {
+        type = types_.PointerTo(type);
+      }
+      for (auto it = level.suffixes.rbegin(); it != level.suffixes.rend(); ++it) {
+        if (!it->is_function) {
+          type = types_.ArrayOf(type, it->count);
+          continue;
+        }
+        std::vector<FuncParam> params;
+        params.reserve(it->params.size());
+        for (const ParamDecl& p : it->params) {
+          params.push_back(FuncParam{p.type});
+        }
+        type = types_.Function(type, std::move(params), it->variadic);
+      }
+    }
+    out.type = type;
     if (out.type == nullptr) {
       return false;
     }
-    out.name = std::move(name);
-    out.is_function = have_named_params && out.type->IsFunc();
-    out.params = std::move(named_params);
-    out.variadic = variadic_params;
+    out.name = state.name;
+    out.is_function = state.have_named_params && out.type->IsFunc();
+    out.params = std::move(state.named_params);
+    out.variadic = state.variadic_params;
     return true;
+  }
+
+  bool ParseDeclaratorLevel(bool allow_abstract, DeclaratorState& state) {
+    const size_t depth = state.levels.size();
+    state.levels.emplace_back();
+    while (At(CTok::kStar)) {
+      Take();
+      ++state.levels[depth].stars;
+    }
+    bool name_bound_here = false;
+    if (At(CTok::kLParen) && IsNestedDeclaratorParen()) {
+      Take();
+      if (!ParseDeclaratorLevel(allow_abstract, state) ||
+          !Expect(CTok::kRParen, "to close declarator")) {
+        return false;
+      }
+    } else if (At(CTok::kIdent)) {
+      state.name = Take().text;
+      name_bound_here = true;
+    } else if (!allow_abstract) {
+      diags_.Error(Loc(Cur()), "expected declarator name, found " + Describe(Cur()));
+      return false;
+    }
+    bool first_suffix = true;
+    while (true) {
+      if (At(CTok::kLBracket)) {
+        Take();
+        int count = -1;  // unspecified; completed from the initializer
+        if (At(CTok::kIntLit) || At(CTok::kCharLit)) {
+          count = static_cast<int>(Take().int_value);
+        } else if (At(CTok::kIdent)) {
+          auto it = enum_consts_.find(Cur().text);
+          if (it == enum_consts_.end()) {
+            diags_.Error(Loc(Cur()), "array size must be an integer or enum constant");
+            return false;
+          }
+          count = static_cast<int>(it->second);
+          Take();
+        }
+        if (!Expect(CTok::kRBracket, "to close array size")) {
+          return false;
+        }
+        state.levels[depth].suffixes.push_back(Suffix{count, false, false, {}});
+        first_suffix = false;
+        continue;
+      }
+      if (At(CTok::kLParen)) {
+        Take();
+        Suffix suffix;
+        suffix.is_function = true;
+        if (!ParseParamList(suffix.params, suffix.variadic)) {
+          return false;
+        }
+        if (name_bound_here && first_suffix) {
+          // `f(int a, int b)` directly after the name: these are the named
+          // parameters of a potential function definition.
+          state.named_params = suffix.params;
+          state.have_named_params = true;
+          state.variadic_params = suffix.variadic;
+        }
+        first_suffix = false;
+        state.levels[depth].suffixes.push_back(std::move(suffix));
+        continue;
+      }
+      return true;
+    }
   }
 
   // Distinguish `(*fp)(...)` style nesting from a parameter list `(void)` /
   // `(int x)`. A nested declarator paren is followed by '*' , '(' or an identifier
   // that is NOT a typedef name.
   bool IsNestedDeclaratorParen() const {
-    const CToken& next = Next();
-    if (next.IsPunct("*") || next.IsPunct("(")) {
+    const CToken& next = Ahead(1);
+    if (next.kind == CTok::kStar || next.kind == CTok::kLParen) {
       return true;
     }
-    if (next.kind == CTokenKind::kIdent && typedefs_.count(next.text) == 0) {
-      return true;
-    }
-    return false;
+    return next.kind == CTok::kIdent && typedefs_.count(next.text) == 0;
   }
 
   bool ParseParamList(std::vector<ParamDecl>& params, bool& variadic) {
     variadic = false;
-    if (AtPunct(")")) {
+    if (At(CTok::kRParen)) {
       Take();
       return true;  // () — unspecified params, treated as (void)
     }
-    if (AtKeyword("void") && Next().IsPunct(")")) {
+    if (At(CTok::kVoid) && Ahead(1).kind == CTok::kRParen) {
       Take();
       Take();
       return true;
     }
     while (true) {
-      if (AtPunct("...")) {
+      if (At(CTok::kEllipsis)) {
         Take();
         variadic = true;
         break;
@@ -291,14 +301,14 @@ class CParser {
       if (type->IsArray()) {
         type = types_.PointerTo(type->base);  // arrays decay in parameters
       }
-      params.push_back(ParamDecl{d.name, type});
-      if (AtPunct(",")) {
+      params.push_back(ParamDecl{std::string(d.name), type});
+      if (At(CTok::kComma)) {
         Take();
         continue;
       }
       break;
     }
-    return ExpectPunct(")", "to close parameter list");
+    return Expect(CTok::kRParen, "to close parameter list");
   }
 
   // Parses a type-name (for casts and sizeof): base type + abstract declarator.
@@ -312,7 +322,7 @@ class CParser {
       return nullptr;
     }
     if (!d.name.empty()) {
-      diags_.Error(Cur().loc, "type name may not declare '" + d.name + "'");
+      diags_.Error(Loc(Cur()), "type name may not declare '" + std::string(d.name) + "'");
       return nullptr;
     }
     return d.type;
@@ -321,20 +331,20 @@ class CParser {
   // ---- top-level declarations ---------------------------------------------
 
   bool ParseTopDecl(TranslationUnit& unit) {
-    if (AtKeyword("typedef")) {
+    if (At(CTok::kTypedef)) {
       return ParseTypedef(unit);
     }
-    if (AtKeyword("enum")) {
+    if (At(CTok::kEnum)) {
       return ParseEnum(unit);
     }
-    if (AtKeyword("struct") && Next().kind == CTokenKind::kIdent &&
-        (tokens_[pos_ + 2].IsPunct("{") || tokens_[pos_ + 2].IsPunct(";"))) {
+    if (At(CTok::kStruct) && Ahead(1).kind == CTok::kIdent &&
+        (Ahead(2).kind == CTok::kLBrace || Ahead(2).kind == CTok::kSemi)) {
       return ParseStructDef(unit);
     }
     bool is_static = false;
     bool is_extern = false;
-    while (AtKeyword("static") || AtKeyword("extern")) {
-      if (Take().text == "static") {
+    while (At(CTok::kStatic) || At(CTok::kExtern)) {
+      if (Take().kind == CTok::kStatic) {
         is_static = true;
       } else {
         is_extern = true;
@@ -346,32 +356,32 @@ class CParser {
     }
     while (true) {
       Declarator d;
-      SourceLoc loc = Cur().loc;
+      const CToken& at = Cur();
       if (!ParseDeclarator(base, /*allow_abstract=*/false, d)) {
         return false;
       }
       if (d.is_function) {
-        if (AtPunct("{")) {
-          return ParseFunctionDefinition(unit, d, is_static, loc);
+        if (At(CTok::kLBrace)) {
+          return ParseFunctionDefinition(unit, d, is_static, Loc(at));
         }
         Decl decl;
         decl.kind = Decl::Kind::kFunction;
-        decl.loc = loc;
+        decl.loc = Loc(at);
         decl.name = d.name;
         decl.func_type = d.type;
-        decl.params = d.params;
+        decl.params = std::move(d.params);
         decl.is_static = is_static;
         decl.is_definition = false;
         unit.decls.push_back(std::move(decl));
       } else {
         Decl decl;
         decl.kind = Decl::Kind::kGlobalVar;
-        decl.loc = loc;
+        decl.loc = Loc(at);
         decl.name = d.name;
         decl.var_type = d.type;
         decl.is_static = is_static;
         decl.is_extern = is_extern;
-        if (AtPunct("=")) {
+        if (At(CTok::kAssign)) {
           Take();
           if (!ParseInitializer(decl)) {
             return false;
@@ -380,7 +390,7 @@ class CParser {
         // Complete unsized arrays from their initializer.
         if (decl.var_type->IsArray() && decl.var_type->array_count < 0) {
           if (decl.init_list.empty()) {
-            diags_.Error(loc, "array '" + decl.name + "' has no size and no initializer");
+            diags_.Error(decl.loc, "array '" + decl.name + "' has no size and no initializer");
             return false;
           }
           decl.var_type =
@@ -388,24 +398,24 @@ class CParser {
         }
         unit.decls.push_back(std::move(decl));
       }
-      if (AtPunct(",")) {
+      if (At(CTok::kComma)) {
         Take();
         continue;
       }
-      return ExpectPunct(";", "after declaration");
+      return Expect(CTok::kSemi, "after declaration");
     }
   }
 
   bool ParseInitializer(Decl& decl) {
-    if (AtPunct("{")) {
+    if (At(CTok::kLBrace)) {
       Take();
-      while (!AtPunct("}")) {
+      while (!At(CTok::kRBrace)) {
         ExprPtr element = ParseAssign();
         if (!element) {
           return false;
         }
         decl.init_list.push_back(std::move(element));
-        if (AtPunct(",")) {
+        if (At(CTok::kComma)) {
           Take();
         }
       }
@@ -417,11 +427,10 @@ class CParser {
   }
 
   bool ParseTypedef(TranslationUnit& unit) {
-    SourceLoc loc = Take().loc;  // typedef
+    SourceLoc loc = Loc(Take());  // typedef
     const Type* base = nullptr;
     // Allow `typedef struct tag { ... } name;` as well as simple base types.
-    if (AtKeyword("struct") && Next().kind == CTokenKind::kIdent &&
-        tokens_[pos_ + 2].IsPunct("{")) {
+    if (At(CTok::kStruct) && Ahead(1).kind == CTok::kIdent && Ahead(2).kind == CTok::kLBrace) {
       if (!ParseStructDefNoSemi(unit, base)) {
         return false;
       }
@@ -438,38 +447,37 @@ class CParser {
     typedefs_[d.name] = d.type;
     Decl decl;
     decl.kind = Decl::Kind::kTypedef;
-    decl.loc = loc;
+    decl.loc = std::move(loc);
     decl.name = d.name;
     decl.defined_type = d.type;
     unit.decls.push_back(std::move(decl));
-    return ExpectPunct(";", "after typedef");
+    return Expect(CTok::kSemi, "after typedef");
   }
 
   bool ParseStructDef(TranslationUnit& unit) {
     const Type* type = nullptr;
-    if (Next().kind == CTokenKind::kIdent && tokens_[pos_ + 2].IsPunct(";")) {
+    if (Ahead(1).kind == CTok::kIdent && Ahead(2).kind == CTok::kSemi) {
       // Forward declaration: struct foo;
       Take();  // struct
-      std::string tag = Take().text;
-      types_.StructFor(tag);
+      types_.StructFor(std::string(Take().text));
       Take();  // ;
       return true;
     }
     if (!ParseStructDefNoSemi(unit, type)) {
       return false;
     }
-    return ExpectPunct(";", "after struct definition");
+    return Expect(CTok::kSemi, "after struct definition");
   }
 
   bool ParseStructDefNoSemi(TranslationUnit& unit, const Type*& out_type) {
-    SourceLoc loc = Take().loc;  // struct
-    std::string tag = Take().text;
+    SourceLoc loc = Loc(Take());  // struct
+    std::string tag(Take().text);
     Type* type = types_.StructFor(tag);
-    if (!ExpectPunct("{", "to open struct body")) {
+    if (!Expect(CTok::kLBrace, "to open struct body")) {
       return false;
     }
     std::vector<StructField> fields;
-    while (!AtPunct("}")) {
+    while (!At(CTok::kRBrace)) {
       const Type* base = ParseBaseType();
       if (base == nullptr) {
         return false;
@@ -479,14 +487,14 @@ class CParser {
         if (!ParseDeclarator(base, /*allow_abstract=*/false, d)) {
           return false;
         }
-        fields.push_back(StructField{d.name, d.type, 0});
-        if (AtPunct(",")) {
+        fields.push_back(StructField{std::string(d.name), d.type, 0});
+        if (At(CTok::kComma)) {
           Take();
           continue;
         }
         break;
       }
-      if (!ExpectPunct(";", "after struct field")) {
+      if (!Expect(CTok::kSemi, "after struct field")) {
         return false;
       }
     }
@@ -497,8 +505,8 @@ class CParser {
     }
     Decl decl;
     decl.kind = Decl::Kind::kStructDef;
-    decl.loc = loc;
-    decl.name = tag;
+    decl.loc = std::move(loc);
+    decl.name = std::move(tag);
     decl.defined_type = type;
     unit.decls.push_back(std::move(decl));
     out_type = type;
@@ -506,21 +514,20 @@ class CParser {
   }
 
   bool ParseEnum(TranslationUnit& unit) {
-    SourceLoc loc = Take().loc;  // enum
-    if (!ExpectPunct("{", "after 'enum' (MiniC supports only anonymous enums)")) {
-      return false;
-    }
     Decl decl;
     decl.kind = Decl::Kind::kEnumConsts;
-    decl.loc = loc;
+    decl.loc = Loc(Take());  // enum
+    if (!Expect(CTok::kLBrace, "after 'enum' (MiniC supports only anonymous enums)")) {
+      return false;
+    }
     long long next_value = 0;
-    while (!AtPunct("}")) {
-      if (!At(CTokenKind::kIdent)) {
-        diags_.Error(Cur().loc, "expected enum constant name, found " + Describe(Cur()));
+    while (!At(CTok::kRBrace)) {
+      if (!At(CTok::kIdent)) {
+        diags_.Error(Loc(Cur()), "expected enum constant name, found " + Describe(Cur()));
         return false;
       }
-      std::string name = Take().text;
-      if (AtPunct("=")) {
+      std::string_view name = Take().text;
+      if (At(CTok::kAssign)) {
         Take();
         ExprPtr value = ParseConditional();
         if (!value) {
@@ -528,7 +535,8 @@ class CParser {
         }
         long long folded = 0;
         if (!FoldConst(*value, folded)) {
-          diags_.Error(value->loc, "enum value for '" + name + "' is not a constant expression");
+          diags_.Error(value->loc, "enum value for '" + std::string(name) +
+                                       "' is not a constant expression");
           return false;
         }
         next_value = folded;
@@ -536,29 +544,30 @@ class CParser {
       enum_consts_[name] = next_value;
       decl.enum_values.emplace_back(name, next_value);
       ++next_value;
-      if (AtPunct(",")) {
+      if (At(CTok::kComma)) {
         Take();
       }
     }
     Take();  // }
     unit.decls.push_back(std::move(decl));
-    return ExpectPunct(";", "after enum");
+    return Expect(CTok::kSemi, "after enum");
   }
 
-  bool ParseFunctionDefinition(TranslationUnit& unit, const Declarator& d, bool is_static,
+  bool ParseFunctionDefinition(TranslationUnit& unit, Declarator& d, bool is_static,
                                SourceLoc loc) {
     for (const ParamDecl& p : d.params) {
       if (p.name.empty()) {
-        diags_.Error(loc, "function definition '" + d.name + "' has an unnamed parameter");
+        diags_.Error(loc, "function definition '" + std::string(d.name) +
+                              "' has an unnamed parameter");
         return false;
       }
     }
     Decl decl;
     decl.kind = Decl::Kind::kFunction;
-    decl.loc = loc;
+    decl.loc = std::move(loc);
     decl.name = d.name;
     decl.func_type = d.type;
-    decl.params = d.params;
+    decl.params = std::move(d.params);
     decl.is_static = is_static;
     decl.is_definition = true;
     decl.body = ParseBlock();
@@ -571,16 +580,22 @@ class CParser {
 
   // ---- statements ----------------------------------------------------------
 
+  template <typename Node>
+  std::unique_ptr<Node> NewNode(typename Node::Kind kind, const CToken& at) {
+    auto node = std::make_unique<Node>();
+    node->kind = kind;
+    node->loc = Loc(at);
+    return node;
+  }
+
   StmtPtr ParseBlock() {
-    auto block = std::make_unique<Stmt>();
-    block->kind = Stmt::Kind::kBlock;
-    block->loc = Cur().loc;
-    if (!ExpectPunct("{", "to open block")) {
+    auto block = NewNode<Stmt>(Stmt::Kind::kBlock, Cur());
+    if (!Expect(CTok::kLBrace, "to open block")) {
       return nullptr;
     }
-    while (!AtPunct("}")) {
-      if (At(CTokenKind::kEnd)) {
-        diags_.Error(Cur().loc, "unexpected end of input inside block");
+    while (!At(CTok::kRBrace)) {
+      if (At(CTok::kEnd)) {
+        diags_.Error(Loc(Cur()), "unexpected end of input inside block");
         return nullptr;
       }
       StmtPtr stmt = ParseStmt();
@@ -594,150 +609,139 @@ class CParser {
   }
 
   StmtPtr ParseStmt() {
-    SourceLoc loc = Cur().loc;
-    if (AtPunct("{")) {
-      return ParseBlock();
-    }
-    if (AtPunct(";")) {
-      Take();
-      auto stmt = std::make_unique<Stmt>();
-      stmt->kind = Stmt::Kind::kEmpty;
-      stmt->loc = loc;
-      return stmt;
-    }
-    if (AtKeyword("if")) {
-      Take();
-      auto stmt = std::make_unique<Stmt>();
-      stmt->kind = Stmt::Kind::kIf;
-      stmt->loc = loc;
-      if (!ExpectPunct("(", "after 'if'")) {
-        return nullptr;
-      }
-      stmt->exprs.push_back(ParseExpr());
-      if (!stmt->exprs[0] || !ExpectPunct(")", "after if condition")) {
-        return nullptr;
-      }
-      stmt->stmts.push_back(ParseStmt());
-      if (!stmt->stmts[0]) {
-        return nullptr;
-      }
-      if (AtKeyword("else")) {
+    const CToken& at = Cur();
+    switch (at.kind) {
+      case CTok::kLBrace:
+        return ParseBlock();
+      case CTok::kSemi:
         Take();
+        return NewNode<Stmt>(Stmt::Kind::kEmpty, at);
+      case CTok::kIf: {
+        Take();
+        auto stmt = NewNode<Stmt>(Stmt::Kind::kIf, at);
+        if (!Expect(CTok::kLParen, "after 'if'")) {
+          return nullptr;
+        }
+        stmt->exprs.push_back(ParseExpr());
+        if (!stmt->exprs[0] || !Expect(CTok::kRParen, "after if condition")) {
+          return nullptr;
+        }
         stmt->stmts.push_back(ParseStmt());
-        if (!stmt->stmts[1]) {
+        if (!stmt->stmts[0]) {
           return nullptr;
         }
+        if (At(CTok::kElse)) {
+          Take();
+          stmt->stmts.push_back(ParseStmt());
+          if (!stmt->stmts[1]) {
+            return nullptr;
+          }
+        }
+        return stmt;
       }
-      return stmt;
-    }
-    if (AtKeyword("while")) {
-      Take();
-      auto stmt = std::make_unique<Stmt>();
-      stmt->kind = Stmt::Kind::kWhile;
-      stmt->loc = loc;
-      if (!ExpectPunct("(", "after 'while'")) {
-        return nullptr;
-      }
-      stmt->exprs.push_back(ParseExpr());
-      if (!stmt->exprs[0] || !ExpectPunct(")", "after while condition")) {
-        return nullptr;
-      }
-      stmt->stmts.push_back(ParseStmt());
-      return stmt->stmts[0] ? std::move(stmt) : nullptr;
-    }
-    if (AtKeyword("for")) {
-      Take();
-      auto stmt = std::make_unique<Stmt>();
-      stmt->kind = Stmt::Kind::kFor;
-      stmt->loc = loc;
-      if (!ExpectPunct("(", "after 'for'")) {
-        return nullptr;
-      }
-      // init: declaration, expression, or empty
-      if (AtPunct(";")) {
+      case CTok::kWhile: {
         Take();
-        stmt->stmts.push_back(nullptr);
-      } else if (AtTypeStart()) {
-        StmtPtr init = ParseLocalDecl();
-        if (!init) {
+        auto stmt = NewNode<Stmt>(Stmt::Kind::kWhile, at);
+        if (!Expect(CTok::kLParen, "after 'while'")) {
           return nullptr;
         }
-        stmt->stmts.push_back(std::move(init));
-      } else {
-        auto init = std::make_unique<Stmt>();
-        init->kind = Stmt::Kind::kExpr;
-        init->loc = Cur().loc;
-        init->exprs.push_back(ParseExpr());
-        if (!init->exprs[0] || !ExpectPunct(";", "after for-init")) {
-          return nullptr;
-        }
-        stmt->stmts.push_back(std::move(init));
-      }
-      // condition
-      if (AtPunct(";")) {
-        stmt->exprs.push_back(nullptr);
-      } else {
         stmt->exprs.push_back(ParseExpr());
-        if (!stmt->exprs[0]) {
+        if (!stmt->exprs[0] || !Expect(CTok::kRParen, "after while condition")) {
           return nullptr;
         }
+        stmt->stmts.push_back(ParseStmt());
+        return stmt->stmts[0] ? std::move(stmt) : nullptr;
       }
-      if (!ExpectPunct(";", "after for-condition")) {
-        return nullptr;
-      }
-      // step
-      if (AtPunct(")")) {
-        stmt->exprs.push_back(nullptr);
-      } else {
-        stmt->exprs.push_back(ParseExpr());
-        if (!stmt->exprs[1]) {
-          return nullptr;
+      case CTok::kFor:
+        return ParseFor();
+      case CTok::kReturn: {
+        Take();
+        auto stmt = NewNode<Stmt>(Stmt::Kind::kReturn, at);
+        if (!At(CTok::kSemi)) {
+          stmt->exprs.push_back(ParseExpr());
+          if (!stmt->exprs[0]) {
+            return nullptr;
+          }
         }
+        return Expect(CTok::kSemi, "after return") ? std::move(stmt) : nullptr;
       }
-      if (!ExpectPunct(")", "after for header")) {
-        return nullptr;
+      case CTok::kBreak:
+      case CTok::kContinue: {
+        bool is_break = Take().kind == CTok::kBreak;
+        auto stmt =
+            NewNode<Stmt>(is_break ? Stmt::Kind::kBreak : Stmt::Kind::kContinue, at);
+        return Expect(CTok::kSemi, "after break/continue") ? std::move(stmt) : nullptr;
       }
-      stmt->stmts.push_back(ParseStmt());
-      return stmt->stmts[1] ? std::move(stmt) : nullptr;
+      default:
+        break;
     }
-    if (AtKeyword("return")) {
-      Take();
-      auto stmt = std::make_unique<Stmt>();
-      stmt->kind = Stmt::Kind::kReturn;
-      stmt->loc = loc;
-      if (!AtPunct(";")) {
-        stmt->exprs.push_back(ParseExpr());
-        if (!stmt->exprs[0]) {
-          return nullptr;
-        }
-      }
-      return ExpectPunct(";", "after return") ? std::move(stmt) : nullptr;
-    }
-    if (AtKeyword("break") || AtKeyword("continue")) {
-      bool is_break = Take().text == "break";
-      auto stmt = std::make_unique<Stmt>();
-      stmt->kind = is_break ? Stmt::Kind::kBreak : Stmt::Kind::kContinue;
-      stmt->loc = loc;
-      return ExpectPunct(";", "after break/continue") ? std::move(stmt) : nullptr;
-    }
-    if (AtTypeStart()) {
+    if (IsTypeStart(at)) {
       return ParseLocalDecl();
     }
     // Expression statement.
-    auto stmt = std::make_unique<Stmt>();
-    stmt->kind = Stmt::Kind::kExpr;
-    stmt->loc = loc;
+    auto stmt = NewNode<Stmt>(Stmt::Kind::kExpr, at);
     stmt->exprs.push_back(ParseExpr());
     if (!stmt->exprs[0]) {
       return nullptr;
     }
-    return ExpectPunct(";", "after expression") ? std::move(stmt) : nullptr;
+    return Expect(CTok::kSemi, "after expression") ? std::move(stmt) : nullptr;
+  }
+
+  StmtPtr ParseFor() {
+    auto stmt = NewNode<Stmt>(Stmt::Kind::kFor, Take());
+    if (!Expect(CTok::kLParen, "after 'for'")) {
+      return nullptr;
+    }
+    // init: declaration, expression, or empty
+    if (At(CTok::kSemi)) {
+      Take();
+      stmt->stmts.push_back(nullptr);
+    } else if (IsTypeStart(Cur())) {
+      StmtPtr init = ParseLocalDecl();
+      if (!init) {
+        return nullptr;
+      }
+      stmt->stmts.push_back(std::move(init));
+    } else {
+      auto init = NewNode<Stmt>(Stmt::Kind::kExpr, Cur());
+      init->exprs.push_back(ParseExpr());
+      if (!init->exprs[0] || !Expect(CTok::kSemi, "after for-init")) {
+        return nullptr;
+      }
+      stmt->stmts.push_back(std::move(init));
+    }
+    // condition
+    if (At(CTok::kSemi)) {
+      stmt->exprs.push_back(nullptr);
+    } else {
+      stmt->exprs.push_back(ParseExpr());
+      if (!stmt->exprs[0]) {
+        return nullptr;
+      }
+    }
+    if (!Expect(CTok::kSemi, "after for-condition")) {
+      return nullptr;
+    }
+    // step
+    if (At(CTok::kRParen)) {
+      stmt->exprs.push_back(nullptr);
+    } else {
+      stmt->exprs.push_back(ParseExpr());
+      if (!stmt->exprs[1]) {
+        return nullptr;
+      }
+    }
+    if (!Expect(CTok::kRParen, "after for header")) {
+      return nullptr;
+    }
+    stmt->stmts.push_back(ParseStmt());
+    return stmt->stmts[1] ? std::move(stmt) : nullptr;
   }
 
   // One or more comma-separated local declarations sharing a base type. Multiple
   // declarators become a block of kLocalDecl statements.
   StmtPtr ParseLocalDecl() {
-    SourceLoc loc = Cur().loc;
+    const CToken& at = Cur();
     const Type* base = ParseBaseType();
     if (base == nullptr) {
       return nullptr;
@@ -748,12 +752,10 @@ class CParser {
       if (!ParseDeclarator(base, /*allow_abstract=*/false, d)) {
         return nullptr;
       }
-      auto stmt = std::make_unique<Stmt>();
-      stmt->kind = Stmt::Kind::kLocalDecl;
-      stmt->loc = loc;
+      auto stmt = NewNode<Stmt>(Stmt::Kind::kLocalDecl, at);
       stmt->text = d.name;
       stmt->decl_type = d.type;
-      if (AtPunct("=")) {
+      if (At(CTok::kAssign)) {
         Take();
         stmt->exprs.push_back(ParseAssign());
         if (!stmt->exprs[0]) {
@@ -761,25 +763,24 @@ class CParser {
         }
       }
       if (stmt->decl_type->IsArray() && stmt->decl_type->array_count < 0) {
-        diags_.Error(loc, "local array '" + d.name + "' must have an explicit size");
+        diags_.Error(stmt->loc,
+                     "local array '" + std::string(d.name) + "' must have an explicit size");
         return nullptr;
       }
       decls.push_back(std::move(stmt));
-      if (AtPunct(",")) {
+      if (At(CTok::kComma)) {
         Take();
         continue;
       }
       break;
     }
-    if (!ExpectPunct(";", "after declaration")) {
+    if (!Expect(CTok::kSemi, "after declaration")) {
       return nullptr;
     }
     if (decls.size() == 1) {
       return std::move(decls[0]);
     }
-    auto block = std::make_unique<Stmt>();
-    block->kind = Stmt::Kind::kBlock;
-    block->loc = loc;
+    auto block = NewNode<Stmt>(Stmt::Kind::kBlock, at);
     block->stmts = std::move(decls);
     return block;
   }
@@ -788,30 +789,50 @@ class CParser {
 
   ExprPtr ParseExpr() { return ParseAssign(); }
 
+  static bool IsAssignOp(CTok kind) {
+    switch (kind) {
+      case CTok::kAssign:
+      case CTok::kAddAssign:
+      case CTok::kSubAssign:
+      case CTok::kMulAssign:
+      case CTok::kDivAssign:
+      case CTok::kModAssign:
+      case CTok::kAndAssign:
+      case CTok::kOrAssign:
+      case CTok::kXorAssign:
+      case CTok::kShlAssign:
+      case CTok::kShrAssign:
+        return true;
+      default:
+        return false;
+    }
+  }
+
+  // `op` applied to `args`, located at the operator token.
+  ExprPtr NewOp(Expr::Kind kind, const CToken& op, ExprPtr lhs, ExprPtr rhs = nullptr) {
+    auto out = NewNode<Expr>(kind, op);
+    out->text = CTokSpelling(op.kind);
+    out->args.push_back(std::move(lhs));
+    if (rhs) {
+      out->args.push_back(std::move(rhs));
+    }
+    return out;
+  }
+
   ExprPtr ParseAssign() {
     ExprPtr lhs = ParseConditional();
     if (!lhs) {
       return nullptr;
     }
-    static const char* kAssignOps[] = {"=",  "+=", "-=", "*=", "/=",
-                                       "%=", "&=", "|=", "^=", "<<=", ">>="};
-    for (const char* op : kAssignOps) {
-      if (AtPunct(op)) {
-        SourceLoc loc = Take().loc;
-        ExprPtr rhs = ParseAssign();
-        if (!rhs) {
-          return nullptr;
-        }
-        auto out = std::make_unique<Expr>();
-        out->kind = Expr::Kind::kAssign;
-        out->loc = loc;
-        out->text = op;
-        out->args.push_back(std::move(lhs));
-        out->args.push_back(std::move(rhs));
-        return out;
-      }
+    if (!IsAssignOp(Cur().kind)) {
+      return lhs;
     }
-    return lhs;
+    const CToken& op = Take();
+    ExprPtr rhs = ParseAssign();
+    if (!rhs) {
+      return nullptr;
+    }
+    return NewOp(Expr::Kind::kAssign, op, std::move(lhs), std::move(rhs));
   }
 
   ExprPtr ParseConditional() {
@@ -819,48 +840,60 @@ class CParser {
     if (!cond) {
       return nullptr;
     }
-    if (!AtPunct("?")) {
+    if (!At(CTok::kQuestion)) {
       return cond;
     }
-    SourceLoc loc = Take().loc;
+    const CToken& at = Take();
     ExprPtr then_expr = ParseExpr();
-    if (!then_expr || !ExpectPunct(":", "in conditional expression")) {
+    if (!then_expr || !Expect(CTok::kColon, "in conditional expression")) {
       return nullptr;
     }
     ExprPtr else_expr = ParseConditional();
     if (!else_expr) {
       return nullptr;
     }
-    auto out = std::make_unique<Expr>();
-    out->kind = Expr::Kind::kCond;
-    out->loc = loc;
+    auto out = NewNode<Expr>(Expr::Kind::kCond, at);
     out->args.push_back(std::move(cond));
     out->args.push_back(std::move(then_expr));
     out->args.push_back(std::move(else_expr));
     return out;
   }
 
-  // Precedence-climbing over binary operators.
-  struct BinOp {
-    const char* spelling;
-    int precedence;
-  };
-
-  static const BinOp* FindBinOp(const CToken& token) {
-    static const BinOp kOps[] = {
-        {"||", 1}, {"&&", 2}, {"|", 3},  {"^", 4},  {"&", 5},  {"==", 6}, {"!=", 6},
-        {"<", 7},  {">", 7},  {"<=", 7}, {">=", 7}, {"<<", 8}, {">>", 8}, {"+", 9},
-        {"-", 9},  {"*", 10}, {"/", 10}, {"%", 10},
-    };
-    if (token.kind != CTokenKind::kPunct) {
-      return nullptr;
+  // Precedence of a binary operator token, 0 when it is none (precedence
+  // climbing starts at 0, and every operator binds at 1 or tighter).
+  static int BinaryPrecedence(CTok kind) {
+    switch (kind) {
+      case CTok::kOrOr:
+        return 1;
+      case CTok::kAndAnd:
+        return 2;
+      case CTok::kPipe:
+        return 3;
+      case CTok::kCaret:
+        return 4;
+      case CTok::kAmp:
+        return 5;
+      case CTok::kEq:
+      case CTok::kNe:
+        return 6;
+      case CTok::kLess:
+      case CTok::kGreater:
+      case CTok::kLe:
+      case CTok::kGe:
+        return 7;
+      case CTok::kShl:
+      case CTok::kShr:
+        return 8;
+      case CTok::kPlus:
+      case CTok::kMinus:
+        return 9;
+      case CTok::kStar:
+      case CTok::kSlash:
+      case CTok::kPercent:
+        return 10;
+      default:
+        return 0;
     }
-    for (const BinOp& op : kOps) {
-      if (token.text == op.spelling) {
-        return &op;
-      }
-    }
-    return nullptr;
   }
 
   ExprPtr ParseBinary(int min_precedence) {
@@ -869,105 +902,88 @@ class CParser {
       return nullptr;
     }
     while (true) {
-      const BinOp* op = FindBinOp(Cur());
-      if (op == nullptr || op->precedence < min_precedence) {
+      int precedence = BinaryPrecedence(Cur().kind);
+      if (precedence == 0 || precedence < min_precedence) {
         return lhs;
       }
-      SourceLoc loc = Take().loc;
-      ExprPtr rhs = ParseBinary(op->precedence + 1);
+      const CToken& op = Take();
+      ExprPtr rhs = ParseBinary(precedence + 1);
       if (!rhs) {
         return nullptr;
       }
-      auto out = std::make_unique<Expr>();
-      out->kind = Expr::Kind::kBinary;
-      out->loc = loc;
-      out->text = op->spelling;
-      out->args.push_back(std::move(lhs));
-      out->args.push_back(std::move(rhs));
-      lhs = std::move(out);
+      lhs = NewOp(Expr::Kind::kBinary, op, std::move(lhs), std::move(rhs));
     }
   }
 
   ExprPtr ParseUnary() {
-    SourceLoc loc = Cur().loc;
-    if (AtPunct("-") || AtPunct("!") || AtPunct("~") || AtPunct("&") || AtPunct("*")) {
-      std::string op = Take().text;
-      ExprPtr operand = ParseUnary();
-      if (!operand) {
-        return nullptr;
-      }
-      auto out = std::make_unique<Expr>();
-      out->kind = Expr::Kind::kUnary;
-      out->loc = loc;
-      out->text = op;
-      out->args.push_back(std::move(operand));
-      return out;
-    }
-    if (AtPunct("+")) {
-      Take();
-      return ParseUnary();
-    }
-    if (AtPunct("++") || AtPunct("--")) {
-      std::string op = Take().text;
-      ExprPtr operand = ParseUnary();
-      if (!operand) {
-        return nullptr;
-      }
-      auto out = std::make_unique<Expr>();
-      out->kind = Expr::Kind::kIncDec;
-      out->loc = loc;
-      out->text = op;
-      out->int_value = 1;  // prefix
-      out->args.push_back(std::move(operand));
-      return out;
-    }
-    if (AtKeyword("sizeof")) {
-      Take();
-      auto out = std::make_unique<Expr>();
-      out->kind = Expr::Kind::kSizeof;
-      out->loc = loc;
-      if (AtPunct("(") && NextIsTypeStart()) {
+    const CToken& at = Cur();
+    switch (at.kind) {
+      case CTok::kMinus:
+      case CTok::kNot:
+      case CTok::kTilde:
+      case CTok::kAmp:
+      case CTok::kStar: {
         Take();
-        out->sizeof_type = ParseTypeName();
-        if (out->sizeof_type == nullptr || !ExpectPunct(")", "after sizeof type")) {
-          return nullptr;
-        }
-      } else {
         ExprPtr operand = ParseUnary();
         if (!operand) {
           return nullptr;
         }
-        out->args.push_back(std::move(operand));  // sema resolves to a type
+        return NewOp(Expr::Kind::kUnary, at, std::move(operand));
       }
-      return out;
-    }
-    if (AtPunct("(") && NextIsTypeStart()) {
-      Take();
-      const Type* type = ParseTypeName();
-      if (type == nullptr || !ExpectPunct(")", "after cast type")) {
-        return nullptr;
+      case CTok::kPlus:
+        Take();
+        return ParseUnary();
+      case CTok::kInc:
+      case CTok::kDec: {
+        Take();
+        ExprPtr operand = ParseUnary();
+        if (!operand) {
+          return nullptr;
+        }
+        ExprPtr out = NewOp(Expr::Kind::kIncDec, at, std::move(operand));
+        out->int_value = 1;  // prefix
+        return out;
       }
-      ExprPtr operand = ParseUnary();
-      if (!operand) {
-        return nullptr;
+      case CTok::kSizeof: {
+        Take();
+        auto out = NewNode<Expr>(Expr::Kind::kSizeof, at);
+        if (At(CTok::kLParen) && IsTypeStart(Ahead(1))) {
+          Take();
+          out->sizeof_type = ParseTypeName();
+          if (out->sizeof_type == nullptr || !Expect(CTok::kRParen, "after sizeof type")) {
+            return nullptr;
+          }
+        } else {
+          ExprPtr operand = ParseUnary();
+          if (!operand) {
+            return nullptr;
+          }
+          out->args.push_back(std::move(operand));  // sema resolves to a type
+        }
+        return out;
       }
-      auto out = std::make_unique<Expr>();
-      out->kind = Expr::Kind::kCast;
-      out->loc = loc;
-      out->cast_type = type;
-      out->args.push_back(std::move(operand));
-      return out;
+      case CTok::kLParen: {
+        if (!IsTypeStart(Ahead(1))) {
+          break;
+        }
+        Take();
+        const Type* type = ParseTypeName();
+        if (type == nullptr || !Expect(CTok::kRParen, "after cast type")) {
+          return nullptr;
+        }
+        ExprPtr operand = ParseUnary();
+        if (!operand) {
+          return nullptr;
+        }
+        auto out = NewNode<Expr>(Expr::Kind::kCast, at);
+        out->cast_type = type;
+        out->args.push_back(std::move(operand));
+        return out;
+      }
+      default:
+        break;
     }
     return ParsePostfix();
-  }
-
-  bool NextIsTypeStart() const {
-    const CToken& next = Next();
-    if (next.IsKeyword("void") || next.IsKeyword("char") || next.IsKeyword("int") ||
-        next.IsKeyword("unsigned") || next.IsKeyword("struct")) {
-      return true;
-    }
-    return next.kind == CTokenKind::kIdent && typedefs_.count(next.text) > 0;
   }
 
   ExprPtr ParsePostfix() {
@@ -976,113 +992,104 @@ class CParser {
       return nullptr;
     }
     while (true) {
-      SourceLoc loc = Cur().loc;
-      if (AtPunct("(")) {
-        Take();
-        auto out = std::make_unique<Expr>();
-        out->kind = Expr::Kind::kCall;
-        out->loc = loc;
-        out->args.push_back(std::move(expr));
-        while (!AtPunct(")")) {
-          ExprPtr arg = ParseAssign();
-          if (!arg) {
+      const CToken& at = Cur();
+      switch (at.kind) {
+        case CTok::kLParen: {
+          Take();
+          auto out = NewNode<Expr>(Expr::Kind::kCall, at);
+          out->args.push_back(std::move(expr));
+          while (!At(CTok::kRParen)) {
+            ExprPtr arg = ParseAssign();
+            if (!arg) {
+              return nullptr;
+            }
+            out->args.push_back(std::move(arg));
+            if (At(CTok::kComma)) {
+              Take();
+            }
+          }
+          Take();  // )
+          expr = std::move(out);
+          continue;
+        }
+        case CTok::kLBracket: {
+          Take();
+          ExprPtr index = ParseExpr();
+          if (!index || !Expect(CTok::kRBracket, "to close index")) {
             return nullptr;
           }
-          out->args.push_back(std::move(arg));
-          if (AtPunct(",")) {
-            Take();
+          auto out = NewNode<Expr>(Expr::Kind::kIndex, at);
+          out->args.push_back(std::move(expr));
+          out->args.push_back(std::move(index));
+          expr = std::move(out);
+          continue;
+        }
+        case CTok::kDot:
+        case CTok::kArrow: {
+          Take();
+          if (!At(CTok::kIdent)) {
+            diags_.Error(Loc(Cur()), "expected member name, found " + Describe(Cur()));
+            return nullptr;
           }
+          auto out = NewNode<Expr>(Expr::Kind::kMember, at);
+          out->text = Take().text;
+          out->member_arrow = at.kind == CTok::kArrow;
+          out->args.push_back(std::move(expr));
+          expr = std::move(out);
+          continue;
         }
-        Take();  // )
-        expr = std::move(out);
-        continue;
+        case CTok::kInc:
+        case CTok::kDec:
+          Take();
+          expr = NewOp(Expr::Kind::kIncDec, at, std::move(expr));
+          expr->int_value = 0;  // postfix
+          continue;
+        default:
+          return expr;
       }
-      if (AtPunct("[")) {
-        Take();
-        ExprPtr index = ParseExpr();
-        if (!index || !ExpectPunct("]", "to close index")) {
-          return nullptr;
-        }
-        auto out = std::make_unique<Expr>();
-        out->kind = Expr::Kind::kIndex;
-        out->loc = loc;
-        out->args.push_back(std::move(expr));
-        out->args.push_back(std::move(index));
-        expr = std::move(out);
-        continue;
-      }
-      if (AtPunct(".") || AtPunct("->")) {
-        bool arrow = Take().text == "->";
-        if (!At(CTokenKind::kIdent)) {
-          diags_.Error(Cur().loc, "expected member name, found " + Describe(Cur()));
-          return nullptr;
-        }
-        auto out = std::make_unique<Expr>();
-        out->kind = Expr::Kind::kMember;
-        out->loc = loc;
-        out->text = Take().text;
-        out->member_arrow = arrow;
-        out->args.push_back(std::move(expr));
-        expr = std::move(out);
-        continue;
-      }
-      if (AtPunct("++") || AtPunct("--")) {
-        std::string op = Take().text;
-        auto out = std::make_unique<Expr>();
-        out->kind = Expr::Kind::kIncDec;
-        out->loc = loc;
-        out->text = op;
-        out->int_value = 0;  // postfix
-        out->args.push_back(std::move(expr));
-        expr = std::move(out);
-        continue;
-      }
-      return expr;
     }
   }
 
   ExprPtr ParsePrimary() {
-    SourceLoc loc = Cur().loc;
-    if (At(CTokenKind::kIntLit) || At(CTokenKind::kCharLit)) {
-      auto out = std::make_unique<Expr>();
-      out->kind = Expr::Kind::kIntLit;
-      out->loc = loc;
-      out->int_value = Take().int_value;
-      return out;
-    }
-    if (At(CTokenKind::kStrLit)) {
-      auto out = std::make_unique<Expr>();
-      out->kind = Expr::Kind::kStrLit;
-      out->loc = loc;
-      out->text = Take().text;
-      return out;
-    }
-    if (At(CTokenKind::kIdent)) {
-      std::string name = Take().text;
-      auto it = enum_consts_.find(name);
-      if (it != enum_consts_.end()) {
-        auto out = std::make_unique<Expr>();
-        out->kind = Expr::Kind::kIntLit;
-        out->loc = loc;
-        out->int_value = it->second;
+    const CToken& at = Cur();
+    switch (at.kind) {
+      case CTok::kIntLit:
+      case CTok::kCharLit: {
+        Take();
+        auto out = NewNode<Expr>(Expr::Kind::kIntLit, at);
+        out->int_value = at.int_value;
         return out;
       }
-      auto out = std::make_unique<Expr>();
-      out->kind = Expr::Kind::kIdent;
-      out->loc = loc;
-      out->text = std::move(name);
-      return out;
-    }
-    if (AtPunct("(")) {
-      Take();
-      ExprPtr inner = ParseExpr();
-      if (!inner || !ExpectPunct(")", "to close parenthesized expression")) {
-        return nullptr;
+      case CTok::kStrLit: {
+        Take();
+        auto out = NewNode<Expr>(Expr::Kind::kStrLit, at);
+        out->text = DecodeCString(at.text);
+        return out;
       }
-      return inner;
+      case CTok::kIdent: {
+        Take();
+        auto it = enum_consts_.find(at.text);
+        if (it != enum_consts_.end()) {
+          auto out = NewNode<Expr>(Expr::Kind::kIntLit, at);
+          out->int_value = it->second;
+          return out;
+        }
+        auto out = NewNode<Expr>(Expr::Kind::kIdent, at);
+        out->text = at.text;
+        return out;
+      }
+      case CTok::kLParen: {
+        Take();
+        ExprPtr inner = ParseExpr();
+        if (!inner || !Expect(CTok::kRParen, "to close parenthesized expression")) {
+          return nullptr;
+        }
+        return inner;
+      }
+      default:
+        diags_.Error(Loc(at), "expected expression, found " + Describe(at));
+        return nullptr;
     }
-    diags_.Error(loc, "expected expression, found " + Describe(Cur()));
-    return nullptr;
   }
 
   // Folds a parse-time constant (integer literals, unary -, binary arith on
@@ -1139,12 +1146,14 @@ class CParser {
     }
   }
 
-  std::vector<CToken> tokens_;
+  const std::vector<CToken>& tokens_;
+  const std::vector<std::string>& files_;
   TypeTable& types_;
   Diagnostics& diags_;
   size_t pos_ = 0;
-  std::map<std::string, const Type*> typedefs_;
-  std::map<std::string, long long> enum_consts_;
+  // Keys view the source text, which outlives the parser.
+  std::unordered_map<std::string_view, const Type*> typedefs_;
+  std::unordered_map<std::string_view, long long> enum_consts_;
 };
 
 }  // namespace
@@ -1155,12 +1164,13 @@ Result<TranslationUnit> ParseCFiles(const SourceMap& sources,
                                     Diagnostics& diags) {
   TranslationUnit unit;
   unit.name = unit_name;
+  std::vector<std::string> lexed_files;
   for (const std::string& file : files) {
-    Result<std::vector<CToken>> tokens = LexC(sources, file, diags);
+    Result<std::vector<CToken>> tokens = LexC(sources, file, diags, &lexed_files);
     if (!tokens.ok()) {
       return Result<TranslationUnit>::Failure();
     }
-    CParser parser(tokens.take(), types, diags);
+    CParser parser(tokens.value(), lexed_files, types, diags);
     if (!parser.ParseInto(unit)) {
       return Result<TranslationUnit>::Failure();
     }
@@ -1181,7 +1191,8 @@ Result<TranslationUnit> ParseCString(std::string_view source, const std::string&
   }
   TranslationUnit unit;
   unit.name = name;
-  CParser parser(tokens.take(), types, diags);
+  const std::vector<std::string> files = {name};
+  CParser parser(tokens.value(), files, types, diags);
   if (!parser.ParseInto(unit)) {
     return Result<TranslationUnit>::Failure();
   }

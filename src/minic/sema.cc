@@ -3,6 +3,8 @@
 #include <cassert>
 #include <vector>
 
+#include "src/support/scoped_map.h"
+
 namespace knit {
 namespace {
 
@@ -122,41 +124,27 @@ class Sema {
 
   // ---- scopes ----------------------------------------------------------------
 
-  struct Local {
-    std::string name;
-    const Type* type;
-  };
-
-  void PushScope() { scopes_.emplace_back(); }
-  void PopScope() { scopes_.pop_back(); }
+  void PushScope() { locals_.Push(); }
+  void PopScope() { locals_.Pop(); }
 
   bool DeclareLocal(const std::string& name, const Type* type, const SourceLoc& loc) {
-    for (const Local& local : scopes_.back()) {
-      if (local.name == name) {
-        diags_.Error(loc, "redeclaration of '" + name + "' in the same scope");
-        return false;
-      }
+    if (!locals_.Declare(name, type)) {
+      diags_.Error(loc, "redeclaration of '" + name + "' in the same scope");
+      return false;
     }
-    scopes_.back().push_back(Local{name, type});
     return true;
   }
 
   const Type* LookupLocal(const std::string& name) const {
-    for (auto scope = scopes_.rbegin(); scope != scopes_.rend(); ++scope) {
-      for (const Local& local : *scope) {
-        if (local.name == name) {
-          return local.type;
-        }
-      }
-    }
-    return nullptr;
+    const Type* const* type = locals_.Find(name);
+    return type != nullptr ? *type : nullptr;
   }
 
   // ---- function bodies -------------------------------------------------------
 
   bool CheckFunction(Decl& decl) {
     current_return_ = decl.func_type->base;
-    scopes_.clear();
+    locals_.Clear();
     PushScope();
     for (const ParamDecl& param : decl.params) {
       if (!DeclareLocal(param.name, param.type, decl.loc)) {
@@ -781,7 +769,7 @@ class Sema {
   Diagnostics& diags_;
   SemaInfo info_;
   std::set<std::string> referenced_;
-  std::vector<std::vector<Local>> scopes_;
+  ScopedMap<const Type*> locals_;  // keys view the AST's names
   const Type* current_return_ = nullptr;
   bool suppress_function_addr_ = false;
 };

@@ -122,65 +122,54 @@ Type* TypeTable::NewType() {
 }
 
 const Type* TypeTable::PointerTo(const Type* base) {
-  for (const auto& t : all_) {
-    if (t->kind == Type::Kind::kPointer && t->base == base) {
-      return t.get();
-    }
+  const Type*& slot = pointers_[base];
+  if (slot == nullptr) {
+    Type* t = NewType();
+    t->kind = Type::Kind::kPointer;
+    t->base = base;
+    slot = t;
   }
-  Type* t = NewType();
-  t->kind = Type::Kind::kPointer;
-  t->base = base;
-  return t;
+  return slot;
 }
 
 const Type* TypeTable::ArrayOf(const Type* element, int count) {
-  for (const auto& t : all_) {
-    if (t->kind == Type::Kind::kArray && t->base == element && t->array_count == count) {
-      return t.get();
-    }
+  const Type*& slot = arrays_[{element, count}];
+  if (slot == nullptr) {
+    Type* t = NewType();
+    t->kind = Type::Kind::kArray;
+    t->base = element;
+    t->array_count = count;
+    slot = t;
   }
-  Type* t = NewType();
-  t->kind = Type::Kind::kArray;
-  t->base = element;
-  t->array_count = count;
-  return t;
+  return slot;
 }
 
 const Type* TypeTable::Function(const Type* ret, std::vector<FuncParam> params, bool variadic) {
-  for (const auto& t : all_) {
-    if (t->kind != Type::Kind::kFunc || t->base != ret || t->variadic != variadic ||
-        t->params.size() != params.size()) {
-      continue;
-    }
-    bool same = true;
-    for (size_t i = 0; i < params.size(); ++i) {
-      if (t->params[i].type != params[i].type) {
-        same = false;
-        break;
-      }
-    }
-    if (same) {
-      return t.get();
-    }
+  std::vector<const Type*> param_types;
+  param_types.reserve(params.size());
+  for (const FuncParam& param : params) {
+    param_types.push_back(param.type);
   }
-  Type* t = NewType();
-  t->kind = Type::Kind::kFunc;
-  t->base = ret;
-  t->params = std::move(params);
-  t->variadic = variadic;
-  return t;
+  const Type*& slot = functions_[{ret, variadic, std::move(param_types)}];
+  if (slot == nullptr) {
+    Type* t = NewType();
+    t->kind = Type::Kind::kFunc;
+    t->base = ret;
+    t->params = std::move(params);
+    t->variadic = variadic;
+    slot = t;
+  }
+  return slot;
 }
 
 Type* TypeTable::StructFor(const std::string& tag) {
-  for (const auto& t : all_) {
-    if (t->kind == Type::Kind::kStruct && t->struct_tag == tag) {
-      return t.get();
-    }
+  Type*& slot = structs_[tag];
+  if (slot == nullptr) {
+    slot = NewType();
+    slot->kind = Type::Kind::kStruct;
+    slot->struct_tag = tag;
   }
-  Type* t = NewType();
-  t->kind = Type::Kind::kStruct;
-  t->struct_tag = tag;
-  return t;
+  return slot;
 }
 
 bool TypeTable::CompleteStruct(Type* type, std::vector<StructField> fields) {

@@ -5,8 +5,12 @@
 #ifndef SRC_MINIC_TYPES_H_
 #define SRC_MINIC_TYPES_H_
 
+#include <map>
 #include <memory>
 #include <string>
+#include <tuple>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 namespace knit {
@@ -104,6 +108,12 @@ class TypeTable {
   Type* NewType();
 
   std::vector<std::unique_ptr<Type>> all_;
+  // Interning indexes over all_.
+  std::map<const Type*, const Type*> pointers_;                // pointee -> pointer
+  std::map<std::pair<const Type*, int>, const Type*> arrays_;  // (element, count) -> array
+  std::map<std::tuple<const Type*, bool, std::vector<const Type*>>, const Type*>
+      functions_;                                  // (return, variadic, params) -> function
+  std::unordered_map<std::string, Type*> structs_;  // tag -> struct
   const Type* void_;
   const Type* char_;
   const Type* int_;

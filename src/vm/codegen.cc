@@ -5,6 +5,7 @@
 #include <map>
 #include <string_view>
 
+#include "src/support/scoped_map.h"
 #include "src/support/strings.h"
 #include "src/vm/optimize.h"
 
@@ -289,24 +290,22 @@ class UnitCompiler {
   // ---- function compilation ---------------------------------------------------
 
   struct LocalSlot {
-    std::string name;
     int offset = 0;
     const Type* type = nullptr;
   };
 
   bool CompileFunction(const Decl& decl) {
     code_.clear();
-    locals_.clear();
-    scopes_.clear();
+    locals_.Clear();
     frame_size_ = 0;
     break_targets_.clear();
     continue_targets_.clear();
 
-    scopes_.emplace_back();
+    locals_.Push();
     // Parameters occupy the first slots, one word each (chars are promoted).
     for (const ParamDecl& param : decl.params) {
       int offset = AllocSlot(kWordSize, kWordSize);
-      scopes_.back().push_back(LocalSlot{param.name, offset, param.type});
+      locals_.Declare(param.name, LocalSlot{offset, param.type});
     }
 
     if (!GenStmt(*decl.body)) {
@@ -335,16 +334,7 @@ class UnitCompiler {
     return offset;
   }
 
-  const LocalSlot* FindLocal(const std::string& name) const {
-    for (auto scope = scopes_.rbegin(); scope != scopes_.rend(); ++scope) {
-      for (const LocalSlot& slot : *scope) {
-        if (slot.name == name) {
-          return &slot;
-        }
-      }
-    }
-    return nullptr;
-  }
+  const LocalSlot* FindLocal(const std::string& name) const { return locals_.Find(name); }
 
   int Emit(Op op, int32_t a = 0, int32_t b = 0) {
     code_.push_back(Insn{op, a, b});
@@ -363,12 +353,12 @@ class UnitCompiler {
       case Stmt::Kind::kExpr:
         return GenExprForEffect(*stmt.exprs[0]);
       case Stmt::Kind::kBlock: {
-        scopes_.emplace_back();
+        locals_.Push();
         bool ok = true;
         for (const StmtPtr& child : stmt.stmts) {
           ok = ok && GenStmt(*child);
         }
-        scopes_.pop_back();
+        locals_.Pop();
         return ok;
       }
       case Stmt::Kind::kLocalDecl: {
@@ -379,7 +369,7 @@ class UnitCompiler {
           align = kWordSize;
         }
         int offset = AllocSlot(size, align);
-        scopes_.back().push_back(LocalSlot{stmt.text, offset, stmt.decl_type});
+        locals_.Declare(stmt.text, LocalSlot{offset, stmt.decl_type});
         if (!stmt.exprs.empty() && stmt.exprs[0]) {
           if (!GenValue(*stmt.exprs[0])) {
             return false;
@@ -432,7 +422,7 @@ class UnitCompiler {
         return true;
       }
       case Stmt::Kind::kFor: {
-        scopes_.emplace_back();
+        locals_.Push();
         if (stmt.stmts[0] && !GenStmt(*stmt.stmts[0])) {
           return false;
         }
@@ -466,7 +456,7 @@ class UnitCompiler {
         }
         break_targets_.pop_back();
         continue_targets_.pop_back();
-        scopes_.pop_back();
+        locals_.Pop();
         return true;
       }
       case Stmt::Kind::kReturn:
@@ -1068,8 +1058,7 @@ class UnitCompiler {
 
   // Per-function state.
   std::vector<Insn> code_;
-  std::vector<std::vector<LocalSlot>> scopes_;
-  std::vector<LocalSlot> locals_;
+  ScopedMap<LocalSlot> locals_;  // keys view the AST's names
   int frame_size_ = 0;
   std::vector<std::vector<int>> break_targets_;
   std::vector<std::vector<int>> continue_targets_;

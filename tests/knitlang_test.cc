@@ -29,7 +29,9 @@ TEST(KnitLexer, TokenKinds) {
                        TokenKind::kLBrace, TokenKind::kRBrace, TokenKind::kArrowLeft,
                        TokenKind::kLessEq, TokenKind::kLess, TokenKind::kString,
                        TokenKind::kEnd}));
-  EXPECT_EQ(tokens.value()[8].text, "str\n");
+  // A string token borrows its raw body; the parser decodes it.
+  EXPECT_EQ(tokens.value()[8].text, "str\\n");
+  EXPECT_EQ(DecodeKnitString(tokens.value()[8].text), "str\n");
 }
 
 TEST(KnitLexer, ReportsUnterminatedString) {

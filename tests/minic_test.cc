@@ -2,6 +2,10 @@
 // checks, enum folding, struct layout, and printer round-tripping.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <memory>
+
+#include "src/minic/clexer.h"
 #include "src/minic/cparser.h"
 #include "src/minic/printer.h"
 #include "src/minic/sema.h"
@@ -126,6 +130,59 @@ TEST(MiniCParser, RejectsConflictingStructRedefinition) {
 TEST(MiniCParser, AcceptsIdenticalStructRedefinition) {
   Front front("struct s { int a; };\nstruct s { int a; };\nint f(struct s *p) { return p->a; }");
   EXPECT_TRUE(front.ok()) << front.error();
+}
+
+// Lexes `text` from an exactly-sized heap buffer with no terminator, so a read
+// past the end is a heap overflow under ASan rather than a read of a NUL.
+std::string LexUnterminated(std::string_view text) {
+  auto buffer = std::make_unique<char[]>(text.size());
+  std::memcpy(buffer.get(), text.data(), text.size());
+  Diagnostics diags;
+  EXPECT_FALSE(LexCString(std::string_view(buffer.get(), text.size()), "t.c", diags).ok())
+      << text;
+  return diags.ToString();
+}
+
+TEST(MiniCLexer, EscapeAtEndOfInputIsUnterminatedNotAnOverRead) {
+  EXPECT_EQ(LexUnterminated("char* s = \"ab\\"),
+            "t.c:1:11: error: unterminated string literal\n");
+  EXPECT_EQ(LexUnterminated("'\\"), "t.c:1:1: error: unterminated character literal\n");
+}
+
+TEST(MiniCLexer, EveryConstructCutAtEndOfInputIsDiagnosed) {
+  EXPECT_EQ(LexUnterminated("char c = '"), "t.c:1:10: error: unterminated character literal\n");
+  EXPECT_EQ(LexUnterminated("char c = 'a"),
+            "t.c:1:10: error: unterminated character literal\n");
+  EXPECT_EQ(LexUnterminated("char *s = \""), "t.c:1:11: error: unterminated string literal\n");
+  EXPECT_EQ(LexUnterminated("int x; /* open *"), "t.c:1:8: error: unterminated block comment\n");
+  EXPECT_EQ(LexUnterminated("#include \"x.h"),
+            "t.c:1:1: error: unterminated #include file name\n");
+  EXPECT_EQ(LexUnterminated("#include"), "t.c:1:9: error: #include expects a \"file\" name\n");
+  EXPECT_EQ(LexUnterminated("x @"), "t.c:1:3: error: unexpected character '@' in MiniC source\n");
+}
+
+TEST(MiniCLexer, TokensAreCodedAndBorrowTheSource) {
+  Diagnostics diags;
+  const std::string source = "unsigned x <<= 0x1Fu; s->f ... \"a\\n\" 'q'";
+  Result<std::vector<CToken>> tokens = LexCString(source, "t.c", diags);
+  ASSERT_TRUE(tokens.ok()) << diags.ToString();
+  std::vector<CTok> kinds;
+  for (const CToken& token : tokens.value()) {
+    kinds.push_back(token.kind);
+  }
+  EXPECT_EQ(kinds, (std::vector<CTok>{CTok::kUnsigned, CTok::kIdent, CTok::kShlAssign,
+                                      CTok::kIntLit, CTok::kSemi, CTok::kIdent, CTok::kArrow,
+                                      CTok::kIdent, CTok::kEllipsis, CTok::kStrLit,
+                                      CTok::kCharLit, CTok::kEnd}));
+  const CToken& x = tokens.value()[1];
+  EXPECT_EQ(x.text.data(), source.data() + 9);  // a view, not a copy
+  EXPECT_EQ(x.line, 1);
+  EXPECT_EQ(x.column, 10);
+  EXPECT_EQ(tokens.value()[3].int_value, 31);
+  EXPECT_EQ(tokens.value()[9].text, "a\\n");
+  EXPECT_EQ(DecodeCString(tokens.value()[9].text), "a\n");
+  EXPECT_EQ(tokens.value()[10].int_value, 'q');
+  EXPECT_EQ(tokens.value()[11].line, 0);  // the end token has no position
 }
 
 TEST(MiniCSema, RejectsUndeclaredIdentifier) {

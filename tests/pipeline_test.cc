@@ -7,6 +7,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <random>
 
 #include "src/clack/corpus.h"
 #include "src/driver/knitc.h"
@@ -403,6 +404,52 @@ TEST(Pipeline, CachedObjectWithAnUnknownOpcodeIsRecompiled) {
 
   EXPECT_EQ(build(1), clean);
   EXPECT_EQ(build(0), clean);  // the recompile rewrote the entry
+}
+
+// A cached object with any flipped byte (magic, payload or checksum) fails its
+// checksum: the lookup misses, the unit recompiles, and the image is the one a
+// clean build links.
+TEST(Pipeline, CachedObjectWithAFlippedByteIsRecompiled) {
+  std::string dir = ::testing::TempDir() + "knit-cache-flip-test";
+  std::filesystem::remove_all(dir);
+  SourceMap sources = CacheSources();
+  auto build = [&](int expected_misses) {
+    KnitcOptions options;
+    options.cache_dir = dir;
+    Diagnostics diags;
+    KnitPipeline pipeline(options);
+    Result<LinkedImage> built = pipeline.Build(kCacheKnit, sources, "Top", diags);
+    EXPECT_TRUE(built.ok()) << diags.ToString();
+    EXPECT_EQ(pipeline.metrics().CacheMisses(), expected_misses);
+    return built.ok() ? FingerprintImage(built.value().image) : 0;
+  };
+  const uint64_t clean = build(3);
+
+  std::vector<std::filesystem::path> objects;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    objects.push_back(entry.path());
+  }
+  ASSERT_EQ(objects.size(), 3u);
+  std::sort(objects.begin(), objects.end());
+  std::mt19937 rng(20240611);
+  for (int round = 0; round < 24; ++round) {
+    const std::filesystem::path& object = objects[round % objects.size()];
+    std::string bytes;
+    {
+      std::ifstream in(object, std::ios::binary);
+      bytes.assign(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+    }
+    ASSERT_FALSE(bytes.empty());
+    // The first and last bytes, then seeded offsets across the whole file.
+    size_t at = round == 0 ? 0 : round == 1 ? bytes.size() - 1 : rng() % bytes.size();
+    bytes[at] = static_cast<char>(bytes[at] ^ (1 + rng() % 255));
+    {
+      std::ofstream out(object, std::ios::binary | std::ios::trunc);
+      out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    }
+    EXPECT_EQ(build(1), clean) << object.filename() << " byte " << at << " of " << bytes.size();
+  }
+  EXPECT_EQ(build(0), clean);  // every recompile rewrote its entry
 }
 
 // ---- metrics ------------------------------------------------------------------

@@ -78,7 +78,7 @@ Result<std::unique_ptr<RouterSession>> RouterSession::Open(
   return session;
 }
 
-std::vector<int> RouterSession::ResolveEntries() const {
+std::array<int, 2> RouterSession::ResolveEntries() const {
   return {machine_->image().FindFunction(entry_names_.at("in0")),
           machine_->image().FindFunction(entry_names_.at("in1"))};
 }
@@ -100,7 +100,7 @@ Result<void> RouterSession::FeedBatch(const TracePacket* const* packets,
   // Batched dispatch: the entry symbols resolve once per batch. A packet hook
   // can hot-swap the element owning an entry between packets, so its presence
   // forces per-packet re-resolution (correctness over amortization).
-  std::vector<int> entries = ResolveEntries();
+  std::array<int, 2> entries = ResolveEntries();
 
   for (size_t p = 0; p < count; ++p) {
     const TracePacket& packet = *packets[p];

@@ -444,7 +444,7 @@ struct TaskResult {
 // TypeTable, then verifies that they define every export and initializer/
 // finalizer and do not define imports. `subject` opens each contract diagnostic
 // ("unit 'Foo'", "replacement for Top/Foo").
-Result<TranslationUnit> FrontUnit(const Elaboration& elaboration, const SourceMap& sources,
+Result<TranslationUnit> FrontUnit(const Elaboration& elaboration, const SourceView& sources,
                                   const std::vector<std::string>& files, const UnitDecl& unit,
                                   const std::string& subject, TypeTable& types,
                                   SemaInfo* info_out, Diagnostics& diags) {
@@ -1488,8 +1488,9 @@ Result<ReplacementObject> CompileInstanceReplacement(
   // The compile stage's front end, rename map and objcopy step; only the version
   // suffix and the export visibility (every export stays global: binding slots
   // retarget to it) differ.
-  SourceMap replacement_sources = sources;  // copied so #include resolution works
-  replacement_sources[source_name] = source;
+  // The replacement file is laid over the build's sources, which resolve its
+  // #includes.
+  const SourceView replacement_sources(sources, source_name, source);
   TypeTable types;
   SemaInfo info;
   Result<TranslationUnit> tu = FrontUnit(elaboration, replacement_sources, {source_name}, unit,

@@ -1,5 +1,6 @@
 #include "src/ld/link.h"
 
+#include <cassert>
 #include <set>
 #include <utility>
 
@@ -67,7 +68,8 @@ class Linker {
     return std::move(result_);
   }
 
-  Result<std::vector<uint8_t>> Append(const ObjectFile& object, uint32_t data_address) {
+  Result<std::vector<uint8_t>> Append(const ObjectFile& object, uint32_t data_address,
+                                      CodeSiteIndex& sites) {
     Image& image = *image_;
     const int old_count = static_cast<int>(image.functions.size());
     const int appended = static_cast<int>(object.functions.size());
@@ -83,13 +85,14 @@ class Linker {
       return Result<std::vector<uint8_t>>::Failure();
     }
     // Everything resolved: nothing below can fail.
-    ShiftNatives(old_count, appended);
+    ShiftNatives(old_count, appended, sites);
     int text_cursor = image.text_bytes;
     for (BytecodeFunction& function : placed) {
       text_cursor = PlaceText(function, text_cursor);
       image.functions.push_back(std::move(function));
     }
     image.text_bytes = text_cursor;
+    ScanCodeSites(image, static_cast<size_t>(old_count), sites);
     std::vector<uint8_t> data = object.data;
     RelocateData(&object, data.data());
     RegisterSymbols();
@@ -374,19 +377,20 @@ class Linker {
   }
 
   // Appending moves every native id up by the appended function count: shift
-  // the native refs the old code and the linked data hold.
-  void ShiftNatives(int old_count, int appended) {
+  // the native refs the old code (at the indexed sites) and the linked data hold.
+  void ShiftNatives(int old_count, int appended, const CodeSiteIndex& sites) {
     Image& image = *image_;
     const int natives = static_cast<int>(image.natives.size());
-    for (int f = 0; f < old_count; ++f) {
-      for (Insn& insn : image.functions[f].code) {
-        if (insn.op == Op::kCall && insn.a >= old_count && insn.a < old_count + natives) {
-          insn.a += appended;
-        } else if (insn.op == Op::kConstInt && IsFuncRef(static_cast<uint32_t>(insn.a))) {
-          insn.a = static_cast<int32_t>(
-              ShiftNativeRef(static_cast<uint32_t>(insn.a), old_count, natives, appended));
-        }
-      }
+    for (const CodeSite& site : sites.native_calls) {
+      Insn& insn = image.functions[site.function].code[site.pc];
+      assert(insn.op == Op::kCall && insn.a >= old_count && insn.a < old_count + natives);
+      insn.a += appended;
+    }
+    for (const CodeSite& site : sites.func_refs) {
+      Insn& insn = image.functions[site.function].code[site.pc];
+      assert(insn.op == Op::kConstInt && IsFuncRef(static_cast<uint32_t>(insn.a)));
+      insn.a = static_cast<int32_t>(
+          ShiftNativeRef(static_cast<uint32_t>(insn.a), old_count, natives, appended));
     }
     for (uint32_t address : image.func_ref_data) {
       uint64_t offset = static_cast<uint64_t>(address) - image.data_base;
@@ -420,10 +424,28 @@ Result<LinkResult> Link(std::vector<LinkItem> items, const LinkOptions& options,
   return linker.Run();
 }
 
+void ScanCodeSites(const Image& image, size_t first, CodeSiteIndex& index) {
+  const int functions = static_cast<int>(image.functions.size());
+  const int natives = static_cast<int>(image.natives.size());
+  for (size_t f = first; f < image.functions.size(); ++f) {
+    const std::vector<Insn>& code = image.functions[f].code;
+    for (size_t pc = 0; pc < code.size(); ++pc) {
+      const Insn& insn = code[pc];
+      const CodeSite site{static_cast<int>(f), static_cast<int>(pc)};
+      if (insn.op == Op::kCall && insn.a >= functions && insn.a < functions + natives) {
+        index.native_calls.push_back(site);
+      } else if (insn.op == Op::kConstInt && IsFuncRef(static_cast<uint32_t>(insn.a))) {
+        index.func_refs.push_back(site);
+      }
+    }
+  }
+}
+
 Result<std::vector<uint8_t>> LinkAppend(Image& image, const ObjectFile& object,
-                                        uint32_t data_address, Diagnostics& diags) {
+                                        uint32_t data_address, CodeSiteIndex& sites,
+                                        Diagnostics& diags) {
   Linker linker(image, diags);
-  return linker.Append(object, data_address);
+  return linker.Append(object, data_address, sites);
 }
 
 uint32_t ShiftNativeRef(uint32_t value, int old_functions, int natives, int appended) {

@@ -177,7 +177,7 @@ bool KnownEscape(char c) {
 
 class CLexer {
  public:
-  CLexer(const SourceMap& sources, Diagnostics& diags, std::vector<CToken>& out,
+  CLexer(SourceView sources, Diagnostics& diags, std::vector<CToken>& out,
          std::vector<std::string>& files)
       : sources_(sources), diags_(diags), out_(out), files_(files) {}
 
@@ -185,12 +185,12 @@ class CLexer {
     if (!included_.insert(file).second) {
       return true;  // include-once
     }
-    auto it = sources_.find(file);
-    if (it == sources_.end()) {
+    const std::string* text = sources_.Find(file);
+    if (text == nullptr) {
       diags_.Error(SourceLoc{file, 0, 0}, "no such source file '" + file + "'");
       return false;
     }
-    return LexBuffer(it->second, file);
+    return LexBuffer(*text, file);
   }
 
   bool LexBuffer(std::string_view source, const std::string& name) {
@@ -409,7 +409,7 @@ class CLexer {
     return EscapeValue(c);
   }
 
-  const SourceMap& sources_;
+  SourceView sources_;
   Diagnostics& diags_;
   std::vector<CToken>& out_;
   std::vector<std::string>& files_;
@@ -433,7 +433,7 @@ const char* CTokSpelling(CTok code) {
   return kSpellings[static_cast<size_t>(code)];
 }
 
-Result<std::vector<CToken>> LexC(const SourceMap& sources, const std::string& file,
+Result<std::vector<CToken>> LexC(const SourceView& sources, const std::string& file,
                                  Diagnostics& diags, std::vector<std::string>* files) {
   std::vector<CToken> tokens;
   std::vector<std::string> names;

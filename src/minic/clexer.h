@@ -24,6 +24,31 @@ namespace knit {
 // Maps file name -> contents. The whole toolchain works on in-memory sources.
 using SourceMap = std::map<std::string, std::string>;
 
+// Read access to a SourceMap, optionally with one more file laid over it: a
+// hot-swap replacement lexes its own text and the running build's #includes
+// through a view instead of a copy of the build's map. The map, the overlay's
+// name and its text must outlive the view.
+class SourceView {
+ public:
+  SourceView(const SourceMap& sources) : sources_(&sources) {}  // NOLINT: a map is a view
+  SourceView(const SourceMap& sources, const std::string& name, const std::string& text)
+      : sources_(&sources), overlay_name_(&name), overlay_text_(&text) {}
+
+  // The contents of `file` (the overlay shadows the map), or null.
+  const std::string* Find(const std::string& file) const {
+    if (overlay_name_ != nullptr && file == *overlay_name_) {
+      return overlay_text_;
+    }
+    auto it = sources_->find(file);
+    return it == sources_->end() ? nullptr : &it->second;
+  }
+
+ private:
+  const SourceMap* sources_;
+  const std::string* overlay_name_ = nullptr;
+  const std::string* overlay_text_ = nullptr;
+};
+
 // One code per token kind, keyword and punctuator.
 enum class CTok : uint8_t {
   kIdent,    // text is the spelling
@@ -114,7 +139,7 @@ struct CToken {
 // file is lexed at most once per call). Errors go to diags. The tokens borrow
 // `sources`. When `files` is given, it receives the names CToken::file indexes, in
 // first-lexed order (`file` first).
-Result<std::vector<CToken>> LexC(const SourceMap& sources, const std::string& file,
+Result<std::vector<CToken>> LexC(const SourceView& sources, const std::string& file,
                                  Diagnostics& diags, std::vector<std::string>* files = nullptr);
 
 // Tokenizes a bare string (no includes possible); every token's file index is 0,

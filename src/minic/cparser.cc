@@ -1158,7 +1158,7 @@ class CParser {
 
 }  // namespace
 
-Result<TranslationUnit> ParseCFiles(const SourceMap& sources,
+Result<TranslationUnit> ParseCFiles(const SourceView& sources,
                                     const std::vector<std::string>& files,
                                     const std::string& unit_name, TypeTable& types,
                                     Diagnostics& diags) {
@@ -1178,7 +1178,7 @@ Result<TranslationUnit> ParseCFiles(const SourceMap& sources,
   return unit;
 }
 
-Result<TranslationUnit> ParseC(const SourceMap& sources, const std::string& file,
+Result<TranslationUnit> ParseC(const SourceView& sources, const std::string& file,
                                TypeTable& types, Diagnostics& diags) {
   return ParseCFiles(sources, {file}, file, types, diags);
 }

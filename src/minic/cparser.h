@@ -17,7 +17,7 @@
 namespace knit {
 
 // Parses `file` (resolving #include through `sources`) into a TranslationUnit.
-Result<TranslationUnit> ParseC(const SourceMap& sources, const std::string& file,
+Result<TranslationUnit> ParseC(const SourceView& sources, const std::string& file,
                                TypeTable& types, Diagnostics& diags);
 
 // Parses a bare string (used heavily by tests and by generated code).
@@ -26,7 +26,7 @@ Result<TranslationUnit> ParseCString(std::string_view source, const std::string&
 
 // Parses several files into ONE TranslationUnit (a Knit atomic unit may list several
 // .c files; they are compiled together as the unit's content).
-Result<TranslationUnit> ParseCFiles(const SourceMap& sources,
+Result<TranslationUnit> ParseCFiles(const SourceView& sources,
                                     const std::vector<std::string>& files,
                                     const std::string& unit_name, TypeTable& types,
                                     Diagnostics& diags);

@@ -3,8 +3,6 @@
 #include <map>
 #include <utility>
 
-#include "src/ld/link.h"
-
 namespace knit {
 namespace {
 
@@ -26,7 +24,9 @@ std::string RenderErrors(const Diagnostics& diags, const std::string& fallback) 
 }  // namespace
 
 ReconfigEngine::ReconfigEngine(KnitBuildResult& build, Machine& machine, SourceMap sources)
-    : build_(build), machine_(machine), sources_(std::move(sources)) {}
+    : build_(build), machine_(machine), sources_(std::move(sources)) {
+  ScanCodeSites(build_.image, 0, sites_);
+}
 
 SwapReport ReconfigEngine::Request(const SwapSpec& spec) {
   if (!machine_.ComponentQuiescent(spec.instance)) {
@@ -180,7 +180,7 @@ SwapReport ReconfigEngine::Execute(const SwapSpec& spec, int deferred_packets) {
   // resolves the imports against the running image; a failure leaves the image
   // untouched. From here on every mutation keeps the RUNNING code correct even
   // if the swap later aborts (the new generation is never made reachable).
-  Result<std::vector<uint8_t>> data = LinkAppend(image, object, data_address, diags);
+  Result<std::vector<uint8_t>> data = LinkAppend(image, object, data_address, sites_, diags);
   if (!data.ok()) {
     report.error = "replacement failed to link: " + RenderErrors(diags, "link error");
     return finish(report);
@@ -311,18 +311,11 @@ SwapReport ReconfigEngine::Execute(const SwapSpec& spec, int deferred_packets) {
   }
   // Stored function refs (address-of an export, dispatch tables in data) still
   // encode old-generation ids; repoint every one the image knows about.
-  for (BytecodeFunction& function : image.functions) {
-    for (Insn& insn : function.code) {
-      if (insn.op != Op::kConstInt) {
-        continue;
-      }
-      uint32_t value = static_cast<uint32_t>(insn.a);
-      if (IsFuncRef(value)) {
-        auto it = retargeted.find(DecodeFuncRef(value));
-        if (it != retargeted.end()) {
-          insn.a = static_cast<int32_t>(EncodeFuncRef(it->second));
-        }
-      }
+  for (const CodeSite& site : sites_.func_refs) {
+    Insn& insn = image.functions[site.function].code[site.pc];
+    auto it = retargeted.find(DecodeFuncRef(static_cast<uint32_t>(insn.a)));
+    if (it != retargeted.end()) {
+      insn.a = static_cast<int32_t>(EncodeFuncRef(it->second));
     }
   }
   for (uint32_t address : image.func_ref_data) {

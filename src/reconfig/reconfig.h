@@ -35,6 +35,14 @@
 // is ever needed), and appending functions shifts native callable ids — the
 // linker and the engine patch every stored native reference in the same growth
 // step, so the shift is never observable by running code.
+//
+// A swap costs in proportion to its replacement, not to the image: the engine
+// keeps an index of the code sites a growth step may rewrite (CodeSiteIndex:
+// native calls and funcref constants), built with one scan at construction and
+// extended by every append, and the machine resets only the branch predictions
+// that were made. Invariant: after the engine is constructed, only the engine
+// mutates the code of build.image — an outside edit would leave the index
+// stale, and a later swap would miss the edited site.
 #ifndef SRC_RECONFIG_RECONFIG_H_
 #define SRC_RECONFIG_RECONFIG_H_
 
@@ -42,6 +50,7 @@
 #include <vector>
 
 #include "src/driver/knitc.h"
+#include "src/ld/link.h"
 #include "src/vm/machine.h"
 
 namespace knit {
@@ -94,12 +103,17 @@ class ReconfigEngine {
   const std::vector<SwapReport>& reports() const { return reports_; }
   const SwapReport& last_report() const { return reports_.back(); }
 
+  // The engine's index of the image's rewritable code sites; always equal to a
+  // fresh ScanCodeSites of the whole image.
+  const CodeSiteIndex& code_sites() const { return sites_; }
+
  private:
   SwapReport Execute(const SwapSpec& spec, int deferred_packets);
 
   KnitBuildResult& build_;
   Machine& machine_;
   SourceMap sources_;
+  CodeSiteIndex sites_;
   int generation_ = 0;
 
   struct Pending {

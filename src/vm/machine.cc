@@ -553,7 +553,11 @@ void Machine::RecoverNestedTrap(size_t eval_depth) {
 std::string Machine::RefreshAfterImageGrowth() {
   // A swap retargets call sites; retire the indirect-branch predictions so the
   // first post-swap call at each site pays the miss, as real hardware would.
-  std::fill(btb_.begin(), btb_.end(), kNoPrediction);
+  // Only the sites that made a prediction hold one.
+  for (int site : btb_predicted_) {
+    btb_[static_cast<size_t>(site)] = kNoPrediction;
+  }
+  btb_predicted_.clear();
   std::string error = verify_error_;
   if (error.empty() && function_info_.size() < image_.functions.size()) {
     VerifyResult verified = VerifyImage(image_, function_info_.size());
@@ -653,6 +657,9 @@ bool Machine::ResolveTarget(int site, int callable, int32_t call_b) {
   if (predicted == callable) {
     cycles_ += cost_.indirect_predicted;
   } else {
+    if (predicted == kNoPrediction) {
+      btb_predicted_.push_back(site);
+    }
     predicted = callable;
     cycles_ += cost_.indirect_call_overhead;
   }

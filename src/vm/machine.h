@@ -316,8 +316,9 @@ class Machine {
   // Re-syncs machine state after the reconfig engine grew image().functions /
   // bindings in place: verifies only the appended functions, extends the
   // profiling attribution table for the new function ids (interning new
-  // component names) WITHOUT zeroing accumulated attribution, and drops BTB
-  // entries so stale indirect-call predictions can't reference retired targets.
+  // component names) WITHOUT zeroing accumulated attribution, and drops every
+  // BTB prediction so stale ones can't reference retired targets (the reset
+  // visits only the sites that predicted, not every instruction).
   // Returns the verifier's diagnostic when the appended functions are rejected
   // ("" otherwise); rejected functions stay in the image but never run — a call
   // into one traps. The code of already-verified functions may change only in
@@ -470,8 +471,10 @@ class Machine {
   uint64_t icache_line_start_ = uint64_t{1} << 63;
 
   // Branch target buffer for indirect and bound calls: call site (site_base + pc)
-  // -> last target.
+  // -> last target. btb_predicted_ lists each site whose entry left the empty
+  // state since the last RefreshAfterImageGrowth, the only entries it resets.
   std::vector<int> btb_;
+  std::vector<int> btb_predicted_;
 };
 
 }  // namespace knit

@@ -9,31 +9,19 @@
 #include <vector>
 
 #include "src/driver/pipeline.h"
+#include "tests/long_function.h"
 
 namespace knit {
 namespace {
 
-// One function of `n` lines `int v_i = v_{i-1} + v_{i-1};`.
-std::string LongFunction(int n) {
-  std::string source = "int run(int v_0) {\n";
-  for (int i = 1; i <= n; ++i) {
-    std::string prev = "v_" + std::to_string(i - 1);
-    source += "  int v_" + std::to_string(i) + " = " + prev + " + " + prev + ";\n";
-  }
-  return source + "  return v_" + std::to_string(n) + ";\n}\n";
-}
-
 // The compile-stage seconds of one -O0 build of `source` alone.
 double CompileSeconds(const std::string& source) {
   SourceMap sources = {{"long.c", source}};
-  const std::string knit =
-      "bundletype Main = { run }\n"
-      "unit Long = { exports [ main : Main ]; files { \"long.c\" }; }\n";
   KnitcOptions options;
   options.opt_level = 0;
   KnitPipeline pipeline(options);  // a fresh in-memory cache: every run compiles
   Diagnostics diags;
-  Result<LinkedImage> built = pipeline.Build(knit, sources, "Long", diags);
+  Result<LinkedImage> built = pipeline.Build(kLongKnit, sources, "Long", diags);
   EXPECT_TRUE(built.ok()) << diags.ToString();
   EXPECT_EQ(pipeline.metrics().CacheMisses(), 1);
   return pipeline.metrics().StageSeconds("compile");

@@ -9,20 +9,26 @@
 // elimination never strips a reachable symbol, and the optimized image is
 // bit-identical across --jobs values.
 //
-// A last section pins the emitted code itself (image fingerprints of the corpus
-// and of the seeded programs) and compiles a hostile input whose expression trees
-// grow exponentially.
+// A last section pins the emitted code itself (image fingerprints of the corpus,
+// of the seeded programs, of hot-swap replacement objects and of long
+// functions) and compiles a hostile input whose expression trees grow
+// exponentially.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <iterator>
 #include <random>
+#include <set>
 #include <string>
 
 #include "src/clack/corpus.h"
+#include "src/driver/build_cache.h"
 #include "src/driver/knitc.h"
 #include "src/driver/pipeline.h"
 #include "src/oskit/corpus.h"
+#include "src/support/hash.h"
 #include "src/vm/machine.h"
+#include "tests/long_function.h"
 #include "tests/testutil.h"
 
 namespace knit {
@@ -660,6 +666,109 @@ TEST(OptimizerRobustness, DoublingChainCompilesAndKeepsItsValue) {
     } else {
       EXPECT_EQ(values, expected) << "-O" << level;
     }
+  }
+}
+
+// ---- more code goldens -----------------------------------------------------------
+//
+// Recorded before the per-function optimizer was rebuilt for linear time
+// (allocation-free dependency sets, indexed forward tables, delta snapshots,
+// one shared flow analysis and a worklist peephole): the rebuild had to leave
+// every one of these bytes as it was.
+
+// FingerprintImage of the -O2 image of each ImagePassPropertyTest seed (1..12).
+constexpr uint64_t kImageSeedO2Goldens[] = {
+    0xeb24323c2cc6ee1cull, 0x8e34eda71a7a0f95ull, 0xaceeac6796132d22ull, 0xa8b506bce7fe79bcull,
+    0xd0005f746238c514ull, 0x56ca138937090406ull, 0x65d6bac8623e8bf6ull, 0xa86ef3b338639f19ull,
+    0x0b77a652725ed7e3ull, 0x5b22fc38533b7accull, 0x5a03c1f15c84cabeull, 0x43abd4b8282462adull,
+};
+
+TEST(OptimizerGoldens, ImagePassSeedO2CodeUnchanged) {
+  for (int seed = 1; seed <= 12; ++seed) {
+    GeneratedKnit config = GenerateKnit(static_cast<unsigned>(seed) * 2246822519u + 3);
+    KnitcOptions o2;
+    o2.opt_level = 2;
+    Diagnostics diags;
+    Result<KnitBuildResult> build = KnitBuild(config.knit, config.sources, "Top", o2, diags);
+    ASSERT_TRUE(build.ok()) << diags.ToString();
+    EXPECT_EQ(FingerprintImage(build.value().image), kImageSeedO2Goldens[seed - 1])
+        << "seed " << seed;
+  }
+}
+
+// HashBytes of the serialized CompileInstanceReplacement object ("__v1") of
+// every slotted instance of ClackRouter -O2 --swappable=*, in configuration
+// order: the optimizer is the bulk of a hot swap's compile.
+constexpr uint64_t kReplacementGoldens[] = {
+    0x57c651e15289e10eull, 0xe7a193c7c94a1235ull, 0x69c41558c3cf88e4ull, 0x4ac10053fd2d9440ull,
+    0x5a64f3bd4541d263ull, 0xb692abf54402cd31ull, 0x34cd87451dbfee3cull, 0x0d0f5be2896f821aull,
+    0x70f443b349c27098ull, 0xf33cec918c389542ull, 0x6d43ab49c6bc1db6ull, 0x3dbb783cfcd66cc4ull,
+    0xadeb4b7f041e5124ull, 0xc13f211143c486d5ull, 0x00690e78d932f3b5ull, 0x7822251255376fefull,
+    0xd6108e82014181eaull, 0x35510e98b19696cfull, 0x6378a69c51e3c630ull, 0xcd1a52a3c9546b80ull,
+    0x3678296781a9861eull, 0x51dfbcbe976cd36aull, 0x0c531bea56b94564ull, 0xe954c4a0c8bbc1beull,
+};
+
+TEST(OptimizerGoldens, SwapReplacementObjectsUnchanged) {
+  KnitcOptions options;
+  options.opt_level = 2;
+  options.swappable = {"*"};
+  Diagnostics diags;
+  Result<KnitBuildResult> build =
+      KnitBuild(ClackKnit(), ClackSources(), "ClackRouter", options, diags);
+  ASSERT_TRUE(build.ok()) << diags.ToString();
+  std::set<std::string> slotted;
+  for (const BindingSlot& slot : build.value().image.bindings) {
+    slotted.insert(slot.component);
+  }
+  size_t target = 0;
+  for (const Instance& instance : build.value().config.instances) {
+    if (slotted.count(instance.path) == 0 || instance.unit->files.empty()) {
+      continue;
+    }
+    const std::string& file = instance.unit->files[0];
+    Diagnostics compile_diags;
+    Result<ReplacementObject> replacement = CompileInstanceReplacement(
+        *build.value().elaboration, build.value().config, instance.path,
+        ClackSources().at(file), file, ClackSources(), "__v1", compile_diags);
+    ASSERT_TRUE(replacement.ok()) << instance.path << ": " << compile_diags.ToString();
+    ASSERT_LT(target, std::size(kReplacementGoldens)) << instance.path;
+    const std::string bytes = SerializeObjectFile(replacement.value().object);
+    EXPECT_EQ(HashBytes(bytes.data(), bytes.size()), kReplacementGoldens[target])
+        << "target " << target << ": " << instance.path;
+    ++target;
+  }
+  EXPECT_EQ(target, std::size(kReplacementGoldens));
+}
+
+struct LongGolden {
+  bool doubling;  // DoublingChainSource(n), else LongFunction(n)
+  int n;
+  int opt_level;
+  uint64_t fingerprint;
+};
+
+// FingerprintImage of long straight-line functions: the scaling tests' shape and
+// the exponential doubling chain.
+constexpr LongGolden kLongGoldens[] = {
+    {false, 500, 1, 0xdc54382ecf3c3750ull},  {false, 500, 2, 0x155f326e87a6a1ceull},
+    {false, 2000, 1, 0x122da48ea2b4f8a7ull}, {false, 2000, 2, 0x31a687320b374a5bull},
+    {true, 40, 1, 0x81ce6f46b828e3b8ull},     {true, 40, 2, 0x44c3df35d38915dfull},
+};
+
+TEST(OptimizerGoldens, LongFunctionImagesUnchanged) {
+  for (const LongGolden& golden : kLongGoldens) {
+    KnitcOptions options;
+    options.opt_level = golden.opt_level;
+    Diagnostics diags;
+    Result<KnitBuildResult> build =
+        golden.doubling
+            ? KnitBuild(kChainKnit, {{"chain.c", DoublingChainSource(golden.n)}}, "Doubling",
+                        options, diags)
+            : KnitBuild(kLongKnit, {{"long.c", LongFunction(golden.n)}}, "Long", options, diags);
+    ASSERT_TRUE(build.ok()) << diags.ToString();
+    EXPECT_EQ(FingerprintImage(build.value().image), golden.fingerprint)
+        << (golden.doubling ? "doubling chain" : "long function") << " n=" << golden.n << " -O"
+        << golden.opt_level;
   }
 }
 

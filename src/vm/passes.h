@@ -33,6 +33,7 @@
 #include "src/vm/codegen.h"
 #include "src/vm/image.h"
 #include "src/vm/machine.h"
+#include "src/vm/optimize.h"
 
 namespace knit {
 
@@ -86,10 +87,12 @@ class Pass {
 
 // A pass over one function of a relocatable object. Passes may read the whole
 // object (the inliner copies earlier callees) but only mutate the indexed
-// function.
+// function. `optimizer` is shared by the function passes of one RunOnObject;
+// a pass that edits code without it must call its Invalidate().
 class FunctionPass : public Pass {
  public:
-  virtual void Run(ObjectFile& object, int function_index, const CodegenOptions& options) = 0;
+  virtual void Run(ObjectFile& object, int function_index, const CodegenOptions& options,
+                   FunctionOptimizer& optimizer) = 0;
 };
 
 // A pass over a whole relocatable object, run after the function passes.

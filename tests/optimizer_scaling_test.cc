@@ -1,0 +1,72 @@
+// Optimizer scaling: at -O2 the per-function optimizer runs in the compile
+// stage (the object passes) and again in link-optimize (the image `simplify`
+// pass), and both must stay near-linear in the length of one function. When
+// value numbering scanned every live forward entry per load and store, one
+// function of 8,000 lines cost ~13x (compile) and ~16x (link-optimize) one of
+// 2,000 lines, where linear is 4x.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <string>
+#include <vector>
+
+#include "src/driver/pipeline.h"
+#include "tests/long_function.h"
+
+namespace knit {
+namespace {
+
+struct StageTimes {
+  double compile = 0;
+  double link_optimize = 0;
+};
+
+// The compile and link-optimize seconds of one -O2 build of `source` alone.
+StageTimes O2StageSeconds(const std::string& source) {
+  SourceMap sources = {{"long.c", source}};
+  KnitcOptions options;
+  options.opt_level = 2;
+  KnitPipeline pipeline(options);  // a fresh in-memory cache: every run compiles
+  Diagnostics diags;
+  Result<LinkedImage> built = pipeline.Build(kLongKnit, sources, "Long", diags);
+  EXPECT_TRUE(built.ok()) << diags.ToString();
+  EXPECT_EQ(pipeline.metrics().CacheMisses(), 1);
+  return StageTimes{pipeline.metrics().StageSeconds("compile"),
+                    pipeline.metrics().StageSeconds("link-optimize")};
+}
+
+double Median(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  return values[values.size() / 2];
+}
+
+TEST(OptimizerScaling, O2StagesAreNearLinearInFunctionLength) {
+  // Both sizes in one process, runs alternating between them, each side taking
+  // its median: host-speed drift and one-off stalls move neither side alone.
+  const std::string small_source = LongFunction(2000);
+  const std::string large_source = LongFunction(8000);
+  std::vector<double> small_compile, large_compile, small_link, large_link;
+  for (int run = 0; run < 5; ++run) {
+    StageTimes small = O2StageSeconds(small_source);
+    StageTimes large = O2StageSeconds(large_source);
+    small_compile.push_back(small.compile);
+    large_compile.push_back(large.compile);
+    small_link.push_back(small.link_optimize);
+    large_link.push_back(large.link_optimize);
+  }
+  const double compile_small = Median(small_compile);
+  const double compile_large = Median(large_compile);
+  const double link_small = Median(small_link);
+  const double link_large = Median(large_link);
+  ASSERT_GT(compile_small, 0.0);
+  ASSERT_GT(link_small, 0.0);
+  EXPECT_LE(compile_large / compile_small, 6.0)
+      << "compile: n=2000 " << compile_small * 1e3 << " ms, n=8000 " << compile_large * 1e3
+      << " ms";
+  EXPECT_LE(link_large / link_small, 6.0)
+      << "link-optimize: n=2000 " << link_small * 1e3 << " ms, n=8000 " << link_large * 1e3
+      << " ms";
+}
+
+}  // namespace
+}  // namespace knit

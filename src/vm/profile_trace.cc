@@ -396,8 +396,20 @@ class ProfileReader {
     return true;
   }
 
-  // Consumes any well-formed JSON value without keeping it.
+  // Consumes any well-formed JSON value without keeping it. Nesting is bounded
+  // (a recorded document nests four levels), so a hostile one cannot exhaust
+  // the stack.
   bool SkipValue() {
+    if (skip_depth_ == kMaxSkipDepth) {
+      return Fail("values nested more than " + std::to_string(kMaxSkipDepth) + " levels deep");
+    }
+    ++skip_depth_;
+    const bool ok = SkipAnyValue();
+    --skip_depth_;
+    return ok;
+  }
+
+  bool SkipAnyValue() {
     SkipWs();
     char c = Peek();
     if (c == '{') {
@@ -443,8 +455,11 @@ class ProfileReader {
     return false;
   }
 
+  static constexpr int kMaxSkipDepth = 64;
+
   std::string_view text_;
   size_t pos_ = 0;
+  int skip_depth_ = 0;
   std::string error_;
 };
 

@@ -7,17 +7,6 @@
 
 namespace knit {
 
-int Digraph::AddNode() {
-  successors_.emplace_back();
-  return static_cast<int>(successors_.size()) - 1;
-}
-
-void Digraph::Resize(size_t count) {
-  if (count > successors_.size()) {
-    successors_.resize(count);
-  }
-}
-
 void Digraph::AddEdge(int from, int to) {
   assert(from >= 0 && static_cast<size_t>(from) < successors_.size());
   assert(to >= 0 && static_cast<size_t>(to) < successors_.size());

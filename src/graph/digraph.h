@@ -15,19 +15,12 @@ class Digraph {
   Digraph() = default;
   explicit Digraph(size_t node_count) : successors_(node_count) {}
 
-  // Adds a node and returns its id.
-  int AddNode();
-
-  // Ensures ids [0, count) exist.
-  void Resize(size_t count);
-
   // Adds the edge from -> to. Duplicate edges are kept (harmless for our algorithms)
   // unless AddEdgeUnique is used.
   void AddEdge(int from, int to);
   void AddEdgeUnique(int from, int to);
 
   size_t node_count() const { return successors_.size(); }
-  const std::vector<int>& SuccessorsOf(int node) const { return successors_[node]; }
 
   bool HasEdge(int from, int to) const;
 

@@ -5,7 +5,7 @@ namespace knit {
 bool PacketQueue::Push(PacketRef item) {
   std::unique_lock<std::mutex> lock(mu_);
   can_push_.wait(lock, [this] {
-    return closed_ || capacity_ == 0 || items_.size() < capacity_;
+    return closed_ || items_.size() < capacity_;
   });
   if (closed_) {
     return false;
@@ -44,16 +44,6 @@ void PacketQueue::Close() {
   }
   can_push_.notify_all();
   can_pop_.notify_all();
-}
-
-bool PacketQueue::closed() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return closed_;
-}
-
-size_t PacketQueue::depth() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return items_.size();
 }
 
 size_t PacketQueue::max_depth() const {

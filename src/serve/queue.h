@@ -26,8 +26,7 @@ struct PacketRef {
 
 class PacketQueue {
  public:
-  // `capacity` == 0 means unbounded (the serving layer's pre-feed mode, used
-  // when the executor has fewer threads than queues).
+  // `capacity` >= 1: Push blocks while the queue holds that many items.
   explicit PacketQueue(size_t capacity) : capacity_(capacity) {}
 
   // Blocks while full. Returns false (and drops the packet) iff the queue was
@@ -43,8 +42,6 @@ class PacketQueue {
   // Idempotent. Wakes every blocked producer and consumer.
   void Close();
 
-  bool closed() const;
-  size_t depth() const;
   // High-water mark of the queue depth (reporting).
   size_t max_depth() const;
 

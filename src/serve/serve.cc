@@ -2,15 +2,14 @@
 
 #include <algorithm>
 #include <chrono>
-
-#include "src/clack/corpus.h"
-#include "src/support/mangle.h"
+#include <system_error>
+#include <thread>
 
 namespace knit {
 
 namespace {
 
-// Per-shard queue bound (backpressure toward the feeder) in streaming mode.
+// Per-shard queue bound (backpressure toward the feeder).
 constexpr size_t kQueueCapacity = 1024;
 
 // Exact per-component sum of shard profiles: every counter of the aggregate is
@@ -126,6 +125,7 @@ Result<std::unique_ptr<RouterFleet>> RouterFleet::FromBuild(
     auto shard = std::make_unique<Shard>();
     shard->index = i;
     shard->report.shard = i;
+    shard->queue = std::make_unique<PacketQueue>(kQueueCapacity);
     // The whole point of the fleet: one immutable linked image, N machines.
     shard->machine = std::make_unique<Machine>(fleet->build_->image, options.cost);
     if (options.fuel > 0) {
@@ -157,21 +157,6 @@ Result<std::unique_ptr<RouterFleet>> RouterFleet::FromBuild(
     fleet->shards_.push_back(std::move(shard));
   }
   return fleet;
-}
-
-Result<std::unique_ptr<RouterFleet>> RouterFleet::FromClack(const std::string& top_unit,
-                                                            const KnitcOptions& build_options,
-                                                            const ServeOptions& options,
-                                                            Diagnostics& diags) {
-  KnitPipeline pipeline(build_options);
-  Result<LinkedImage> built = pipeline.Build(ClackKnit(), ClackSources(), top_unit, diags);
-  if (!built.ok()) {
-    return Result<std::unique_ptr<RouterFleet>>::Failure();
-  }
-  auto build = std::make_shared<const KnitBuildResult>(
-      KnitBuildResultFrom(built.take(), pipeline.metrics()));
-  return FromBuild(build, RouterProgram::ClackEntryNames(*build), EnvSymbol("dev", "dev_tx"),
-                   options, diags);
 }
 
 void RouterFleet::FeedLoop(const std::vector<TracePacket>& trace) {
@@ -235,11 +220,6 @@ void RouterFleet::WorkerLoop(Shard& shard) {
     shard.report.stats = final_stats.take();
   } else {
     shard.failed = true;
-  }
-  // Drain protocol, step 3: the last worker out submits the aggregation task —
-  // aggregation is itself a task of the set, so Serve() just waits for the set.
-  if (remaining_.fetch_sub(1) == 1) {
-    task_set_->Submit([this] { Aggregate(); });
   }
 }
 
@@ -306,38 +286,31 @@ Result<ServeReport> RouterFleet::Serve(const std::vector<TracePacket>& trace,
   }
   served_ = true;
 
-  int jobs = options_.executor_jobs > 0 ? options_.executor_jobs : shards() + 1;
-  // Streaming needs a thread per shard worker plus one for the feed task:
-  // bounded queues block, and a blocked producer whose consumer never got a
-  // thread is a deadlock. With fewer threads, pre-feed: unbounded queues,
-  // sharded up front, closed before any worker runs.
-  bool streamed = jobs >= shards() + 1;
-  for (std::unique_ptr<Shard>& shard : shards_) {
-    shard->queue = std::make_unique<PacketQueue>(streamed ? kQueueCapacity : 0);
-  }
-
-  TaskSet tasks;
-  task_set_ = &tasks;
-  remaining_.store(shards(), std::memory_order_relaxed);
-  stop_.store(false, std::memory_order_relaxed);
-
-  if (streamed) {
-    tasks.Submit([this, &trace] { FeedLoop(trace); });
-  } else {
-    FeedLoop(trace);
-  }
-  for (std::unique_ptr<Shard>& shard : shards_) {
-    Shard* raw = shard.get();
-    tasks.Submit([this, raw] { WorkerLoop(*raw); });
-  }
-
-  Executor executor(jobs);
+  // One thread per shard, and the caller feeds. A feeder blocked on a full
+  // queue waits for that queue's worker, so every worker needs a thread of its
+  // own; a pool that may run tasks one after another could deadlock here.
   auto start = std::chrono::steady_clock::now();
-  int threads = executor.Run(tasks);
-  auto end = std::chrono::steady_clock::now();
-  task_set_ = nullptr;
+  std::vector<std::thread> workers;
+  workers.reserve(shards_.size());
+  try {
+    for (std::unique_ptr<Shard>& shard : shards_) {
+      workers.emplace_back([this, raw = shard.get()] { WorkerLoop(*raw); });
+    }
+  } catch (const std::system_error& error) {
+    // Out of threads: feed nothing, so the workers already started see closed,
+    // empty queues and return, and every started thread is joined below.
+    diags.Error(SourceLoc::Unknown(),
+                std::string("serve: cannot start a shard thread: ") + error.what());
+    stop_.store(true, std::memory_order_relaxed);
+  }
+  FeedLoop(trace);
+  // Drain protocol, step 3: once every worker has closed its session, the
+  // caller aggregates.
+  for (std::thread& worker : workers) {
+    worker.join();
+  }
 
-  bool failed = false;
+  bool failed = workers.size() < shards_.size();
   for (std::unique_ptr<Shard>& shard : shards_) {
     if (shard->failed) {
       failed = true;
@@ -347,12 +320,12 @@ Result<ServeReport> RouterFleet::Serve(const std::vector<TracePacket>& trace,
   if (failed) {
     return Result<ServeReport>::Failure();
   }
+  Aggregate();
+  auto end = std::chrono::steady_clock::now();
 
   report_.wall_seconds = std::chrono::duration<double>(end - start).count();
   report_.packets_per_second =
       report_.wall_seconds > 0 ? double(report_.total.packets) / report_.wall_seconds : 0;
-  report_.streamed = streamed;
-  report_.threads = threads;
   return report_;
 }
 

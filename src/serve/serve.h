@@ -1,6 +1,6 @@
 // Fleet-scale serving: N router images — one Machine per shard, all cloned
 // from ONE linked image — behind flow-hash sharding, bounded per-shard MPSC
-// queues, and batched dispatch on the work-pulling Executor.
+// queues, and batched dispatch, with one thread per shard.
 //
 // The paper's claim is that component composition is free at the boundary; the
 // serving layer stresses that it stays free at fleet scale, where the unit of
@@ -17,11 +17,11 @@
 //   * hash equivalence: the aggregate tx_hash — per-packet transmission
 //     digests folded in trace order (see src/clack/session.h) — is
 //     byte-identical to a single-machine RunTrace of the same trace;
-//   * graceful drain: Serve() closes the queues after the last packet, every
-//     worker drains what is left, snapshots, and the last one to finish
-//     submits the aggregation task. A shard failure closes its queue (so
-//     producers never block on a dead consumer), stops the feed, and surfaces
-//     the shard's diagnostics.
+//   * graceful drain: the calling thread feeds and then closes the queues,
+//     every worker drains what is left and snapshots, and the caller joins the
+//     workers and aggregates. A shard failure closes its queue (so the feeder
+//     never blocks on a dead consumer), stops the feed, and surfaces the
+//     shard's diagnostics.
 #ifndef SRC_SERVE_SERVE_H_
 #define SRC_SERVE_SERVE_H_
 
@@ -35,7 +35,6 @@
 #include "src/clack/harness.h"
 #include "src/serve/latency.h"
 #include "src/serve/queue.h"
-#include "src/support/executor.h"
 
 namespace knit {
 
@@ -46,13 +45,6 @@ struct ServeOptions {
   // wake-up and feeds them in one RouterSession::FeedBatch entry — one lock
   // acquisition and one entry-symbol resolution amortized over the batch.
   int batch = 32;
-
-  // Worker-pool width. 0 sizes it as shards + 1 (N shard workers + the feed
-  // task) — full streaming. Anything smaller switches the fleet to pre-feed
-  // mode: the queues become unbounded, the whole trace is sharded up front,
-  // and the workers run on however many threads there are (the "more shards
-  // than threads" case must degrade, never deadlock).
-  int executor_jobs = 0;
 
   // Attribute cycles/stalls to components on every shard; the aggregate
   // profile is the exact per-component sum across shards.
@@ -98,8 +90,6 @@ struct ServeReport {
 
   double wall_seconds = 0;        // host wall time of the serve run
   double packets_per_second = 0;  // host throughput (packets / wall_seconds)
-  bool streamed = true;           // false: pre-feed mode (see executor_jobs)
-  int threads = 0;                // executor threads used
 };
 
 class RouterFleet {
@@ -112,13 +102,6 @@ class RouterFleet {
       std::map<std::string, std::string> entry_names, const std::string& dev_native,
       const ServeOptions& options, Diagnostics& diags);
 
-  // Builds a Clack top unit through the staged pipeline, then FromBuild with
-  // the standard Clack entry map.
-  static Result<std::unique_ptr<RouterFleet>> FromClack(const std::string& top_unit,
-                                                        const KnitcOptions& build_options,
-                                                        const ServeOptions& options,
-                                                        Diagnostics& diags);
-
   // Flow identity hash: IPv4 packets hash (src, dst, protocol); everything
   // else hashes the Ethernet header and the input port. Deterministic, so a
   // flow lands on the same shard for the lifetime of the fleet.
@@ -127,8 +110,9 @@ class RouterFleet {
 
   int shards() const { return static_cast<int>(shards_.size()); }
 
-  // Serves the whole trace: feeds every packet to its flow's shard, drains,
-  // shuts down, and aggregates. One-shot — the sessions close on drain.
+  // Serves the whole trace: starts one worker thread per shard, feeds every
+  // packet to its flow's shard on the calling thread, closes the queues, joins
+  // the workers, and aggregates. One-shot — the sessions close on drain.
   Result<ServeReport> Serve(const std::vector<TracePacket>& trace, Diagnostics& diags);
 
  private:
@@ -155,9 +139,6 @@ class RouterFleet {
   std::vector<std::unique_ptr<Shard>> shards_;
   ServeReport report_;
   bool served_ = false;
-
-  TaskSet* task_set_ = nullptr;       // live only inside Serve()
-  std::atomic<int> remaining_{0};
   std::atomic<bool> stop_{false};
 };
 

@@ -8,55 +8,6 @@ namespace knit {
 
 Executor::Executor(int jobs) : jobs_(std::max(1, jobs)) {}
 
-void TaskSet::Submit(std::function<void()> task) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    pending_.push_back(std::move(task));
-    ++submitted_;
-  }
-  cv_.notify_one();
-}
-
-int Executor::Run(TaskSet& tasks) {
-  auto worker = [&tasks] {
-    std::unique_lock<std::mutex> lock(tasks.mu_);
-    for (;;) {
-      if (!tasks.pending_.empty()) {
-        std::function<void()> task = std::move(tasks.pending_.front());
-        tasks.pending_.pop_front();
-        ++tasks.active_;
-        lock.unlock();
-        task();
-        lock.lock();
-        --tasks.active_;
-        if (tasks.active_ == 0 && tasks.pending_.empty()) {
-          tasks.cv_.notify_all();  // wake idle workers so they can exit
-        }
-        continue;
-      }
-      if (tasks.active_ == 0) {
-        return;  // nothing pending, nothing running: the set is drained
-      }
-      tasks.cv_.wait(lock);
-    }
-  };
-
-  if (jobs_ <= 1) {
-    worker();
-    return 1;
-  }
-  std::vector<std::thread> pool;
-  pool.reserve(static_cast<size_t>(jobs_) - 1);
-  for (int i = 1; i < jobs_; ++i) {
-    pool.emplace_back(worker);
-  }
-  worker();  // the calling thread participates
-  for (std::thread& thread : pool) {
-    thread.join();
-  }
-  return jobs_;
-}
-
 int Executor::Run(const std::vector<std::function<void()>>& tasks) {
   int threads = std::min<int>(jobs_, static_cast<int>(tasks.size()));
   if (threads <= 1) {

@@ -4,41 +4,18 @@
 // stealing at whole-task granularity — and results are written into caller-owned,
 // per-task slots, so the *merge order* is decided by the caller and stays
 // deterministic regardless of how many threads ran or which thread ran what.
+//
+// Tasks must be independent: a thread runs its tasks one after another, so a
+// task that waits on another task's progress can deadlock. Work whose parts
+// block on each other, like the serving fleet's feeder and shard workers
+// (src/serve/serve.h), gets one thread per part instead.
 #ifndef SRC_SUPPORT_EXECUTOR_H_
 #define SRC_SUPPORT_EXECUTOR_H_
 
-#include <condition_variable>
-#include <deque>
 #include <functional>
-#include <mutex>
 #include <vector>
 
 namespace knit {
-
-class Executor;
-
-// A dynamic task set for Executor::Run(TaskSet&): unlike the fixed-vector Run,
-// tasks may be submitted while the set is running — including from inside a
-// running task. The serving layer's drain path relies on this: the feed task
-// streams packets while the shard workers (submitted to the same set) drain
-// their queues, and the last worker to finish submits the aggregation task.
-class TaskSet {
- public:
-  // Callable before Run (seeding) and from any thread while Run is in flight.
-  void Submit(std::function<void()> task);
-
-  // Tasks submitted so far (for reporting; racy while running).
-  size_t submitted() const { return submitted_; }
-
- private:
-  friend class Executor;
-
-  std::mutex mu_;
-  std::condition_variable cv_;
-  std::deque<std::function<void()>> pending_;
-  int active_ = 0;
-  size_t submitted_ = 0;
-};
 
 class Executor {
  public:
@@ -52,16 +29,6 @@ class Executor {
   // not throw; they communicate failure through their own result slots.
   // Returns the number of threads actually used (including the caller's).
   int Run(const std::vector<std::function<void()>>& tasks);
-
-  // Runs a dynamic task set to completion: returns once every task — including
-  // tasks submitted by running tasks — has finished and the set is empty.
-  // Always uses jobs() threads (the caller's plus jobs()-1 workers), because
-  // the final task count is unknowable up front. Tasks that block on each
-  // other (e.g. a bounded queue between a producer task and consumer tasks)
-  // must not be submitted in numbers exceeding jobs(), or the set can
-  // deadlock — the serving layer sizes its executor as shards + 1 for exactly
-  // this reason.
-  int Run(TaskSet& tasks);
 
  private:
   int jobs_;

@@ -58,19 +58,6 @@ std::string Number(double value) {
 
 }  // namespace
 
-void TraceEventLog::AddComplete(const std::string& name, const std::string& category,
-                                double start_us, double duration_us, int pid, int tid) {
-  TraceEvent event;
-  event.name = name;
-  event.category = category;
-  event.phase = 'X';
-  event.timestamp_us = start_us;
-  event.duration_us = duration_us;
-  event.pid = pid;
-  event.tid = tid;
-  Add(std::move(event));
-}
-
 void TraceEventLog::AddBegin(const std::string& name, const std::string& category,
                              double timestamp_us, int pid, int tid) {
   TraceEvent event;

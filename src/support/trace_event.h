@@ -45,8 +45,6 @@ class TraceEventLog {
   void Add(TraceEvent event) { events_.push_back(std::move(event)); }
 
   // Convenience appenders.
-  void AddComplete(const std::string& name, const std::string& category, double start_us,
-                   double duration_us, int pid = 1, int tid = 1);
   void AddBegin(const std::string& name, const std::string& category, double timestamp_us,
                 int pid = 1, int tid = 1);
   void AddEnd(double timestamp_us, int pid = 1, int tid = 1);

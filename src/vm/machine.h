@@ -224,7 +224,6 @@ class Machine {
   // Natives must not re-enter the Machine while profiling (none of the built-ins
   // do): a nested Call would double-attribute the nested cycles.
   void EnableProfiling(size_t max_events = 1 << 20);
-  void DisableProfiling() { profiling_ = false; }
   bool profiling() const { return profiling_; }
   // Zeroes the accumulated attribution and event log (e.g. after warmup/init, so
   // a measured window sums exactly to the counter deltas over that window).

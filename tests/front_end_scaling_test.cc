@@ -34,13 +34,15 @@ double Median(std::vector<double> values) {
 
 TEST(FrontEndScaling, CompileStageIsNearLinearInFunctionLength) {
   // Both sizes in one process, so a sanitizer or a slow host scales both
-  // sides; runs alternate between the sizes and each side takes its median, so
-  // host-speed drift and one-off stalls move neither side alone.
+  // sides; runs alternate between the sizes and each side takes its median of
+  // nine, so host-speed drift and one-off stalls move neither side alone. CTest
+  // runs this test alone (RUN_SERIAL), so parallel tests do not load the host
+  // under it.
   const std::string small_source = LongFunction(2000);
   const std::string large_source = LongFunction(8000);
   std::vector<double> small;
   std::vector<double> large;
-  for (int run = 0; run < 5; ++run) {
+  for (int run = 0; run < 9; ++run) {
     small.push_back(CompileSeconds(small_source));
     large.push_back(CompileSeconds(large_source));
   }

@@ -42,11 +42,13 @@ double Median(std::vector<double> values) {
 
 TEST(OptimizerScaling, O2StagesAreNearLinearInFunctionLength) {
   // Both sizes in one process, runs alternating between them, each side taking
-  // its median: host-speed drift and one-off stalls move neither side alone.
+  // its median of nine: host-speed drift and one-off stalls move neither side
+  // alone. CTest runs this test alone (RUN_SERIAL), so parallel tests do not
+  // load the host under it.
   const std::string small_source = LongFunction(2000);
   const std::string large_source = LongFunction(8000);
   std::vector<double> small_compile, large_compile, small_link, large_link;
-  for (int run = 0; run < 5; ++run) {
+  for (int run = 0; run < 9; ++run) {
     StageTimes small = O2StageSeconds(small_source);
     StageTimes large = O2StageSeconds(large_source);
     small_compile.push_back(small.compile);

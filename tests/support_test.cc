@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <thread>
 
 #include "src/support/diagnostics.h"
 #include "src/support/executor.h"
@@ -136,15 +135,11 @@ TEST(ResultType, ValueAndFailure) {
 TEST(Executor, ZeroTasksReturnsImmediately) {
   Executor executor(4);
   EXPECT_EQ(executor.Run(std::vector<std::function<void()>>{}), 1);
-  TaskSet empty;
-  // A drained-from-the-start set must terminate, not wait for work.
-  EXPECT_GE(executor.Run(empty), 1);
-  EXPECT_EQ(empty.submitted(), 0u);
 }
 
 TEST(Executor, MoreTasksThanThreadsAllRun) {
-  // The serving layer's "more shards than hardware threads" shape: far more
-  // tasks than jobs; every task must still run exactly once.
+  // The compile stage's shape, many units on few threads: far more tasks than
+  // jobs; every task must still run exactly once.
   const int kTasks = 64;
   Executor executor(2);
   std::vector<std::atomic<int>> ran(kTasks);
@@ -156,41 +151,6 @@ TEST(Executor, MoreTasksThanThreadsAllRun) {
   for (int i = 0; i < kTasks; ++i) {
     EXPECT_EQ(ran[static_cast<size_t>(i)].load(), 1) << "task " << i;
   }
-}
-
-TEST(Executor, TaskSetRunsTasksSubmittedByTasks) {
-  // The drain protocol's load-bearing property: a running task may Submit more
-  // work (the last shard worker submits the aggregation task), and Run only
-  // returns once everything — including transitively submitted tasks — ran.
-  Executor executor(4);
-  TaskSet tasks;
-  std::atomic<int> ran{0};
-  for (int i = 0; i < 8; ++i) {
-    tasks.Submit([&tasks, &ran] {
-      ran++;
-      tasks.Submit([&tasks, &ran] {
-        ran++;
-        tasks.Submit([&ran] { ran++; });
-      });
-    });
-  }
-  executor.Run(tasks);
-  EXPECT_EQ(ran.load(), 24);
-  EXPECT_EQ(tasks.submitted(), 24u);
-}
-
-TEST(Executor, TaskSetSingleThreadStillDrainsSubmissions) {
-  // jobs=1 runs the set inline on the caller; submissions from inside a task
-  // must still be picked up before Run returns.
-  Executor executor(1);
-  TaskSet tasks;
-  int ran = 0;
-  tasks.Submit([&tasks, &ran] {
-    ran++;
-    tasks.Submit([&ran] { ran++; });
-  });
-  EXPECT_EQ(executor.Run(tasks), 1);
-  EXPECT_EQ(ran, 2);
 }
 
 }  // namespace

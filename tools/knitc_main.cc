@@ -663,10 +663,8 @@ int ServeMain(const CliOptions& options) {
   std::printf("  latency p50 %lld  p99 %lld  mean %.1f cycles; %.1f cycles/packet\n",
               report.p50_cycles, report.p99_cycles, report.latency.Mean(),
               report.total.CyclesPerPacket());
-  std::printf("  tx %u packets, aggregate hash %016llx; %s mode, %d threads\n",
-              report.total.tx_count,
-              static_cast<unsigned long long>(report.total.tx_hash),
-              report.streamed ? "streaming" : "pre-feed", report.threads);
+  std::printf("  tx %u packets, aggregate hash %016llx\n", report.total.tx_count,
+              static_cast<unsigned long long>(report.total.tx_hash));
   if (serve.profile) {
     std::printf("fleet component profile (exact sums over %d shards):\n%s",
                 options.serve_shards, report.total.profile.ToText().c_str());
@@ -689,16 +687,13 @@ int ServeMain(const CliOptions& options) {
                   "  \"mean_cycles\": %.1f,\n"
                   "  \"cycles_per_packet\": %.1f,\n"
                   "  \"tx_count\": %u,\n"
-                  "  \"tx_hash\": \"%016llx\",\n"
-                  "  \"streamed\": %s,\n"
-                  "  \"threads\": %d\n"
+                  "  \"tx_hash\": \"%016llx\"\n"
                   "}\n",
                   options.top.c_str(), report.total.packets, options.serve_shards,
                   options.serve_batch, report.packets_per_second, report.p50_cycles,
                   report.p99_cycles, report.latency.Mean(), report.total.CyclesPerPacket(),
                   report.total.tx_count,
-                  static_cast<unsigned long long>(report.total.tx_hash),
-                  report.streamed ? "true" : "false", report.threads);
+                  static_cast<unsigned long long>(report.total.tx_hash));
     if (!WriteTextOutput(options.serve_json, buffer)) {
       return 1;
     }

@@ -81,14 +81,12 @@ std::string ComponentProfile::ToText(size_t max_edges) const {
 Machine::Machine(const Image& image, CostModel cost, uint32_t memory_bytes)
     : image_(image),
       cost_(cost),
-      memory_(memory_bytes, 0),
+      memory_(memory_bytes),
       max_insns_(cost.max_insns),
       icache_(cost.icache_bytes, cost.icache_line, cost.icache_ways) {
   assert(image.data_base >= kNullGuardBytes);
-  // Load the data image.
-  for (size_t i = 0; i < image.data.size(); ++i) {
-    memory_[image.data_base + i] = image.data[i];
-  }
+  // Load the data image; every other byte reads zero without being written.
+  std::copy(image.data.begin(), image.data.end(), memory_.data() + image.data_base);
   heap_end_ = image.data_base + static_cast<uint32_t>(image.data.size());
   heap_end_ = (heap_end_ + 0xFFF) & ~0xFFFu;  // page align
   stack_pointer_ = memory_bytes;
@@ -402,34 +400,34 @@ uint32_t Machine::ReadWord(uint32_t address) {
   if (!CheckRange(address, 4)) {
     return 0;
   }
-  return LoadWord(&memory_[address]);
+  return LoadWord(memory_.data() + address);
 }
 
 void Machine::WriteWord(uint32_t address, uint32_t value) {
   if (!CheckRange(address, 4)) {
     return;
   }
-  StoreWord(&memory_[address], value);
+  StoreWord(memory_.data() + address, value);
 }
 
 uint8_t Machine::ReadByte(uint32_t address) {
   if (!CheckRange(address, 1)) {
     return 0;
   }
-  return memory_[address];
+  return memory_.data()[address];
 }
 
 void Machine::WriteByte(uint32_t address, uint8_t value) {
   if (!CheckRange(address, 1)) {
     return;
   }
-  memory_[address] = value;
+  memory_.data()[address] = value;
 }
 
 void Machine::WriteBytes(uint32_t address, std::span<const uint8_t> bytes) {
   if (bytes.size() <= memory_.size() &&
       BytesAt(address, static_cast<uint32_t>(bytes.size())).size() == bytes.size()) {
-    std::copy(bytes.begin(), bytes.end(), memory_.begin() + address);
+    std::copy(bytes.begin(), bytes.end(), memory_.data() + address);
     return;
   }
   for (size_t i = 0; i < bytes.size(); ++i) {
@@ -624,11 +622,12 @@ bool Machine::EnterFunction(int function_id, int argc) {
   // frame's pad, and one past the whole frame is not written at all.
   const uint32_t* args = eval_.data() + (eval_top_ - static_cast<size_t>(argc));
   const int stored = std::min<int>(fixed, static_cast<int>(frame_bytes / 4));
+  uint8_t* const memory = memory_.data();
   for (int i = 0; i < stored; ++i) {
-    StoreWord(&memory_[frame.fp + static_cast<uint32_t>(i) * 4], args[i]);
+    StoreWord(memory + frame.fp + static_cast<uint32_t>(i) * 4, args[i]);
   }
   for (int i = 0; i < extras; ++i) {
-    StoreWord(&memory_[frame.vararg_base + static_cast<uint32_t>(i) * 4], args[fixed + i]);
+    StoreWord(memory + frame.vararg_base + static_cast<uint32_t>(i) * 4, args[fixed + i]);
   }
   eval_top_ -= static_cast<size_t>(argc);
   frame.eval_base = eval_top_;

@@ -32,6 +32,7 @@
 #include <string>
 #include <vector>
 
+#include "src/vm/data_memory.h"
 #include "src/vm/icache.h"
 #include "src/vm/image.h"
 
@@ -397,7 +398,7 @@ class Machine {
 
   const Image& image_;
   CostModel cost_;
-  std::vector<uint8_t> memory_;
+  DataMemory memory_;  // zero until first written (see data_memory.h)
   uint32_t heap_end_;
   uint32_t stack_pointer_;
 

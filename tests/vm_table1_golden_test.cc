@@ -85,6 +85,12 @@ void ExpectCounters(const Counters& got, const Counters& want, const std::string
   }
 }
 
+// Names the configuration in test listings, instead of gtest's byte dump of the
+// row, which carries the address of `top`.
+void PrintTo(const Row& row, std::ostream* os) {
+  *os << row.top << " -O" << row.opt_level;
+}
+
 class Table1Goldens : public testing::TestWithParam<Row> {};
 
 TEST_P(Table1Goldens, CountersAreBitIdentical) {

@@ -11,8 +11,8 @@
 //
 // A last section pins the emitted code itself (image fingerprints of the corpus,
 // of the seeded programs, of hot-swap replacement objects and of long
-// functions) and compiles a hostile input whose expression trees grow
-// exponentially.
+// functions) and the optimizer's per-pass rows, and compiles a hostile input
+// whose expression trees grow exponentially.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -770,6 +770,110 @@ TEST(OptimizerGoldens, LongFunctionImagesUnchanged) {
         << (golden.doubling ? "doubling chain" : "long function") << " n=" << golden.n << " -O"
         << golden.opt_level;
   }
+}
+
+// ---- pass-row goldens ------------------------------------------------------------
+//
+// Recorded before the pass-manager classes were replaced by two fixed pipelines:
+// the same passes must run in the same order on the same code.
+
+// Every PassStats row a build records, less its seconds, as "pass scope runs
+// insns_before insns_after" lines. knitbench's traced vm.pass.<name>.insns_removed
+// metrics are keyed by these row names.
+std::string PassRows(const std::vector<PassStats>& rows) {
+  std::string out;
+  for (const PassStats& row : rows) {
+    out += row.pass + " " + row.scope + " " + std::to_string(row.runs) + " " +
+           std::to_string(row.insns_before) + " " + std::to_string(row.insns_after) + "\n";
+  }
+  return out;
+}
+
+struct PassRowsGolden {
+  const char* top;
+  int opt_level;
+  const char* rows;
+};
+
+constexpr PassRowsGolden kPassRowsGoldens[] = {
+    {"ClackRouter", 1, R"(
+inline object 18 1023 1023
+simplify object 18 1023 1019
+lvn object 18 1019 1216
+jump-thread object 18 1216 1216
+peephole object 18 1216 984
+dce-local object 16 984 984
+)"},
+    {"ClackRouter", 2, R"(
+inline object 18 1023 1023
+simplify object 18 1023 1019
+lvn object 18 1019 1216
+jump-thread object 18 1216 1216
+peephole object 18 1216 984
+dce-local object 16 984 984
+devirt image 1 1802 1802
+cross-inline image 1 1802 6184
+dce-image image 1 6184 1870
+simplify image 1 1870 1585
+layout image 1 1585 1585
+)"},
+    {"WebKernel", 2, R"(
+inline object 30 1270 1570
+simplify object 30 1570 1553
+lvn object 30 1553 1720
+jump-thread object 30 1720 1711
+peephole object 30 1711 1461
+dce-local object 9 1461 1284
+devirt image 1 1511 1511
+cross-inline image 1 1511 2068
+dce-image image 1 2068 1699
+simplify image 1 1699 1540
+layout image 1 1540 1540
+)"},
+};
+
+// The rows of one profile-guided -O2 build of a generated configuration, so the
+// layout-pgo and outline-cold rows appear.
+constexpr const char* kPgoPassRowsGolden = R"(
+inline object 10 194 212
+simplify object 10 212 202
+lvn object 10 202 241
+jump-thread object 10 241 238
+peephole object 10 238 212
+dce-local object 5 212 182
+devirt image 1 387 387
+cross-inline image 1 387 579
+dce-image image 1 579 411
+simplify image 1 411 365
+layout-pgo image 1 365 365
+outline-cold image 1 365 365
+)";
+
+TEST(OptimizerGoldens, PassRowsUnchanged) {
+  for (const PassRowsGolden& golden : kPassRowsGoldens) {
+    const bool oskit = std::string(golden.top).rfind("Web", 0) == 0;
+    KnitcOptions options;
+    options.opt_level = golden.opt_level;
+    Diagnostics diags;
+    Result<KnitBuildResult> build =
+        KnitBuild(oskit ? OskitKnit() : ClackKnit(), oskit ? OskitSources() : ClackSources(),
+                  golden.top, options, diags);
+    ASSERT_TRUE(build.ok()) << golden.top << ": " << diags.ToString();
+    EXPECT_EQ("\n" + PassRows(build.value().stats.pass_stats), golden.rows)
+        << golden.top << " -O" << golden.opt_level;
+  }
+
+  GeneratedKnit config = GenerateKnit(5u * 2246822519u + 3);
+  std::string error;
+  std::shared_ptr<const LoadedProfile> profile = RecordProfile(config, &error);
+  ASSERT_NE(profile, nullptr) << error;
+  KnitcOptions pgo;
+  pgo.opt_level = 2;
+  pgo.profile = profile;
+  Diagnostics diags;
+  Result<KnitBuildResult> build = KnitBuild(config.knit, config.sources, "Top", pgo, diags);
+  ASSERT_TRUE(build.ok()) << diags.ToString();
+  EXPECT_EQ("\n" + PassRows(build.value().stats.pass_stats), kPgoPassRowsGolden);
 }
 
 }  // namespace

@@ -83,8 +83,6 @@ void HashFileClosure(const SourceMap& sources, const std::string& file,
 void HashCodegenOptions(const CodegenOptions& options, Fnv64& hasher) {
   hasher.Update(options.opt_level);
   hasher.Update(options.inline_limit);
-  hasher.Update(options.inline_single_call);
-  hasher.Update(options.single_call_limit);
   hasher.Update(options.caller_growth);
   hasher.Update(options.profile_digest);
 }
@@ -1396,11 +1394,10 @@ Result<OptimizedImage> KnitPipeline::LinkOptimize(const LinkedImage& linked, Dia
       return Result<OptimizedImage>::Failure();
     }
     // Profile-guided mode: a loaded profile whose recording context matches this
-    // build switches the pass list to the PGO pipeline (hottest-first inlining,
+    // build switches the image pipeline to PGO (hottest-first inlining,
     // affinity layout, cold outlining). A mismatched profile is dropped with a
     // warning — the build falls back to plain -O2, it never optimizes against
     // measurements taken from a different program.
-    bool profile_guided = false;
     if (options_.profile != nullptr && options_.opt_level >= 2) {
       ProfileMeta expected =
           MakeProfileMeta(linked.compiled.checked.scheduled.elaborated, options_.opt_level);
@@ -1418,12 +1415,10 @@ Result<OptimizedImage> KnitPipeline::LinkOptimize(const LinkedImage& linked, Dia
                           ", this build is -O" + std::to_string(expected.opt_level) +
                           "; ignoring it and running plain -O2");
       } else {
-        profile_guided = true;
         image_options.profile = &options_.profile->profile;
       }
     }
-    PassManager manager = MakeImagePassManager(profile_guided);
-    manager.RunOnImage(optimized.linked.image, image_options, &optimized.pass_stats);
+    OptimizeImage(optimized.linked.image, image_options, &optimized.pass_stats);
     metrics.items = static_cast<int>(optimized.linked.image.functions.size());
     MergePassStats(metrics_.pass_stats, optimized.pass_stats);
   }

@@ -24,12 +24,6 @@ struct CodegenOptions {
   // image passes (a pipeline-level decision; codegen itself treats 2 like 1).
   int opt_level = 1;
   int inline_limit = 48;     // max size for inlining a multiply-called function
-  bool inline_single_call = true;  // inline a local function called exactly once
-                                   // (the body is removed afterwards, so text never
-                                   // grows — what lets flattened builds both speed
-                                   // up and shrink, as in Table 1)
-  int single_call_limit = 8192;    // effectively unlimited; lower to keep big
-                                   // rarely-taken bodies out of the hot path
   int caller_growth = 32768; // stop inlining when a function reaches this many insns
 
   // Digest of the recorded profile steering this build (0 = no profile). Codegen
@@ -38,7 +32,7 @@ struct CodegenOptions {
   // never reuse a PGO'd artifact (see HashCodegenOptions in src/driver).
   uint64_t profile_digest = 0;
 
-  // When set, the optimizer's pass manager appends per-pass statistics here
+  // When set, the object pipeline appends per-pass statistics here
   // (not part of the cache key: stats are observation, not configuration).
   std::vector<PassStats>* pass_stats = nullptr;
 

@@ -1891,7 +1891,7 @@ class CallSiteCounts {
     Add(callee.code, 1);
   }
 
- private:
+  // Counts the references in `code` with `sign` +1, or takes them out with -1.
   void Add(const std::vector<Insn>& code, int sign) {
     for (const Insn& insn : code) {
       if (insn.op == Op::kCall) {
@@ -1902,6 +1902,7 @@ class CallSiteCounts {
     }
   }
 
+ private:
   void Count(int symbol_index, int weight) {
     const ObjSymbol& symbol = object_.symbols[symbol_index];
     if (symbol.section == ObjSymbol::Section::kText && symbol.index >= 0 &&
@@ -1990,11 +1991,16 @@ void SpliceCallee(BytecodeFunction& caller, size_t p, const BytecodeFunction& ca
   caller.code = std::move(out);
 }
 
-int InlineCalls(ObjectFile& object, int function_index, const CodegenOptions& options) {
+namespace {
+
+// Inlines direct calls to earlier-defined callees into `function_index`, within
+// the options' budgets, and returns the number of call sites inlined.
+// `call_sites` must count the object's code as it is; the callees are finished,
+// so `check` stays valid across the functions of one object.
+int InlineCalls(ObjectFile& object, int function_index, const CodegenOptions& options,
+                CallSiteCounts& call_sites, SpliceCheck& check) {
   int inlined = 0;
   bool progress = true;
-  CallSiteCounts call_sites(object);
-  SpliceCheck check(object.functions);  // the callees stay as they are
   while (progress &&
          static_cast<int>(object.functions[function_index].code.size()) <
              options.caller_growth) {
@@ -2016,9 +2022,8 @@ int InlineCalls(ObjectFile& object, int function_index, const CodegenOptions& op
       }
       bool small = options.inline_limit > 0 &&
                    static_cast<int>(callee.code.size()) <= options.inline_limit;
-      bool single = options.inline_single_call && !symbol.global &&
-                    call_sites[symbol.index] == 1 &&
-                    static_cast<int>(callee.code.size()) <= options.single_call_limit;
+      bool single = !symbol.global && call_sites[symbol.index] == 1 &&
+                    static_cast<int>(callee.code.size()) <= kSingleCallInlineLimit;
       if (!small && !single) {
         continue;
       }
@@ -2035,6 +2040,7 @@ int InlineCalls(ObjectFile& object, int function_index, const CodegenOptions& op
   return inlined;
 }
 
+// Removes local functions unreachable from any global text symbol or data reloc.
 void RemoveDeadLocalFunctions(ObjectFile& object) {
   std::set<int> live_functions;
   std::vector<int> work;
@@ -2087,9 +2093,39 @@ void RemoveDeadLocalFunctions(ObjectFile& object) {
   }
 }
 
+}  // namespace
+
 void OptimizeObject(ObjectFile& object, const CodegenOptions& options) {
-  PassManager manager = MakeObjectPassManager();
-  manager.RunOnObject(object, options, options.pass_stats);
+  std::vector<PassStats> rows;
+  for (const char* pass : {"inline", "simplify", "lvn", "jump-thread", "peephole", "dce-local"}) {
+    rows.push_back(PassStats{pass, "object"});
+  }
+  // Functions are the OUTER loop: every pass finishes function f before any
+  // pass touches f+1, so callees are fully optimized before later callers
+  // consider them for inlining (the per-TU defs-before-uses contract).
+  FunctionOptimizer optimizer;
+  CallSiteCounts call_sites(object);
+  SpliceCheck check(object.functions);
+  for (size_t f = 0; f < object.functions.size(); ++f) {
+    BytecodeFunction& function = object.functions[f];
+    auto insns = [&] { return static_cast<long long>(function.code.size()); };
+    RunPassRow(rows[0], insns, [&] {
+      if (InlineCalls(object, static_cast<int>(f), options, call_sites, check) > 0) {
+        optimizer.Invalidate();
+      }
+    });
+    call_sites.Add(function.code, -1);  // counted again once f is finished
+    RunPassRow(rows[1], insns, [&] { optimizer.SimplifyControlFlow(function); });
+    RunPassRow(rows[2], insns, [&] { optimizer.LocalValueNumber(function); });
+    RunPassRow(rows[3], insns, [&] { optimizer.ThreadJumpChains(function); });
+    RunPassRow(rows[4], insns, [&] { optimizer.PeepholeOptimize(function); });
+    call_sites.Add(function.code, 1);
+  }
+  RunPassRow(rows[5], [&] { return InsnCount(object.functions); },
+             [&] { RemoveDeadLocalFunctions(object); });
+  if (options.pass_stats != nullptr) {
+    MergePassStats(*options.pass_stats, rows);
+  }
 }
 
 }  // namespace knit

@@ -14,8 +14,8 @@
 //  * Dead local-function elimination (inlined-away statics shrink the text, which
 //    is why Table 1's flattened router is *smaller* than the modular one).
 //
-// The transforms are exposed as named building blocks; the pass manager
-// (src/vm/passes.h) composes them into the standard pipeline.
+// OptimizeObject runs them as the fixed object pipeline (src/vm/passes.h); the
+// -O2 image pipeline reuses the per-function optimizer and the splice.
 #ifndef SRC_VM_OPTIMIZE_H_
 #define SRC_VM_OPTIMIZE_H_
 
@@ -29,9 +29,15 @@ namespace knit {
 
 struct CodegenOptions;
 
-// Optimizes every function in the object in definition order, then removes dead
-// local functions. Delegates to MakeObjectPassManager(); kept as the single-call
-// entry point for codegen and targeted tests.
+// A function called exactly once (and whose address is never taken) is inlined
+// whole up to this many instructions — in effect always: the body is removed
+// afterwards, so text never grows, which is what lets flattened builds both
+// speed up and shrink, as in Table 1. Both inliners apply it.
+inline constexpr int kSingleCallInlineLimit = 8192;
+
+// The object pipeline: inline, simplify, lvn, jump-thread and peephole on every
+// function in definition order, then removal of dead local functions. Appends
+// one row per pass to `options.pass_stats` when it is set.
 void OptimizeObject(ObjectFile& object, const CodegenOptions& options);
 
 // The per-function optimizer: the transforms the object pipeline runs on every
@@ -69,15 +75,11 @@ class FunctionOptimizer {
   std::unique_ptr<Impl> impl_;
 };
 
-// Inlines direct calls to earlier-defined callees into `function_index`, within
-// the options' budgets. Returns the number of call sites inlined.
-int InlineCalls(ObjectFile& object, int function_index, const CodegenOptions& options);
-
-// The splice both inliners share (InlineCalls above and the image-scope
-// cross-inline pass). SpliceCheck::CanSplice: the call site `call` matches the
-// arity and return convention of `functions[callee]`, and no path of the
-// callee reaches a bare kRet (its splice would jump past the body without the
-// value the site expects). The bare-return walk runs once per callee; an
+// The splice both inliners share (the object pipeline's `inline` and the image
+// pipeline's `cross-inline`). SpliceCheck::CanSplice: the call site `call`
+// matches the arity and return convention of `functions[callee]`, and no path
+// of the callee reaches a bare kRet (its splice would jump past the body
+// without the value the site expects). The bare-return walk runs once per callee; an
 // inliner calls Changed(f) after splicing into f.
 class SpliceCheck {
  public:
@@ -96,9 +98,6 @@ class SpliceCheck {
 // and the caller's jumps over the site are retargeted. `callee` must not alias
 // `caller`.
 void SpliceCallee(BytecodeFunction& caller, size_t p, const BytecodeFunction& callee);
-
-// Removes local functions unreachable from any global text symbol or data reloc.
-void RemoveDeadLocalFunctions(ObjectFile& object);
 
 }  // namespace knit
 

@@ -1,7 +1,6 @@
 #include "src/vm/passes.h"
 
 #include <algorithm>
-#include <chrono>
 #include <limits>
 #include <map>
 #include <set>
@@ -12,76 +11,7 @@
 namespace knit {
 namespace {
 
-double SecondsSince(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-}
-
-long long ObjectInsnCount(const ObjectFile& object) {
-  long long total = 0;
-  for (const BytecodeFunction& function : object.functions) {
-    total += static_cast<long long>(function.code.size());
-  }
-  return total;
-}
-
-// ---- object-scope passes -----------------------------------------------------
-
-class InlineFunctionPass : public FunctionPass {
- public:
-  const char* name() const override { return "inline"; }
-  void Run(ObjectFile& object, int function_index, const CodegenOptions& options,
-           FunctionOptimizer& optimizer) override {
-    if (InlineCalls(object, function_index, options) > 0) {
-      optimizer.Invalidate();
-    }
-  }
-};
-
-class SimplifyFunctionPass : public FunctionPass {
- public:
-  const char* name() const override { return "simplify"; }
-  void Run(ObjectFile& object, int function_index, const CodegenOptions&,
-           FunctionOptimizer& optimizer) override {
-    optimizer.SimplifyControlFlow(object.functions[function_index]);
-  }
-};
-
-class LvnFunctionPass : public FunctionPass {
- public:
-  const char* name() const override { return "lvn"; }
-  void Run(ObjectFile& object, int function_index, const CodegenOptions&,
-           FunctionOptimizer& optimizer) override {
-    optimizer.LocalValueNumber(object.functions[function_index]);
-  }
-};
-
-class JumpThreadFunctionPass : public FunctionPass {
- public:
-  const char* name() const override { return "jump-thread"; }
-  void Run(ObjectFile& object, int function_index, const CodegenOptions&,
-           FunctionOptimizer& optimizer) override {
-    optimizer.ThreadJumpChains(object.functions[function_index]);
-  }
-};
-
-class PeepholeFunctionPass : public FunctionPass {
- public:
-  const char* name() const override { return "peephole"; }
-  void Run(ObjectFile& object, int function_index, const CodegenOptions&,
-           FunctionOptimizer& optimizer) override {
-    optimizer.PeepholeOptimize(object.functions[function_index]);
-  }
-};
-
-class DceLocalPass : public ObjectPass {
- public:
-  const char* name() const override { return "dce-local"; }
-  void Run(ObjectFile& object, const CodegenOptions&) override {
-    RemoveDeadLocalFunctions(object);
-  }
-};
-
-// ---- image-scope helpers -----------------------------------------------------
+// ---- helpers -----------------------------------------------------------------
 
 // Reads the little-endian word at an absolute data address (0 when out of range).
 uint32_t ReadDataWord(const Image& image, uint32_t address) {
@@ -257,57 +187,52 @@ long long CallSiteScore(const ProfileIndex& index, const std::string& caller_com
   return SaturatingMul(calls, std::max<long long>(1, callee_cycles));
 }
 
-// ---- image-scope passes ------------------------------------------------------
+// ---- passes ------------------------------------------------------------------
 
 // Rewrites `kConstInt(funcref); kCallIndirect` pairs into a direct kCall: the
 // target is known at link time, so the call needs neither the BTB nor the
 // indirect-call penalty, and downstream passes can inline it. The call insn must
 // not be a jump target (a jump landing there would take its target from the
 // stack, not from our constant).
-class DevirtualizePass : public ImagePass {
- public:
-  const char* name() const override { return "devirt"; }
-  void Run(Image& image, const ImagePassOptions& options) override {
-    int total_callables =
-        static_cast<int>(image.functions.size() + image.natives.size());
-    for (BytecodeFunction& function : image.functions) {
-      if (function.code.empty()) {
-        continue;
-      }
-      std::set<int> leaders;
-      for (const Insn& insn : function.code) {
-        if (IsJump(insn.op)) {
-          leaders.insert(insn.a);
-        }
-      }
-      for (size_t i = 0; i + 1 < function.code.size(); ++i) {
-        const Insn& cst = function.code[i];
-        const Insn& call = function.code[i + 1];
-        if (cst.op != Op::kConstInt || call.op != Op::kCallIndirect ||
-            leaders.count(static_cast<int>(i + 1)) > 0) {
-          continue;
-        }
-        uint32_t value = static_cast<uint32_t>(cst.a);
-        if (!IsFuncRef(value)) {
-          continue;
-        }
-        int callable = static_cast<int>(DecodeFuncRef(value));
-        if (callable < 0 || callable >= total_callables) {
-          continue;
-        }
-        if (callable < static_cast<int>(image.functions.size()) &&
-            options.swappable_components.count(image.functions[callable].component) > 0) {
-          // The target belongs to a hot-swappable instance: baking a direct
-          // call would survive a swap and keep invoking the retired code. The
-          // indirect form re-reads the (rewritten) function ref every call.
-          continue;
-        }
-        function.code[i] = Insn{Op::kNop, 0, 0};
-        function.code[i + 1] = Insn{Op::kCall, callable, call.b};
+void Devirtualize(Image& image, const ImagePassOptions& options) {
+  int total_callables = static_cast<int>(image.functions.size() + image.natives.size());
+  for (BytecodeFunction& function : image.functions) {
+    if (function.code.empty()) {
+      continue;
+    }
+    std::set<int> leaders;
+    for (const Insn& insn : function.code) {
+      if (IsJump(insn.op)) {
+        leaders.insert(insn.a);
       }
     }
+    for (size_t i = 0; i + 1 < function.code.size(); ++i) {
+      const Insn& cst = function.code[i];
+      const Insn& call = function.code[i + 1];
+      if (cst.op != Op::kConstInt || call.op != Op::kCallIndirect ||
+          leaders.count(static_cast<int>(i + 1)) > 0) {
+        continue;
+      }
+      uint32_t value = static_cast<uint32_t>(cst.a);
+      if (!IsFuncRef(value)) {
+        continue;
+      }
+      int callable = static_cast<int>(DecodeFuncRef(value));
+      if (callable < 0 || callable >= total_callables) {
+        continue;
+      }
+      if (callable < static_cast<int>(image.functions.size()) &&
+          options.swappable_components.count(image.functions[callable].component) > 0) {
+        // The target belongs to a hot-swappable instance: baking a direct
+        // call would survive a swap and keep invoking the retired code. The
+        // indirect form re-reads the (rewritten) function ref every call.
+        continue;
+      }
+      function.code[i] = Insn{Op::kNop, 0, 0};
+      function.code[i + 1] = Insn{Op::kCall, callable, call.b};
+    }
   }
-};
+}
 
 // Cross-object inlining through resolved bindings: after ld, every direct call
 // names its callee by image id, so the per-TU defs-before-uses restriction
@@ -315,116 +240,108 @@ class DevirtualizePass : public ImagePass {
 // Inlined code keeps executing inside the caller's frame, so the profiler
 // attributes it to the caller's component — exactly how flatten groups already
 // collapse, and why the boundary-call counter sees these edges vanish.
-class CrossInlinePass : public ImagePass {
- public:
-  const char* name() const override { return "cross-inline"; }
-
-  void Run(Image& image, const ImagePassOptions& options) override {
-    std::set<int> roots = EntryRoots(image, options);
-    ProfileIndex index;
-    const ProfileIndex* hot = nullptr;
-    if (options.profile != nullptr) {
-      index = BuildProfileIndex(*options.profile);
-      hot = &index;
-    }
-    // Without a profile, callers are processed in symbol (id) order. With one,
-    // Callers are walked in symbol order either way — processing a callee
-    // before its callers lets it absorb its own callees first, so a later
-    // inline of it carries the whole subtree. The profile changes which SITE
-    // each rescan round picks (hottest recorded edge instead of first-found)
-    // and how much budget a hot site may spend; see EligibleCallee/InlineInto.
-    ImageRefs refs(image);
-    SpliceCheck check(image.functions);
-    for (size_t f = 0; f < image.functions.size(); ++f) {
-      InlineInto(image, static_cast<int>(f), options, roots, hot, refs, check);
-    }
+// The eligible callee at call site `call` of `function_index`, or -1. With a
+// profile, sites on recorded-hot boundary edges earn twice the size budget: the
+// recording proves the call executes per packet, so trading text for a removed
+// boundary call is the bet PGO exists to make.
+int EligibleCallee(const Image& image, int function_index, const Insn& call,
+                   const ImageRefs& refs, const std::set<int>& roots,
+                   const ImagePassOptions& options, const ProfileIndex* hot, SpliceCheck& check) {
+  if (call.op != Op::kCall) {
+    return -1;
   }
-
- private:
-  // The eligible callee at call site `call` of `function_index`, or -1. With a
-  // profile, sites on recorded-hot boundary edges earn twice the size budget:
-  // the recording proves the call executes per packet, so trading text for a
-  // removed boundary call is the bet PGO exists to make.
-  static int EligibleCallee(const Image& image, int function_index, const Insn& call,
-                            const ImageRefs& refs, const std::set<int>& roots,
-                            const ImagePassOptions& options, const ProfileIndex* hot,
-                            SpliceCheck& check) {
-    if (call.op != Op::kCall) {
-      return -1;
-    }
-    int callee_id = call.a;
-    if (callee_id < 0 || callee_id >= static_cast<int>(image.functions.size()) ||
-        callee_id == function_index) {
-      return -1;  // native, unresolved, or self-recursive
-    }
-    const BytecodeFunction& callee = image.functions[callee_id];
-    if (callee.variadic || callee.code.empty()) {
-      return -1;
-    }
-    int inline_limit = options.inline_limit;
-    if (hot != nullptr &&
-        CallSiteScore(*hot, image.functions[function_index].component, callee.component) > 0) {
-      inline_limit *= 2;
-    }
-    bool small = inline_limit > 0 && static_cast<int>(callee.code.size()) <= inline_limit;
-    // A function called exactly once anywhere in the image inlines whole —
-    // unless it is an entry point (the host calls it by name, so the body
-    // must survive) or its address escapes (refs weighting).
-    bool single = options.inline_single_call && refs[callee_id] == 1 &&
-                  roots.count(callee_id) == 0 &&
-                  static_cast<int>(callee.code.size()) <= options.single_call_limit;
-    if (!small && !single) {
-      return -1;
-    }
-    return check.CanSplice(call, callee_id) ? callee_id : -1;
+  int callee_id = call.a;
+  if (callee_id < 0 || callee_id >= static_cast<int>(image.functions.size()) ||
+      callee_id == function_index) {
+    return -1;  // native, unresolved, or self-recursive
   }
+  const BytecodeFunction& callee = image.functions[callee_id];
+  if (callee.variadic || callee.code.empty()) {
+    return -1;
+  }
+  int inline_limit = options.inline_limit;
+  if (hot != nullptr &&
+      CallSiteScore(*hot, image.functions[function_index].component, callee.component) > 0) {
+    inline_limit *= 2;
+  }
+  bool small = inline_limit > 0 && static_cast<int>(callee.code.size()) <= inline_limit;
+  // A function called exactly once anywhere in the image inlines whole —
+  // unless it is an entry point (the host calls it by name, so the body must
+  // survive) or its address escapes (refs weighting).
+  bool single = refs[callee_id] == 1 && roots.count(callee_id) == 0 &&
+                static_cast<int>(callee.code.size()) <= kSingleCallInlineLimit;
+  if (!small && !single) {
+    return -1;
+  }
+  return check.CanSplice(call, callee_id) ? callee_id : -1;
+}
 
-  static void InlineInto(Image& image, int function_index, const ImagePassOptions& options,
-                         const std::set<int>& roots, const ProfileIndex* hot, ImageRefs& refs,
-                         SpliceCheck& check) {
-    bool progress = true;
-    while (progress && static_cast<int>(image.functions[function_index].code.size()) <
-                           options.caller_growth) {
-      progress = false;
-      BytecodeFunction& caller = image.functions[function_index];
-      // Pick the call site to inline this round: without a profile, the first
-      // eligible one (symbol order — the historical behavior, bit for bit);
-      // with one, the hottest eligible one (recorded edge calls × callee
-      // component cycles; ties fall back to the lowest pc, keeping the choice
-      // deterministic for any profile).
-      size_t best_site = caller.code.size();
-      int best_callee = -1;
-      long long best_score = -1;
-      for (size_t p = 0; p < caller.code.size(); ++p) {
-        int callee_id = EligibleCallee(image, function_index, caller.code[p], refs, roots, options,
-                                       hot, check);
-        if (callee_id < 0) {
-          continue;
-        }
-        if (hot == nullptr) {
-          best_site = p;
-          best_callee = callee_id;
-          break;
-        }
-        long long score =
-            CallSiteScore(*hot, caller.component, image.functions[callee_id].component);
-        if (score > best_score) {
-          best_score = score;
-          best_site = p;
-          best_callee = callee_id;
-        }
+void InlineInto(Image& image, int function_index, const ImagePassOptions& options,
+                const std::set<int>& roots, const ProfileIndex* hot, ImageRefs& refs,
+                SpliceCheck& check) {
+  bool progress = true;
+  while (progress &&
+         static_cast<int>(image.functions[function_index].code.size()) < options.caller_growth) {
+    progress = false;
+    BytecodeFunction& caller = image.functions[function_index];
+    // Pick the call site to inline this round: without a profile, the first
+    // eligible one (symbol order — the historical behavior, bit for bit); with
+    // one, the hottest eligible one (recorded edge calls × callee component
+    // cycles; ties fall back to the lowest pc, keeping the choice deterministic
+    // for any profile).
+    size_t best_site = caller.code.size();
+    int best_callee = -1;
+    long long best_score = -1;
+    for (size_t p = 0; p < caller.code.size(); ++p) {
+      int callee_id =
+          EligibleCallee(image, function_index, caller.code[p], refs, roots, options, hot, check);
+      if (callee_id < 0) {
+        continue;
       }
-      if (best_callee < 0) {
-        break;  // nothing left to inline into this caller
+      if (hot == nullptr) {
+        best_site = p;
+        best_callee = callee_id;
+        break;
       }
-      const Insn call = caller.code[best_site];
-      SpliceCallee(caller, best_site, image.functions[best_callee]);
-      refs.Spliced(call, image.functions[best_callee]);
-      check.Changed(function_index);
-      progress = true;  // indices changed; rescan
+      long long score =
+          CallSiteScore(*hot, caller.component, image.functions[callee_id].component);
+      if (score > best_score) {
+        best_score = score;
+        best_site = p;
+        best_callee = callee_id;
+      }
     }
+    if (best_callee < 0) {
+      break;  // nothing left to inline into this caller
+    }
+    const Insn call = caller.code[best_site];
+    SpliceCallee(caller, best_site, image.functions[best_callee]);
+    refs.Spliced(call, image.functions[best_callee]);
+    check.Changed(function_index);
+    progress = true;  // indices changed; rescan
   }
-};
+}
+
+// Cross-object inlining through resolved bindings: after ld, every direct call
+// names its callee by image id, so the per-TU defs-before-uses restriction
+// disappears and calls across former unit boundaries inline like local ones.
+// Inlined code keeps executing inside the caller's frame, so the profiler
+// attributes it to the caller's component — exactly how flatten groups already
+// collapse, and why the boundary-call counter sees these edges vanish.
+//
+// Callers are walked in symbol (id) order with or without a profile (`hot`):
+// processing a callee before its callers lets it absorb its own callees first,
+// so a later inline of it carries the whole subtree. The profile changes which
+// SITE each rescan round picks (hottest recorded edge instead of first-found)
+// and how much budget a hot site may spend; see EligibleCallee/InlineInto.
+void CrossInline(Image& image, const ImagePassOptions& options, const ProfileIndex* hot) {
+  std::set<int> roots = EntryRoots(image, options);
+  ImageRefs refs(image);
+  SpliceCheck check(image.functions);
+  for (size_t f = 0; f < image.functions.size(); ++f) {
+    InlineInto(image, static_cast<int>(f), options, roots, hot, refs, check);
+  }
+}
 
 // Global dead-function / dead-export elimination. Liveness is reachability from
 // the entry points plus every function whose ref is stored in data (the linker
@@ -434,89 +351,76 @@ class CrossInlinePass : public ImagePass {
 // functions are stubbed — code cleared, id and name kept — so no call target or
 // stored ref ever needs remapping; their global symbols leave the symbol table,
 // which is the dead-*export* half.
-class ImageDcePass : public ImagePass {
- public:
-  const char* name() const override { return "dce-image"; }
-
-  void Run(Image& image, const ImagePassOptions& options) override {
-    size_t count = image.functions.size();
-    std::vector<char> live(count, 0);
-    std::vector<int> work;
-    auto mark = [&](int id) {
-      if (id >= 0 && id < static_cast<int>(count) && !live[id]) {
-        live[id] = 1;
-        work.push_back(id);
-      }
-    };
-    for (int id : EntryRoots(image, options)) {
-      mark(id);
+void EliminateDeadFunctions(Image& image, const ImagePassOptions& options) {
+  size_t count = image.functions.size();
+  std::vector<char> live(count, 0);
+  std::vector<int> work;
+  auto mark = [&](int id) {
+    if (id >= 0 && id < static_cast<int>(count) && !live[id]) {
+      live[id] = 1;
+      work.push_back(id);
     }
-    for (uint32_t address : image.func_ref_data) {
-      mark(FuncRefTarget(image, ReadDataWord(image, address)));
-    }
-    // Binding-slot targets are rebindable entry points: the reconfig engine may
-    // point a slot back at them at any time, so they are roots unconditionally.
-    for (const BindingSlot& slot : image.bindings) {
-      mark(slot.target);
-    }
-    while (!work.empty()) {
-      int f = work.back();
-      work.pop_back();
-      for (const Insn& insn : image.functions[f].code) {
-        if (insn.op == Op::kCall) {
-          mark(insn.a);
-        } else if (insn.op == Op::kCallBound) {
-          if (insn.a >= 0 && insn.a < static_cast<int>(image.bindings.size())) {
-            mark(image.bindings[insn.a].target);
-          }
-        } else if (insn.op == Op::kConstInt) {
-          mark(FuncRefTarget(image, static_cast<uint32_t>(insn.a)));
+  };
+  for (int id : EntryRoots(image, options)) {
+    mark(id);
+  }
+  for (uint32_t address : image.func_ref_data) {
+    mark(FuncRefTarget(image, ReadDataWord(image, address)));
+  }
+  // Binding-slot targets are rebindable entry points: the reconfig engine may
+  // point a slot back at them at any time, so they are roots unconditionally.
+  for (const BindingSlot& slot : image.bindings) {
+    mark(slot.target);
+  }
+  while (!work.empty()) {
+    int f = work.back();
+    work.pop_back();
+    for (const Insn& insn : image.functions[f].code) {
+      if (insn.op == Op::kCall) {
+        mark(insn.a);
+      } else if (insn.op == Op::kCallBound) {
+        if (insn.a >= 0 && insn.a < static_cast<int>(image.bindings.size())) {
+          mark(image.bindings[insn.a].target);
         }
+      } else if (insn.op == Op::kConstInt) {
+        mark(FuncRefTarget(image, static_cast<uint32_t>(insn.a)));
       }
-    }
-    for (size_t f = 0; f < count; ++f) {
-      if (!live[f]) {
-        image.functions[f].code.clear();
-        image.functions[f].frame_size = 0;
-      }
-    }
-    for (auto it = image.function_symbols.begin(); it != image.function_symbols.end();) {
-      bool dead = it->second >= 0 && it->second < static_cast<int>(count) && !live[it->second];
-      it = dead ? image.function_symbols.erase(it) : std::next(it);
     }
   }
-};
+  for (size_t f = 0; f < count; ++f) {
+    if (!live[f]) {
+      image.functions[f].code.clear();
+      image.functions[f].frame_size = 0;
+    }
+  }
+  for (auto it = image.function_symbols.begin(); it != image.function_symbols.end();) {
+    bool dead = it->second >= 0 && it->second < static_cast<int>(count) && !live[it->second];
+    it = dead ? image.function_symbols.erase(it) : std::next(it);
+  }
+}
 
 // Re-runs the per-function optimizer over every live function: cross-inlining
 // exposes the same store/load and value-numbering slack that per-TU inlining
 // does, and devirtualized constants fold away.
-class ImageSimplifyPass : public ImagePass {
- public:
-  const char* name() const override { return "simplify"; }
-  void Run(Image& image, const ImagePassOptions&) override {
-    FunctionOptimizer optimizer;
-    for (BytecodeFunction& function : image.functions) {
-      if (!function.code.empty()) {
-        optimizer.Optimize(function);
-      }
+void SimplifyFunctions(Image& image) {
+  FunctionOptimizer optimizer;
+  for (BytecodeFunction& function : image.functions) {
+    if (!function.code.empty()) {
+      optimizer.Optimize(function);
     }
   }
-};
+}
 
 // Re-places the text segment after code shrank with the linker's PlaceText, so
 // images remain deterministic and the I-cache simulator sees the denser
 // footprint (the paper's flattened-is-smaller effect).
-class ImageLayoutPass : public ImagePass {
- public:
-  const char* name() const override { return "layout"; }
-  void Run(Image& image, const ImagePassOptions&) override {
-    int text_cursor = 0;
-    for (BytecodeFunction& function : image.functions) {
-      text_cursor = PlaceText(function, text_cursor);
-    }
-    image.text_bytes = text_cursor;
+void LayOutText(Image& image) {
+  int text_cursor = 0;
+  for (BytecodeFunction& function : image.functions) {
+    text_cursor = PlaceText(function, text_cursor);
   }
-};
+  image.text_bytes = text_cursor;
+}
 
 // Profile-guided text placement: component groups are ordered by hot-path
 // affinity instead of symbol order, so functions that call each other on the
@@ -525,138 +429,126 @@ class ImageLayoutPass : public ImagePass {
 // chains hottest-first; components the profile never saw go last. Only
 // text_offset/text_bytes change — the machine addresses the I-cache by
 // text_offset, so RunResult values are untouched by construction.
-class PgoLayoutPass : public ImagePass {
- public:
-  const char* name() const override { return "layout-pgo"; }
-
-  void Run(Image& image, const ImagePassOptions& options) override {
-    if (options.profile == nullptr) {
-      // No profile — identical placement to the plain layout pass.
-      ImageLayoutPass().Run(image, options);
-      return;
+void LayOutTextByAffinity(Image& image, const ProfileIndex& index) {
+  // Component -> member function ids, id order within each component. Track
+  // first-seen (minimum) id per component for the cold-tail ordering.
+  std::map<std::string, std::vector<int>> members;
+  std::vector<std::string> discovery;  // components by minimum function id
+  for (size_t f = 0; f < image.functions.size(); ++f) {
+    const std::string& comp = NormalizeComponent(image.functions[f].component);
+    auto [it, inserted] = members.emplace(comp, std::vector<int>{});
+    if (inserted) {
+      discovery.push_back(comp);
     }
-    ProfileIndex index = BuildProfileIndex(*options.profile);
-
-    // Component -> member function ids, id order within each component. Track
-    // first-seen (minimum) id per component for the cold-tail ordering.
-    std::map<std::string, std::vector<int>> members;
-    std::vector<std::string> discovery;  // components by minimum function id
-    for (size_t f = 0; f < image.functions.size(); ++f) {
-      const std::string& comp = NormalizeComponent(image.functions[f].component);
-      auto [it, inserted] = members.emplace(comp, std::vector<int>{});
-      if (inserted) {
-        discovery.push_back(comp);
-      }
-      it->second.push_back(static_cast<int>(f));
-    }
-
-    // Chains over the hot components (recorded cycles > 0). Each starts alone;
-    // edges merge them heaviest-first.
-    std::map<std::string, int> chain_of;  // hot component -> chain index
-    std::vector<std::vector<std::string>> chains;
-    for (const std::string& comp : discovery) {
-      if (ComponentCyclesOf(index, comp) > 0 && members.count(comp) != 0) {
-        chain_of[comp] = static_cast<int>(chains.size());
-        chains.push_back({comp});
-      }
-    }
-    struct Edge {
-      std::string caller;
-      std::string callee;
-      long long calls;
-    };
-    std::vector<Edge> edges;
-    for (const auto& [pair, calls] : index.edge_calls) {
-      if (calls > 0 && chain_of.count(pair.first) != 0 && chain_of.count(pair.second) != 0) {
-        edges.push_back(Edge{pair.first, pair.second, calls});
-      }
-    }
-    std::sort(edges.begin(), edges.end(), [](const Edge& a, const Edge& b) {
-      if (a.calls != b.calls) {
-        return a.calls > b.calls;
-      }
-      if (a.caller != b.caller) {
-        return a.caller < b.caller;
-      }
-      return a.callee < b.callee;
-    });
-    for (const Edge& edge : edges) {
-      int a = chain_of[edge.caller];
-      int b = chain_of[edge.callee];
-      if (a == b) {
-        continue;
-      }
-      // Join so the edge's endpoints actually touch: the caller wants to be the
-      // tail of its chain and the callee the head of its — a chain whose hot
-      // member sits at the wrong end is reversed (the classic Pettis–Hansen
-      // move). Endpoints buried mid-chain were already placed by a hotter edge
-      // and stay put.
-      if (chains[a].front() == edge.caller && chains[a].size() > 1) {
-        std::reverse(chains[a].begin(), chains[a].end());
-      }
-      if (chains[b].back() == edge.callee && chains[b].size() > 1) {
-        std::reverse(chains[b].begin(), chains[b].end());
-      }
-      for (const std::string& comp : chains[b]) {
-        chain_of[comp] = a;
-      }
-      chains[a].insert(chains[a].end(), chains[b].begin(), chains[b].end());
-      chains[b].clear();
-    }
-
-    // Hottest chain first; within a chain the merge order already strings hot
-    // callers next to their callees.
-    std::vector<int> live_chains;
-    for (size_t c = 0; c < chains.size(); ++c) {
-      if (!chains[c].empty()) {
-        live_chains.push_back(static_cast<int>(c));
-      }
-    }
-    std::stable_sort(live_chains.begin(), live_chains.end(), [&](int a, int b) {
-      long long ca = 0;
-      long long cb = 0;
-      for (const std::string& comp : chains[a]) {
-        ca = SaturatingAdd(ca, ComponentCyclesOf(index, comp));
-      }
-      for (const std::string& comp : chains[b]) {
-        cb = SaturatingAdd(cb, ComponentCyclesOf(index, comp));
-      }
-      if (ca != cb) {
-        return ca > cb;
-      }
-      return chains[a].front() < chains[b].front();
-    });
-
-    std::vector<std::string> order;
-    order.reserve(members.size());
-    for (int c : live_chains) {
-      for (const std::string& comp : chains[c]) {
-        order.push_back(comp);
-      }
-    }
-    for (const std::string& comp : discovery) {  // cold tail, min-function-id order
-      if (chain_of.count(comp) == 0) {
-        order.push_back(comp);
-      }
-    }
-
-    // Within a component, most-entered functions first (recorded entry counts;
-    // ties and unprofiled functions keep id order), so a component's own hot
-    // entry shares cache lines with the neighbours the chain put next to it.
-    int text_cursor = 0;
-    for (const std::string& comp : order) {
-      std::vector<int>& group = members[comp];
-      std::stable_sort(group.begin(), group.end(), [&](int a, int b) {
-        return FunctionCallsOf(index, image.functions[a].name) >
-               FunctionCallsOf(index, image.functions[b].name);
-      });
-      for (int f : group) {
-        text_cursor = PlaceText(image.functions[f], text_cursor);
-      }
-    }
-    image.text_bytes = text_cursor;
+    it->second.push_back(static_cast<int>(f));
   }
-};
+
+  // Chains over the hot components (recorded cycles > 0). Each starts alone;
+  // edges merge them heaviest-first.
+  std::map<std::string, int> chain_of;  // hot component -> chain index
+  std::vector<std::vector<std::string>> chains;
+  for (const std::string& comp : discovery) {
+    if (ComponentCyclesOf(index, comp) > 0 && members.count(comp) != 0) {
+      chain_of[comp] = static_cast<int>(chains.size());
+      chains.push_back({comp});
+    }
+  }
+  struct Edge {
+    std::string caller;
+    std::string callee;
+    long long calls;
+  };
+  std::vector<Edge> edges;
+  for (const auto& [pair, calls] : index.edge_calls) {
+    if (calls > 0 && chain_of.count(pair.first) != 0 && chain_of.count(pair.second) != 0) {
+      edges.push_back(Edge{pair.first, pair.second, calls});
+    }
+  }
+  std::sort(edges.begin(), edges.end(), [](const Edge& a, const Edge& b) {
+    if (a.calls != b.calls) {
+      return a.calls > b.calls;
+    }
+    if (a.caller != b.caller) {
+      return a.caller < b.caller;
+    }
+    return a.callee < b.callee;
+  });
+  for (const Edge& edge : edges) {
+    int a = chain_of[edge.caller];
+    int b = chain_of[edge.callee];
+    if (a == b) {
+      continue;
+    }
+    // Join so the edge's endpoints actually touch: the caller wants to be the
+    // tail of its chain and the callee the head of its — a chain whose hot
+    // member sits at the wrong end is reversed (the classic Pettis–Hansen
+    // move). Endpoints buried mid-chain were already placed by a hotter edge
+    // and stay put.
+    if (chains[a].front() == edge.caller && chains[a].size() > 1) {
+      std::reverse(chains[a].begin(), chains[a].end());
+    }
+    if (chains[b].back() == edge.callee && chains[b].size() > 1) {
+      std::reverse(chains[b].begin(), chains[b].end());
+    }
+    for (const std::string& comp : chains[b]) {
+      chain_of[comp] = a;
+    }
+    chains[a].insert(chains[a].end(), chains[b].begin(), chains[b].end());
+    chains[b].clear();
+  }
+
+  // Hottest chain first; within a chain the merge order already strings hot
+  // callers next to their callees.
+  std::vector<int> live_chains;
+  for (size_t c = 0; c < chains.size(); ++c) {
+    if (!chains[c].empty()) {
+      live_chains.push_back(static_cast<int>(c));
+    }
+  }
+  std::stable_sort(live_chains.begin(), live_chains.end(), [&](int a, int b) {
+    long long ca = 0;
+    long long cb = 0;
+    for (const std::string& comp : chains[a]) {
+      ca = SaturatingAdd(ca, ComponentCyclesOf(index, comp));
+    }
+    for (const std::string& comp : chains[b]) {
+      cb = SaturatingAdd(cb, ComponentCyclesOf(index, comp));
+    }
+    if (ca != cb) {
+      return ca > cb;
+    }
+    return chains[a].front() < chains[b].front();
+  });
+
+  std::vector<std::string> order;
+  order.reserve(members.size());
+  for (int c : live_chains) {
+    for (const std::string& comp : chains[c]) {
+      order.push_back(comp);
+    }
+  }
+  for (const std::string& comp : discovery) {  // cold tail, min-function-id order
+    if (chain_of.count(comp) == 0) {
+      order.push_back(comp);
+    }
+  }
+
+  // Within a component, most-entered functions first (recorded entry counts;
+  // ties and unprofiled functions keep id order), so a component's own hot
+  // entry shares cache lines with the neighbours the chain put next to it.
+  int text_cursor = 0;
+  for (const std::string& comp : order) {
+    std::vector<int>& group = members[comp];
+    std::stable_sort(group.begin(), group.end(), [&](int a, int b) {
+      return FunctionCallsOf(index, image.functions[a].name) >
+             FunctionCallsOf(index, image.functions[b].name);
+    });
+    for (int f : group) {
+      text_cursor = PlaceText(image.functions[f], text_cursor);
+    }
+  }
+  image.text_bytes = text_cursor;
+}
 
 // Moves functions the recorded workload never entered (error paths, rollback
 // handlers, unused exports that DCE must keep for the host) behind the hot
@@ -664,49 +556,46 @@ class PgoLayoutPass : public ImagePass {
 // means behind the affinity-clustered hot region. A profile with no per-
 // function table (an old recording) disables the pass rather than outlining
 // everything.
-class OutlineColdPass : public ImagePass {
- public:
-  const char* name() const override { return "outline-cold"; }
-
-  void Run(Image& image, const ImagePassOptions& options) override {
-    if (options.profile == nullptr) {
-      return;
-    }
-    ProfileIndex index = BuildProfileIndex(*options.profile);
-    if (!index.have_function_calls) {
-      return;
-    }
-    std::vector<int> placed(image.functions.size());
-    for (size_t f = 0; f < placed.size(); ++f) {
-      placed[f] = static_cast<int>(f);
-    }
-    std::stable_sort(placed.begin(), placed.end(), [&](int a, int b) {
-      return image.functions[a].text_offset < image.functions[b].text_offset;
-    });
-    std::vector<int> hot;
-    std::vector<int> cold;
-    for (int f : placed) {
-      const BytecodeFunction& function = image.functions[f];
-      // Anonymous functions cannot appear in the profile's name-keyed table, so
-      // treat them as hot rather than outline them blind.
-      bool executed =
-          function.name.empty() || index.executed_functions.count(function.name) != 0;
-      (executed ? hot : cold).push_back(f);
-    }
-    int text_cursor = 0;
-    for (int f : hot) {
-      text_cursor = PlaceText(image.functions[f], text_cursor);
-    }
-    for (int f : cold) {
-      text_cursor = PlaceText(image.functions[f], text_cursor);
-    }
-    image.text_bytes = text_cursor;
+void OutlineCold(Image& image, const ProfileIndex& index) {
+  if (!index.have_function_calls) {
+    return;
   }
-};
+  std::vector<int> placed(image.functions.size());
+  for (size_t f = 0; f < placed.size(); ++f) {
+    placed[f] = static_cast<int>(f);
+  }
+  std::stable_sort(placed.begin(), placed.end(), [&](int a, int b) {
+    return image.functions[a].text_offset < image.functions[b].text_offset;
+  });
+  std::vector<int> hot;
+  std::vector<int> cold;
+  for (int f : placed) {
+    const BytecodeFunction& function = image.functions[f];
+    // Anonymous functions cannot appear in the profile's name-keyed table, so
+    // treat them as hot rather than outline them blind.
+    bool executed =
+        function.name.empty() || index.executed_functions.count(function.name) != 0;
+    (executed ? hot : cold).push_back(f);
+  }
+  int text_cursor = 0;
+  for (int f : hot) {
+    text_cursor = PlaceText(image.functions[f], text_cursor);
+  }
+  for (int f : cold) {
+    text_cursor = PlaceText(image.functions[f], text_cursor);
+  }
+  image.text_bytes = text_cursor;
+}
 
 }  // namespace
 
-// ---- PassManager -------------------------------------------------------------
+long long InsnCount(const std::vector<BytecodeFunction>& functions) {
+  long long total = 0;
+  for (const BytecodeFunction& function : functions) {
+    total += static_cast<long long>(function.code.size());
+  }
+  return total;
+}
 
 void MergePassStats(std::vector<PassStats>& into, const std::vector<PassStats>& from) {
   for (const PassStats& row : from) {
@@ -728,108 +617,32 @@ void MergePassStats(std::vector<PassStats>& into, const std::vector<PassStats>& 
   }
 }
 
-long long ImageInsnCount(const Image& image) {
-  long long total = 0;
-  for (const BytecodeFunction& function : image.functions) {
-    total += static_cast<long long>(function.code.size());
-  }
-  return total;
-}
-
-void PassManager::AddFunctionPass(std::unique_ptr<FunctionPass> pass) {
-  function_passes_.push_back(std::move(pass));
-}
-
-void PassManager::AddObjectPass(std::unique_ptr<ObjectPass> pass) {
-  object_passes_.push_back(std::move(pass));
-}
-
-void PassManager::AddImagePass(std::unique_ptr<ImagePass> pass) {
-  image_passes_.push_back(std::move(pass));
-}
-
-void PassManager::RunOnObject(ObjectFile& object, const CodegenOptions& options,
-                              std::vector<PassStats>* stats) {
+void OptimizeImage(Image& image, const ImagePassOptions& options,
+                   std::vector<PassStats>* stats) {
   std::vector<PassStats> rows;
-  rows.reserve(function_passes_.size() + object_passes_.size());
-  for (const auto& pass : function_passes_) {
-    rows.push_back(PassStats{pass->name(), "object"});
+  auto run = [&](const char* pass, auto&& transform) {
+    rows.push_back(PassStats{pass, "image"});
+    RunPassRow(rows.back(), [&] { return ImageInsnCount(image); }, transform);
+  };
+  ProfileIndex index;  // built once, for every profile-guided pass
+  const ProfileIndex* hot = nullptr;
+  if (options.profile != nullptr) {
+    index = BuildProfileIndex(*options.profile);
+    hot = &index;
   }
-  for (const auto& pass : object_passes_) {
-    rows.push_back(PassStats{pass->name(), "object"});
-  }
-  // Functions are the OUTER loop: every pass finishes function f before any
-  // pass touches f+1, so callees are fully optimized before later callers
-  // consider them for inlining (the per-TU defs-before-uses contract).
-  FunctionOptimizer optimizer;
-  for (size_t f = 0; f < object.functions.size(); ++f) {
-    for (size_t p = 0; p < function_passes_.size(); ++p) {
-      PassStats& row = rows[p];
-      auto t0 = std::chrono::steady_clock::now();
-      row.insns_before += static_cast<long long>(object.functions[f].code.size());
-      function_passes_[p]->Run(object, static_cast<int>(f), options, optimizer);
-      row.insns_after += static_cast<long long>(object.functions[f].code.size());
-      row.seconds += SecondsSince(t0);
-      ++row.runs;
-    }
-  }
-  for (size_t p = 0; p < object_passes_.size(); ++p) {
-    PassStats& row = rows[function_passes_.size() + p];
-    auto t0 = std::chrono::steady_clock::now();
-    row.insns_before += ObjectInsnCount(object);
-    object_passes_[p]->Run(object, options);
-    row.insns_after += ObjectInsnCount(object);
-    row.seconds += SecondsSince(t0);
-    ++row.runs;
-  }
-  if (stats != nullptr) {
-    MergePassStats(*stats, rows);
-  }
-}
-
-void PassManager::RunOnImage(Image& image, const ImagePassOptions& options,
-                             std::vector<PassStats>* stats) {
-  std::vector<PassStats> rows;
-  rows.reserve(image_passes_.size());
-  for (const auto& pass : image_passes_) {
-    PassStats row{pass->name(), "image"};
-    auto t0 = std::chrono::steady_clock::now();
-    row.insns_before = ImageInsnCount(image);
-    pass->Run(image, options);
-    row.insns_after = ImageInsnCount(image);
-    row.seconds = SecondsSince(t0);
-    row.runs = 1;
-    rows.push_back(std::move(row));
-  }
-  if (stats != nullptr) {
-    MergePassStats(*stats, rows);
-  }
-}
-
-PassManager MakeObjectPassManager() {
-  PassManager manager;
-  manager.AddFunctionPass(std::make_unique<InlineFunctionPass>());
-  manager.AddFunctionPass(std::make_unique<SimplifyFunctionPass>());
-  manager.AddFunctionPass(std::make_unique<LvnFunctionPass>());
-  manager.AddFunctionPass(std::make_unique<JumpThreadFunctionPass>());
-  manager.AddFunctionPass(std::make_unique<PeepholeFunctionPass>());
-  manager.AddObjectPass(std::make_unique<DceLocalPass>());
-  return manager;
-}
-
-PassManager MakeImagePassManager(bool profile_guided) {
-  PassManager manager;
-  manager.AddImagePass(std::make_unique<DevirtualizePass>());
-  manager.AddImagePass(std::make_unique<CrossInlinePass>());
-  manager.AddImagePass(std::make_unique<ImageDcePass>());
-  manager.AddImagePass(std::make_unique<ImageSimplifyPass>());
-  if (profile_guided) {
-    manager.AddImagePass(std::make_unique<PgoLayoutPass>());
-    manager.AddImagePass(std::make_unique<OutlineColdPass>());
+  run("devirt", [&] { Devirtualize(image, options); });
+  run("cross-inline", [&] { CrossInline(image, options, hot); });
+  run("dce-image", [&] { EliminateDeadFunctions(image, options); });
+  run("simplify", [&] { SimplifyFunctions(image); });
+  if (hot == nullptr) {
+    run("layout", [&] { LayOutText(image); });
   } else {
-    manager.AddImagePass(std::make_unique<ImageLayoutPass>());
+    run("layout-pgo", [&] { LayOutTextByAffinity(image, index); });
+    run("outline-cold", [&] { OutlineCold(image, index); });
   }
-  return manager;
+  if (stats != nullptr) {
+    MergePassStats(*stats, rows);
+  }
 }
 
 }  // namespace knit

@@ -1,39 +1,34 @@
-// The optimization pass manager. Every transform the compiler applies — per
-// relocatable object during codegen, and per linked image after ld — is a named
-// Pass driven by a PassManager, which records per-pass statistics (runs, insn
-// counts before/after, wall time) for `knitc --print-passes`.
+// The optimizer's two fixed pipelines and their statistics. Every transform the
+// compiler applies runs in one of them, and every pass run is recorded as a
+// PassStats row (runs, insn counts before/after, wall time) for
+// `knitc --print-passes`:
 //
-// Two scopes:
+//  * the object pipeline — OptimizeObject (src/vm/optimize.h), run by codegen
+//    on each relocatable object: inline, simplify, lvn, jump-thread and
+//    peephole on every function, *functions as the outer loop*, then
+//    dce-local. That ordering is load-bearing — the inliner only splices
+//    callees defined earlier in the object, so callees must be fully optimized
+//    before later callers inline them.
 //
-//  * object scope — the per-TU pipeline (inline, simplify, lvn, jump-thread,
-//    peephole, dce-local). The manager drives *functions as the outer loop*:
-//    every function pass runs on function f before any pass runs on f+1. That
-//    ordering is load-bearing — the inliner only splices callees defined earlier
-//    in the object, so callees must be fully optimized before later callers
-//    inline them. Output is bit-identical to the historical OptimizeObject.
-//
-//  * image scope — whole-program passes over the linked Image, run by the
-//    pipeline's LinkOptimize stage at -O2: indirect-call devirtualization,
-//    cross-object inlining through resolved import/export bindings (this is
-//    what deletes the boundary calls that source flattening deletes in the
-//    paper), global reachability-based dead-function/dead-export elimination
-//    from the image entry points, per-function re-simplification, and text
-//    re-layout. Dead functions are stubbed (code cleared, id kept) rather than
-//    erased, so patched call targets and function refs stored in data never
-//    need remapping.
+//  * the image pipeline — OptimizeImage below, run by the pipeline's
+//    LinkOptimize stage at -O2 on the linked Image: indirect-call
+//    devirtualization, cross-object inlining through resolved import/export
+//    bindings (this is what deletes the boundary calls that source flattening
+//    deletes in the paper), global reachability-based dead-function/dead-export
+//    elimination from the image entry points, per-function re-simplification,
+//    and text re-layout. Dead functions are stubbed (code cleared, id kept)
+//    rather than erased, so patched call targets and function refs stored in
+//    data never need remapping.
 #ifndef SRC_VM_PASSES_H_
 #define SRC_VM_PASSES_H_
 
-#include <memory>
+#include <chrono>
 #include <set>
 #include <string>
 #include <vector>
 
-#include "src/obj/object.h"
-#include "src/vm/codegen.h"
 #include "src/vm/image.h"
 #include "src/vm/machine.h"
-#include "src/vm/optimize.h"
 
 namespace knit {
 
@@ -50,18 +45,33 @@ struct PassStats {
   double seconds = 0;
 };
 
+// Runs one pass (`run()`) and adds the run to `row`: the instruction count of
+// the code it runs on (`insns()`) before and after, and the wall time.
+template <typename Insns, typename Run>
+void RunPassRow(PassStats& row, const Insns& insns, const Run& run) {
+  auto t0 = std::chrono::steady_clock::now();
+  row.insns_before += insns();
+  run();
+  row.insns_after += insns();
+  row.seconds += std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+  ++row.runs;
+}
+
+// Total instructions across `functions`; ImageInsnCount is the image's total,
+// which knitbench reports.
+long long InsnCount(const std::vector<BytecodeFunction>& functions);
+inline long long ImageInsnCount(const Image& image) { return InsnCount(image.functions); }
+
 // Accumulates `from` into `into`, matching rows by (pass, scope) and keeping
 // first-seen order (so object-scope rows stay in pipeline order ahead of the
 // image-scope rows appended by LinkOptimize).
 void MergePassStats(std::vector<PassStats>& into, const std::vector<PassStats>& from);
 
-// Configuration for the image-scope passes. Budgets mirror CodegenOptions; the
+// Configuration for the image pipeline. Budgets mirror CodegenOptions; the
 // extra fields exist because a linked image has no symbol table scoping — entry
 // points must be named explicitly.
 struct ImagePassOptions {
   int inline_limit = 48;
-  bool inline_single_call = true;
-  int single_call_limit = 8192;
   int caller_growth = 32768;
   // Link names that stay callable from the host (exports, knit__init/fini/
   // rollback). Everything unreachable from these is dead.
@@ -70,79 +80,20 @@ struct ImagePassOptions {
   // components of the producing link): devirtualization must not bake a direct
   // call to their code, and DCE must keep every binding-slot target alive.
   std::set<std::string> swappable_components;
-  // Recorded workload measurements steering the PGO passes (null = no profile).
-  // cross-inline ranks callers and call sites hottest-first by component cycles
-  // and boundary-edge weight; layout-pgo clusters component text by edge
-  // affinity; outline-cold moves functions the profile never saw executed to
-  // the text tail. The pointer must outlive RunOnImage. With profile == nullptr
-  // every pass behaves exactly as before this field existed.
+  // Recorded workload measurements (null = no profile). A profile selects the
+  // profile-guided pipeline: cross-inline ranks call sites hottest-first by
+  // component cycles and boundary-edge weight, and the final layout becomes
+  // layout-pgo (component text clustered by edge affinity) then outline-cold
+  // (functions the profile never saw executed moved to the text tail). The
+  // pointer must outlive OptimizeImage.
   const ComponentProfile* profile = nullptr;
 };
 
-class Pass {
- public:
-  virtual ~Pass() = default;
-  virtual const char* name() const = 0;
-};
-
-// A pass over one function of a relocatable object. Passes may read the whole
-// object (the inliner copies earlier callees) but only mutate the indexed
-// function. `optimizer` is shared by the function passes of one RunOnObject;
-// a pass that edits code without it must call its Invalidate().
-class FunctionPass : public Pass {
- public:
-  virtual void Run(ObjectFile& object, int function_index, const CodegenOptions& options,
-                   FunctionOptimizer& optimizer) = 0;
-};
-
-// A pass over a whole relocatable object, run after the function passes.
-class ObjectPass : public Pass {
- public:
-  virtual void Run(ObjectFile& object, const CodegenOptions& options) = 0;
-};
-
-// A pass over a linked image.
-class ImagePass : public Pass {
- public:
-  virtual void Run(Image& image, const ImagePassOptions& options) = 0;
-};
-
-class PassManager {
- public:
-  void AddFunctionPass(std::unique_ptr<FunctionPass> pass);
-  void AddObjectPass(std::unique_ptr<ObjectPass> pass);
-  void AddImagePass(std::unique_ptr<ImagePass> pass);
-
-  // Runs every function pass on every function (functions outer, definition
-  // order), then the object passes in registration order. `stats` (optional)
-  // receives per-pass rows with scope "object".
-  void RunOnObject(ObjectFile& object, const CodegenOptions& options,
+// The -O2 image pipeline: devirt, cross-inline, dce-image, simplify, then
+// layout — or, with `options.profile`, layout-pgo and outline-cold. `stats`
+// (optional) receives one row per pass with scope "image".
+void OptimizeImage(Image& image, const ImagePassOptions& options,
                    std::vector<PassStats>* stats = nullptr);
-
-  // Runs the image passes in registration order; rows carry scope "image".
-  void RunOnImage(Image& image, const ImagePassOptions& options,
-                  std::vector<PassStats>* stats = nullptr);
-
- private:
-  std::vector<std::unique_ptr<FunctionPass>> function_passes_;
-  std::vector<std::unique_ptr<ObjectPass>> object_passes_;
-  std::vector<std::unique_ptr<ImagePass>> image_passes_;
-};
-
-// The standard per-object pipeline: inline, simplify, lvn, jump-thread,
-// peephole, then dce-local. Exactly the historical OptimizeObject sequence.
-PassManager MakeObjectPassManager();
-
-// The -O2 image pipeline: devirt, cross-inline, dce-image, simplify, layout.
-// With `profile_guided`, the final layout pass is replaced by the PGO pair —
-// layout-pgo (hot-path affinity ordering) then outline-cold (never-executed
-// functions to the text tail); the earlier passes are the same objects, which
-// consult ImagePassOptions::profile when it is set.
-PassManager MakeImagePassManager(bool profile_guided = false);
-
-// Total instructions across an image's (live) functions; exposed for stats and
-// tests.
-long long ImageInsnCount(const Image& image);
 
 }  // namespace knit
 

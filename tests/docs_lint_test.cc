@@ -3,8 +3,8 @@
 // target is a repository path (http(s)/mailto/pure-anchor links are skipped)
 // and fails naming the file and target when the linked path does not exist;
 // also checks section cross-references, that every knitc invocation in a
-// fenced snippet names a command, and that every backticked bench/NAME names an
-// existing bench.
+// fenced snippet names a command, that every backticked source path exists and
+// that every backticked bench/NAME names an existing bench.
 // KNIT_REPO_ROOT is injected by tests/CMakeLists.txt.
 #include <gtest/gtest.h>
 
@@ -234,6 +234,45 @@ TEST(DocsLintTest, KnitcSnippetsNameACommand) {
   }
 }
 
+bool IsNameChar(char c) {
+  return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9') || c == '_';
+}
+
+// Calls fn(span, offset) for every code span of `markdown`, inline `spans` and
+// ``` fenced blocks alike; `offset` is where the span's text starts.
+template <typename Fn>
+void ForEachCodeSpan(const std::string& markdown, const Fn& fn) {
+  size_t open = 0;
+  while ((open = markdown.find('`', open)) != std::string::npos) {
+    const size_t ticks = markdown.compare(open, 3, "```") == 0 ? 3 : 1;
+    size_t close = markdown.find(std::string(ticks, '`'), open + ticks);
+    if (close == std::string::npos) {
+      break;
+    }
+    fn(markdown.substr(open + ticks, close - open - ticks), open + ticks);
+    open = close + ticks;
+  }
+}
+
+int LineAt(const std::string& markdown, size_t offset) {
+  return 1 + static_cast<int>(std::count(markdown.begin(),
+                                         markdown.begin() + static_cast<long>(offset), '\n'));
+}
+
+// The positions in `span` where `prefix` (a directory, e.g. "bench/") starts a
+// repository path: not where it continues a longer one (knitbench/...,
+// build/bench/..., .bench_build/...).
+std::vector<size_t> PathStarts(const std::string& span, const std::string& prefix) {
+  std::vector<size_t> starts;
+  for (size_t at = span.find(prefix); at != std::string::npos; at = span.find(prefix, at + 1)) {
+    if (at == 0 || !(IsNameChar(span[at - 1]) || span[at - 1] == '/' || span[at - 1] == '.' ||
+                     span[at - 1] == '-')) {
+      starts.push_back(at);
+    }
+  }
+  return starts;
+}
+
 // A backticked `bench/NAME` (with or without `.cc` or arguments, inline or in a
 // fenced snippet) must name a bench that exists, `bench/NAME.cc`; a trailing
 // `*` matches any bench with that prefix. Build-tree paths (`build/bench/*`)
@@ -247,29 +286,12 @@ TEST(DocsLintTest, BenchReferencesNameABench) {
     }
   }
   ASSERT_FALSE(benches.empty());
-  auto is_name_char = [](char c) {
-    return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9') ||
-           c == '_';
-  };
   for (const char* doc : kDocs) {
     std::string markdown = ReadFileOrDie(root / doc);
-    // Code: inline `spans` and ``` fenced blocks alike.
-    size_t open = 0;
-    while ((open = markdown.find('`', open)) != std::string::npos) {
-      const size_t ticks = markdown.compare(open, 3, "```") == 0 ? 3 : 1;
-      size_t close = markdown.find(std::string(ticks, '`'), open + ticks);
-      if (close == std::string::npos) {
-        break;
-      }
-      std::string span = markdown.substr(open + ticks, close - open - ticks);
-      for (size_t at = span.find("bench/"); at != std::string::npos;
-           at = span.find("bench/", at + 1)) {
-        if (at > 0 && (is_name_char(span[at - 1]) || span[at - 1] == '/' ||
-                       span[at - 1] == '.' || span[at - 1] == '-')) {
-          continue;  // knitbench/..., build/bench/..., .bench_build/...
-        }
+    ForEachCodeSpan(markdown, [&](const std::string& span, size_t offset) {
+      for (size_t at : PathStarts(span, "bench/")) {
         size_t end = at + 6;
-        while (end < span.size() && is_name_char(span[end])) {
+        while (end < span.size() && IsNameChar(span[end])) {
           ++end;
         }
         std::string name = span.substr(at + 6, end - at - 6);
@@ -282,14 +304,63 @@ TEST(DocsLintTest, BenchReferencesNameABench) {
                                           return bench.rfind(name, 0) == 0;
                                         })
                           : benches.count(name) == 1;
-        long offset = static_cast<long>(open + ticks + at);
-        int line = 1 + static_cast<int>(
-                           std::count(markdown.begin(), markdown.begin() + offset, '\n'));
-        EXPECT_TRUE(found) << doc << ":" << line << ": `bench/" << name << (glob ? "*" : "")
-                           << "` names no existing bench/*.cc";
+        EXPECT_TRUE(found) << doc << ":" << LineAt(markdown, offset + at) << ": `bench/" << name
+                           << (glob ? "*" : "") << "` names no existing bench/*.cc";
       }
-      open = close + ticks;
+    });
+  }
+}
+
+// Expands every `{a,b}` list in `path`, e.g. src/vm/passes.{h,cc} ->
+// src/vm/passes.h, src/vm/passes.cc.
+std::vector<std::string> ExpandBraces(const std::string& path) {
+  size_t open = path.find('{');
+  size_t close = path.find('}', open);
+  if (open == std::string::npos || close == std::string::npos) {
+    return {path};
+  }
+  std::vector<std::string> paths;
+  std::string list = path.substr(open + 1, close - open - 1) + ",";
+  for (size_t start = 0, comma; (comma = list.find(',', start)) != std::string::npos;
+       start = comma + 1) {
+    for (const std::string& rest : ExpandBraces(path.substr(close + 1))) {
+      paths.push_back(path.substr(0, open) + list.substr(start, comma - start) + rest);
     }
+  }
+  return paths;
+}
+
+// Every backticked repository path under src/, tools/, tests/, examples/ or
+// knitbench/ (inline or in a fenced snippet) must exist, each entry of a
+// `{h,cc}` list included. `bench/NAME` names a binary; see above.
+TEST(DocsLintTest, SourcePathsExist) {
+  fs::path root = KNIT_REPO_ROOT;
+  auto is_path_char = [](char c) {
+    return IsNameChar(c) || c == '/' || c == '.' || c == '-' || c == '{' || c == '}' || c == ',';
+  };
+  for (const char* doc : kDocs) {
+    std::string markdown = ReadFileOrDie(root / doc);
+    ForEachCodeSpan(markdown, [&](const std::string& span, size_t offset) {
+      for (const char* prefix : {"src/", "tools/", "tests/", "examples/", "knitbench/"}) {
+        for (size_t at : PathStarts(span, prefix)) {
+          size_t end = at;
+          int depth = 0;  // a comma ends the path unless it is inside a {list}
+          while (end < span.size() && is_path_char(span[end]) && (span[end] != ',' || depth > 0)) {
+            depth += span[end] == '{' ? 1 : span[end] == '}' ? -1 : 0;
+            ++end;
+          }
+          std::string path = span.substr(at, end - at);
+          while (path.back() == '.') {
+            path.pop_back();  // sentence punctuation inside the span
+          }
+          for (const std::string& expanded : ExpandBraces(path)) {
+            EXPECT_TRUE(fs::exists(root / expanded))
+                << doc << ":" << LineAt(markdown, offset + at) << ": `" << expanded
+                << "` does not exist";
+          }
+        }
+      }
+    });
   }
 }
 

@@ -4,6 +4,10 @@
 // value numbering scanned every live forward entry per load and store, one
 // function of 8,000 lines cost ~13x (compile) and ~16x (link-optimize) one of
 // 2,000 lines, where linear is 4x.
+//
+// The object pipeline's `inline` pass must also stay linear in the number of
+// functions of one object: when it recounted the object's call sites for every
+// function, a unit of 8,000 small functions cost ~21x one of 2,000.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -33,6 +37,35 @@ StageTimes O2StageSeconds(const std::string& source) {
   EXPECT_EQ(pipeline.metrics().CacheMisses(), 1);
   return StageTimes{pipeline.metrics().StageSeconds("compile"),
                     pipeline.metrics().StageSeconds("link-optimize")};
+}
+
+// n small global functions, each calling the one before it, and `run` calling
+// the last: the inliner splices chains of them until they outgrow its budget.
+std::string ManyFunctions(int n) {
+  std::string source = "int f_0(int x) { return x + 1; }\n";
+  for (int i = 1; i < n; ++i) {
+    source += "int f_" + std::to_string(i) + "(int x) { return f_" + std::to_string(i - 1) +
+              "(x) ^ " + std::to_string(i) + "; }\n";
+  }
+  return source + "int run(int x) { return f_" + std::to_string(n - 1) + "(x); }\n";
+}
+
+// The `inline` row's seconds of one -O1 build of `source` alone.
+double InlineSeconds(const std::string& source) {
+  SourceMap sources = {{"long.c", source}};
+  KnitcOptions options;
+  options.opt_level = 1;
+  KnitPipeline pipeline(options);
+  Diagnostics diags;
+  Result<LinkedImage> built = pipeline.Build(kLongKnit, sources, "Long", diags);
+  EXPECT_TRUE(built.ok()) << diags.ToString();
+  for (const PassStats& row : pipeline.metrics().pass_stats) {
+    if (row.pass == "inline") {
+      return row.seconds;
+    }
+  }
+  ADD_FAILURE() << "no inline row";
+  return 0;
 }
 
 double Median(std::vector<double> values) {
@@ -68,6 +101,22 @@ TEST(OptimizerScaling, O2StagesAreNearLinearInFunctionLength) {
   EXPECT_LE(link_large / link_small, 6.0)
       << "link-optimize: n=2000 " << link_small * 1e3 << " ms, n=8000 " << link_large * 1e3
       << " ms";
+}
+
+TEST(OptimizerScaling, InlinePassIsLinearInFunctionCount) {
+  // Alternating runs and medians of nine, as above.
+  const std::string small_source = ManyFunctions(2000);
+  const std::string large_source = ManyFunctions(8000);
+  std::vector<double> small_inline, large_inline;
+  for (int run = 0; run < 9; ++run) {
+    small_inline.push_back(InlineSeconds(small_source));
+    large_inline.push_back(InlineSeconds(large_source));
+  }
+  const double small = Median(small_inline);
+  const double large = Median(large_inline);
+  ASSERT_GT(small, 0.0);
+  EXPECT_LE(large / small, 6.0) << "inline: n=2000 " << small * 1e3 << " ms, n=8000 "
+                                << large * 1e3 << " ms";
 }
 
 }  // namespace

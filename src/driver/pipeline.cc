@@ -238,6 +238,29 @@ std::string PipelineMetricsTraceJson(const PipelineMetrics& metrics) {
 
 // ---- image fingerprint -------------------------------------------------------
 
+namespace {
+
+// The fingerprint hashes a native reference as the id native n had before
+// natives got their own range, functions.size() + n, so recorded fingerprints
+// stay valid. Swapping the two ranges keeps the mapping one-to-one.
+int HashedCallableId(const Image& image, int id) {
+  const int functions = static_cast<int>(image.functions.size());
+  const int natives = static_cast<int>(image.natives.size());
+  if (Image::IsNativeId(id) && Image::NativeIndex(id) < natives) {
+    return functions + Image::NativeIndex(id);
+  }
+  if (id >= functions && id < functions + natives) {
+    return Image::NativeId(id - functions);
+  }
+  return id;
+}
+
+uint32_t HashedWord(const Image& image, uint32_t value) {
+  return IsFuncRef(value) ? EncodeFuncRef(HashedCallableId(image, DecodeFuncRef(value))) : value;
+}
+
+}  // namespace
+
 uint64_t FingerprintImage(const Image& image) {
   Fnv64 hasher;
   hasher.Update(static_cast<uint64_t>(image.functions.size()));
@@ -250,8 +273,14 @@ uint64_t FingerprintImage(const Image& image) {
     hasher.Update(function.text_offset);
     hasher.Update(static_cast<uint64_t>(function.code.size()));
     for (const Insn& insn : function.code) {
+      int32_t a = insn.a;
+      if (insn.op == Op::kCall) {
+        a = HashedCallableId(image, a);
+      } else if (insn.op == Op::kConstInt) {
+        a = static_cast<int32_t>(HashedWord(image, static_cast<uint32_t>(a)));
+      }
       hasher.Update(static_cast<uint64_t>(static_cast<uint8_t>(insn.op)));
-      hasher.Update(insn.a);
+      hasher.Update(a);
       hasher.Update(insn.b);
     }
   }
@@ -259,7 +288,24 @@ uint64_t FingerprintImage(const Image& image) {
   for (const std::string& native : image.natives) {
     hasher.Update(native);
   }
-  hasher.Update(image.data.data(), image.data.size());
+  // The linked function refs in data, read from image.data so an address
+  // listed twice is mapped once.
+  std::vector<uint8_t> data = image.data;
+  for (uint32_t address : image.func_ref_data) {
+    const uint64_t offset = static_cast<uint64_t>(address) - image.data_base;
+    if (address < image.data_base || offset + 4 > data.size()) {
+      continue;
+    }
+    uint32_t word = 0;
+    for (int i = 0; i < 4; ++i) {
+      word |= static_cast<uint32_t>(image.data[offset + i]) << (8 * i);
+    }
+    word = HashedWord(image, word);
+    for (int i = 0; i < 4; ++i) {
+      data[offset + i] = static_cast<uint8_t>(word >> (8 * i));
+    }
+  }
+  hasher.Update(data.data(), data.size());
   hasher.Update(static_cast<uint64_t>(image.data_base));
   hasher.Update(static_cast<uint64_t>(image.function_symbols.size()));
   for (const auto& [name, id] : image.function_symbols) {
@@ -275,7 +321,7 @@ uint64_t FingerprintImage(const Image& image) {
   for (const BindingSlot& slot : image.bindings) {
     hasher.Update(slot.symbol);
     hasher.Update(slot.component);
-    hasher.Update(slot.target);
+    hasher.Update(HashedCallableId(image, slot.target));
   }
   hasher.Update(image.text_bytes);
   return hasher.digest();
@@ -596,12 +642,10 @@ bool RenameAndLocalize(ObjectFile& object, const Instance& instance, const Insta
   if (!ObjcopyRename(object, names.renames, diags).ok()) {
     return false;
   }
-  for (const ObjSymbol& symbol : object.symbols) {
+  for (ObjSymbol& symbol : object.symbols) {
     if (symbol.global && symbol.section != ObjSymbol::Section::kUndefined &&
         names.keep_global.count(symbol.name) == 0) {
-      if (!ObjcopyLocalize(object, symbol.name, diags).ok()) {
-        return false;
-      }
+      symbol.global = false;
     }
   }
   for (const std::string& keep : names.keep_global) {

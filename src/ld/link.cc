@@ -1,6 +1,5 @@
 #include "src/ld/link.h"
 
-#include <cassert>
 #include <set>
 #include <utility>
 
@@ -68,15 +67,11 @@ class Linker {
     return std::move(result_);
   }
 
-  Result<std::vector<uint8_t>> Append(const ObjectFile& object, uint32_t data_address,
-                                      CodeSiteIndex& sites) {
+  Result<std::vector<uint8_t>> Append(const ObjectFile& object, uint32_t data_address) {
     Image& image = *image_;
-    const int old_count = static_cast<int>(image.functions.size());
-    const int appended = static_cast<int>(object.functions.size());
     included_.push_back(&object);
-    function_base_[&object] = old_count;
+    function_base_[&object] = static_cast<int>(image.functions.size());
     data_address_[&object] = data_address;
-    callable_base_ = old_count + appended;
     for (size_t slot = 0; slot < image.bindings.size(); ++slot) {
       slot_of_callable_[image.bindings[slot].target] = static_cast<int>(slot);
     }
@@ -85,14 +80,12 @@ class Linker {
       return Result<std::vector<uint8_t>>::Failure();
     }
     // Everything resolved: nothing below can fail.
-    ShiftNatives(old_count, appended, sites);
     int text_cursor = image.text_bytes;
     for (BytecodeFunction& function : placed) {
       text_cursor = PlaceText(function, text_cursor);
       image.functions.push_back(std::move(function));
     }
     image.text_bytes = text_cursor;
-    ScanCodeSites(image, static_cast<size_t>(old_count), sites);
     std::vector<uint8_t> data = object.data;
     RelocateData(&object, data.data());
     RegisterSymbols();
@@ -212,7 +205,6 @@ class Linker {
       result_.placements.push_back(placement);
     }
     image.text_bytes = text_cursor;
-    callable_base_ = static_cast<int>(image.functions.size());
   }
 
   bool ResolveSymbol(const ObjectFile* object, int symbol_index, Resolved& out) {
@@ -264,7 +256,7 @@ class Linker {
     for (size_t n = 0; n < image.natives.size(); ++n) {
       if (image.natives[n] == symbol.name) {
         out.kind = Resolved::Kind::kNative;
-        out.callable = callable_base_ + static_cast<int>(n);
+        out.callable = Image::NativeId(static_cast<int>(n));
         return true;
       }
     }
@@ -376,37 +368,11 @@ class Linker {
     }
   }
 
-  // Appending moves every native id up by the appended function count: shift
-  // the native refs the old code (at the indexed sites) and the linked data hold.
-  void ShiftNatives(int old_count, int appended, const CodeSiteIndex& sites) {
-    Image& image = *image_;
-    const int natives = static_cast<int>(image.natives.size());
-    for (const CodeSite& site : sites.native_calls) {
-      Insn& insn = image.functions[site.function].code[site.pc];
-      assert(insn.op == Op::kCall && insn.a >= old_count && insn.a < old_count + natives);
-      insn.a += appended;
-    }
-    for (const CodeSite& site : sites.func_refs) {
-      Insn& insn = image.functions[site.function].code[site.pc];
-      assert(insn.op == Op::kConstInt && IsFuncRef(static_cast<uint32_t>(insn.a)));
-      insn.a = static_cast<int32_t>(
-          ShiftNativeRef(static_cast<uint32_t>(insn.a), old_count, natives, appended));
-    }
-    for (uint32_t address : image.func_ref_data) {
-      uint64_t offset = static_cast<uint64_t>(address) - image.data_base;
-      if (address >= image.data_base && offset + 4 <= image.data.size()) {
-        uint8_t* word = image.data.data() + offset;
-        StoreWord(word, ShiftNativeRef(LoadWord(word), old_count, natives, appended));
-      }
-    }
-  }
-
   std::vector<LinkItem> items_;
   const LinkOptions* options_ = nullptr;  // null when appending
   Diagnostics& diags_;
   LinkResult result_;
   Image* image_ = &result_.image;  // the image being built or appended to
-  int callable_base_ = 0;          // first native id once the objects are placed
 
   std::vector<const ObjectFile*> included_;
   std::map<std::string, std::pair<const ObjectFile*, int>> global_defs_;
@@ -424,37 +390,10 @@ Result<LinkResult> Link(std::vector<LinkItem> items, const LinkOptions& options,
   return linker.Run();
 }
 
-void ScanCodeSites(const Image& image, size_t first, CodeSiteIndex& index) {
-  const int functions = static_cast<int>(image.functions.size());
-  const int natives = static_cast<int>(image.natives.size());
-  for (size_t f = first; f < image.functions.size(); ++f) {
-    const std::vector<Insn>& code = image.functions[f].code;
-    for (size_t pc = 0; pc < code.size(); ++pc) {
-      const Insn& insn = code[pc];
-      const CodeSite site{static_cast<int>(f), static_cast<int>(pc)};
-      if (insn.op == Op::kCall && insn.a >= functions && insn.a < functions + natives) {
-        index.native_calls.push_back(site);
-      } else if (insn.op == Op::kConstInt && IsFuncRef(static_cast<uint32_t>(insn.a))) {
-        index.func_refs.push_back(site);
-      }
-    }
-  }
-}
-
 Result<std::vector<uint8_t>> LinkAppend(Image& image, const ObjectFile& object,
-                                        uint32_t data_address, CodeSiteIndex& sites,
-                                        Diagnostics& diags) {
+                                        uint32_t data_address, Diagnostics& diags) {
   Linker linker(image, diags);
-  return linker.Append(object, data_address, sites);
-}
-
-uint32_t ShiftNativeRef(uint32_t value, int old_functions, int natives, int appended) {
-  if (!IsFuncRef(value)) {
-    return value;
-  }
-  int callable = DecodeFuncRef(value);
-  bool names_native = callable >= old_functions && callable < old_functions + natives;
-  return names_native ? EncodeFuncRef(callable + appended) : value;
+  return linker.Append(object, data_address);
 }
 
 }  // namespace knit

@@ -31,8 +31,8 @@ namespace knit {
 using LinkItem = std::variant<ObjectFile, Archive>;
 
 struct LinkOptions {
-  // Native callables available to resolve remaining undefined symbols. Order
-  // defines native ids.
+  // Native callables available to resolve remaining undefined symbols. Native n
+  // has callable id kNativeBase + n (see Image).
   std::vector<std::string> natives;
 
   // Instance paths (BytecodeFunction::component) whose global text symbols get
@@ -58,48 +58,16 @@ struct LinkResult {
 Result<LinkResult> Link(std::vector<LinkItem> items, const LinkOptions& options,
                         Diagnostics& diags);
 
-// A code site of a linked image: instruction `pc` of function `function`.
-struct CodeSite {
-  int function = 0;
-  int pc = 0;
-  bool operator==(const CodeSite&) const = default;
-};
-
-// The code sites whose operand a growing image may have to rewrite, in
-// (function, pc) order: every kCall that names a native (appending functions
-// shifts native ids) and every kConstInt whose value carries the funcref bit
-// (a native ref shifts; a hot swap repoints refs to retired functions). A
-// negative integer constant carries the bit too; it is listed, and the
-// rewrites leave it as it is. Rewriting a listed site keeps it in its list.
-struct CodeSiteIndex {
-  std::vector<CodeSite> native_calls;
-  std::vector<CodeSite> func_refs;
-  bool operator==(const CodeSiteIndex&) const = default;
-};
-
-// Appends the sites of functions [first, functions.size()) of `image` to
-// `index`.
-void ScanCodeSites(const Image& image, size_t first, CodeSiteIndex& index);
-
 // Links one more object into an already linked image by Link's own rules (live
 // reconfiguration's patch-link step). The object's functions go after the
 // existing text and its data at `data_address`; undefined globals resolve
 // against the image's symbols, then its natives. Everything is resolved and
-// checked before the image changes, so a failed append leaves it (and `sites`)
-// untouched. Appending shifts the native ids; the old code is shifted to match
-// at the sites `sites` lists, which must be exactly the image's (see
-// ScanCodeSites), and the linked data at Image::func_ref_data (ShiftNativeRef).
-// The appended functions' sites are then added to `sites`. Returns the
-// object's relocated data, for the caller to load at `data_address`.
+// checked before the image changes, so a failed append leaves it untouched. An
+// append never writes the image's existing code or data: function ids and
+// native ids (kNativeBase + n) keep their meaning as the image grows. Returns
+// the object's relocated data, for the caller to load at `data_address`.
 Result<std::vector<uint8_t>> LinkAppend(Image& image, const ObjectFile& object,
-                                        uint32_t data_address, CodeSiteIndex& sites,
-                                        Diagnostics& diags);
-
-// A stored word after `appended` functions were added to an image that had
-// `old_functions` functions and `natives` natives: a funcref naming a native
-// moves up by `appended`; any other value (a negative integer carries the
-// funcref bit too) stays.
-uint32_t ShiftNativeRef(uint32_t value, int old_functions, int natives, int appended);
+                                        uint32_t data_address, Diagnostics& diags);
 
 }  // namespace knit
 

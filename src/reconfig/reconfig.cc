@@ -3,6 +3,8 @@
 #include <map>
 #include <utility>
 
+#include "src/ld/link.h"
+
 namespace knit {
 namespace {
 
@@ -23,9 +25,20 @@ std::string RenderErrors(const Diagnostics& diags, const std::string& fallback) 
 
 }  // namespace
 
+void ScanFuncRefSites(const Image& image, size_t first, std::vector<CodeSite>& sites) {
+  for (size_t f = first; f < image.functions.size(); ++f) {
+    const std::vector<Insn>& code = image.functions[f].code;
+    for (size_t pc = 0; pc < code.size(); ++pc) {
+      if (code[pc].op == Op::kConstInt && IsFuncRef(static_cast<uint32_t>(code[pc].a))) {
+        sites.push_back(CodeSite{static_cast<int>(f), static_cast<int>(pc)});
+      }
+    }
+  }
+}
+
 ReconfigEngine::ReconfigEngine(KnitBuildResult& build, Machine& machine, SourceMap sources)
     : build_(build), machine_(machine), sources_(std::move(sources)) {
-  ScanCodeSites(build_.image, 0, sites_);
+  ScanFuncRefSites(build_.image, 0, func_ref_sites_);
 }
 
 SwapReport ReconfigEngine::Request(const SwapSpec& spec) {
@@ -165,8 +178,6 @@ SwapReport ReconfigEngine::Execute(const SwapSpec& spec, int deferred_packets) {
   // Replacement data lives on the VM heap (the Machine copied image.data into its
   // memory at construction; appending to image.data would not load it).
   const int old_count = static_cast<int>(image.functions.size());
-  const int appended = static_cast<int>(object.functions.size());
-  const size_t old_refs = image.func_ref_data.size();
   uint32_t data_address = 0;
   if (!object.data.empty()) {
     data_address = machine_.Sbrk(static_cast<uint32_t>(object.data.size()));
@@ -178,9 +189,10 @@ SwapReport ReconfigEngine::Execute(const SwapSpec& spec, int deferred_packets) {
   }
   // The build's linker appends the functions past the existing text and
   // resolves the imports against the running image; a failure leaves the image
-  // untouched. From here on every mutation keeps the RUNNING code correct even
-  // if the swap later aborts (the new generation is never made reachable).
-  Result<std::vector<uint8_t>> data = LinkAppend(image, object, data_address, sites_, diags);
+  // untouched, and a success writes none of its existing code or data. The new
+  // generation is never reachable until the commit, so an abort from here on
+  // leaves the RUNNING code as it was.
+  Result<std::vector<uint8_t>> data = LinkAppend(image, object, data_address, diags);
   if (!data.ok()) {
     report.error = "replacement failed to link: " + RenderErrors(diags, "link error");
     return finish(report);
@@ -188,15 +200,8 @@ SwapReport ReconfigEngine::Execute(const SwapSpec& spec, int deferred_packets) {
   for (size_t i = 0; i < data.value().size(); ++i) {
     machine_.WriteByte(data_address + static_cast<uint32_t>(i), data.value()[i]);
   }
-  // The append shifted native ids in the image; shift the stored native refs in
-  // machine memory to match, so the shift is unobservable.
-  for (size_t r = 0; r < old_refs; ++r) {
-    uint32_t address = image.func_ref_data[r];
-    machine_.WriteWord(address, ShiftNativeRef(machine_.ReadWord(address), old_count,
-                                               static_cast<int>(image.natives.size()),
-                                               appended));
-  }
-  report.new_functions = appended;
+  ScanFuncRefSites(image, static_cast<size_t>(old_count), func_ref_sites_);
+  report.new_functions = static_cast<int>(object.functions.size());
 
   auto abandon = [&](const std::string& error) -> SwapReport& {
     // Exact rollback: the binding slots were never touched, so the old
@@ -213,8 +218,8 @@ SwapReport ReconfigEngine::Execute(const SwapSpec& spec, int deferred_packets) {
   };
 
   // New function ids exist now: the machine verifies them before anything can
-  // reach them, extends its profiling attribution and drops branch predictions
-  // that captured pre-growth native ids.
+  // reach them, extends its profiling attribution and drops its branch
+  // predictions, as hardware would after new code is loaded.
   std::string rejected = machine_.RefreshAfterImageGrowth();
   if (!rejected.empty()) {
     return abandon("replacement rejected: " + rejected);
@@ -311,7 +316,7 @@ SwapReport ReconfigEngine::Execute(const SwapSpec& spec, int deferred_packets) {
   }
   // Stored function refs (address-of an export, dispatch tables in data) still
   // encode old-generation ids; repoint every one the image knows about.
-  for (const CodeSite& site : sites_.func_refs) {
+  for (const CodeSite& site : func_ref_sites_) {
     Insn& insn = image.functions[site.function].code[site.pc];
     auto it = retargeted.find(DecodeFuncRef(static_cast<uint32_t>(insn.a)));
     if (it != retargeted.end()) {

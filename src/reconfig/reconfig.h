@@ -30,19 +30,20 @@
 // the machine processing packets with the old instance — the property the
 // reconfig tests drive under every injection.
 //
-// Known costs, by design (documented in DESIGN.md §11): an abandoned or retired
+// Known cost, by design (documented in DESIGN.md §11): an abandoned or retired
 // generation's text is leaked (stubbed ids stay valid, so no caller enumeration
-// is ever needed), and appending functions shifts native callable ids — the
-// linker and the engine patch every stored native reference in the same growth
-// step, so the shift is never observable by running code.
+// is ever needed). Growing the image renumbers nothing: natives live at fixed
+// ids (kNativeBase + n) no function id reaches, so the append never writes the
+// running image's code or data, and a native ref that running code stored
+// anywhere still names its native after the swap.
 //
 // A swap costs in proportion to its replacement, not to the image: the engine
-// keeps an index of the code sites a growth step may rewrite (CodeSiteIndex:
-// native calls and funcref constants), built with one scan at construction and
-// extended by every append, and the machine resets only the branch predictions
-// that were made. Invariant: after the engine is constructed, only the engine
-// mutates the code of build.image — an outside edit would leave the index
-// stale, and a later swap would miss the edited site.
+// keeps an index of the funcref constants the commit may repoint, built with
+// one scan at construction and extended by every append, and the machine
+// resets only the branch predictions that were made. Invariant: after the
+// engine is constructed, only the engine mutates the code of build.image — an
+// outside edit would leave the index stale, and a later commit would miss the
+// edited site.
 #ifndef SRC_RECONFIG_RECONFIG_H_
 #define SRC_RECONFIG_RECONFIG_H_
 
@@ -50,10 +51,22 @@
 #include <vector>
 
 #include "src/driver/knitc.h"
-#include "src/ld/link.h"
 #include "src/vm/machine.h"
 
 namespace knit {
+
+// A code site of a linked image: instruction `pc` of function `function`.
+struct CodeSite {
+  int function = 0;
+  int pc = 0;
+  bool operator==(const CodeSite&) const = default;
+};
+
+// Appends to `sites`, in (function, pc) order, every kConstInt of functions
+// [first, functions.size()) of `image` whose value carries the funcref bit. A
+// negative integer constant carries the bit too; it is listed, and the commit's
+// repoint leaves it as it is.
+void ScanFuncRefSites(const Image& image, size_t first, std::vector<CodeSite>& sites);
 
 // One requested hot-swap: replace `instance` (a configuration path such as
 // "ClackRouter/RouteLookup") with freshly compiled `source`.
@@ -103,9 +116,9 @@ class ReconfigEngine {
   const std::vector<SwapReport>& reports() const { return reports_; }
   const SwapReport& last_report() const { return reports_.back(); }
 
-  // The engine's index of the image's rewritable code sites; always equal to a
-  // fresh ScanCodeSites of the whole image.
-  const CodeSiteIndex& code_sites() const { return sites_; }
+  // The engine's index of the image's funcref constants; always equal to a
+  // fresh ScanFuncRefSites of the whole image.
+  const std::vector<CodeSite>& func_ref_sites() const { return func_ref_sites_; }
 
  private:
   SwapReport Execute(const SwapSpec& spec, int deferred_packets);
@@ -113,7 +126,7 @@ class ReconfigEngine {
   KnitBuildResult& build_;
   Machine& machine_;
   SourceMap sources_;
-  CodeSiteIndex sites_;
+  std::vector<CodeSite> func_ref_sites_;
   int generation_ = 0;
 
   struct Pending {

@@ -52,7 +52,7 @@ enum class Op : uint8_t {
   // Calls. Arguments are pushed left-to-right.
   kCall,          // a = symbol #(object form) / resolved callee (linked form: a
                   //   callable id, see Image — a VM function below
-                  //   functions.size(), a native at or above it); b = argc
+                  //   functions.size(), a native at kNativeBase + n); b = argc
   kCallIndirect,  // pop function reference, then pop b args
   kCallBound,     // linked form only: call through binding slot #a of the image
                   //   (Image::bindings[a].target), b = argc/returns as kCall. The

@@ -15,6 +15,10 @@ namespace knit {
 // Where every linked image loads its data.
 inline constexpr uint32_t kDataBase = 0x1000;
 
+// Native n has callable id kNativeBase + n: above every function id, so
+// appending functions to a linked image never renumbers a native.
+inline constexpr int kNativeBase = 1 << 30;
+
 // Every function starts on a kTextAlign-byte text boundary (the I-cache model
 // sees the padding).
 inline constexpr int kTextAlign = 16;
@@ -34,12 +38,13 @@ inline int PlaceText(BytecodeFunction& function, int cursor) {
 struct BindingSlot {
   std::string symbol;     // global link name the slot stands for
   std::string component;  // instance path that owns the definition
-  int target = -1;        // current callee's callable id (natives are ids >= functions.size())
+  int target = -1;        // current callee's callable id (see Image)
 };
 
 struct Image {
   // Callable space: ids [0, functions.size()) are VM functions; ids
-  // [functions.size(), functions.size() + natives.size()) are natives.
+  // [kNativeBase, kNativeBase + natives.size()) are natives. The two ranges
+  // never meet, so every id keeps its meaning as the image grows.
   std::vector<BytecodeFunction> functions;  // text_offset assigned, code resolved
   std::vector<std::string> natives;         // native callable names, in id order
 
@@ -68,8 +73,14 @@ struct Image {
     return it == function_symbols.end() ? -1 : it->second;
   }
 
-  bool IsNativeId(int callable) const {
-    return callable >= static_cast<int>(functions.size());
+  static bool IsNativeId(int callable) { return callable >= kNativeBase; }
+  static int NativeIndex(int callable) { return callable - kNativeBase; }
+  static int NativeId(int index) { return kNativeBase + index; }
+
+  // Whether `callable` names a function or a native of this image.
+  bool IsCallable(int callable) const {
+    return IsNativeId(callable) ? NativeIndex(callable) < static_cast<int>(natives.size())
+                                : callable >= 0 && callable < static_cast<int>(functions.size());
   }
 };
 

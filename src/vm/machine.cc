@@ -361,10 +361,9 @@ Machine::FaultAction Machine::CheckFault(int callable, uint32_t* value_out) {
   if (fault_counts_.empty()) {
     return FaultAction::kNone;
   }
-  const size_t functions = image_.functions.size();
-  const size_t id = static_cast<size_t>(callable);
-  const std::vector<int>& slots = id < functions ? fault_function_slot_ : fault_native_slot_;
-  const size_t index = id < functions ? id : id - functions;
+  const bool native = Image::IsNativeId(callable);
+  const std::vector<int>& slots = native ? fault_native_slot_ : fault_function_slot_;
+  const size_t index = static_cast<size_t>(native ? Image::NativeIndex(callable) : callable);
   const int slot = index < slots.size() ? slots[index] : -1;
   if (slot < 0) {
     return FaultAction::kNone;
@@ -662,12 +661,11 @@ bool Machine::ResolveTarget(int site, int callable, int32_t call_b) {
     predicted = callable;
     cycles_ += cost_.indirect_call_overhead;
   }
-  const int functions = static_cast<int>(image_.functions.size());
-  if (callable < 0 || callable >= functions + static_cast<int>(image_.natives.size())) {
+  if (!image_.IsCallable(callable)) {
     Trap("indirect call to invalid function reference");
     return false;
   }
-  if (callable >= functions) {
+  if (Image::IsNativeId(callable)) {
     return true;  // natives take any arguments and return what the site asks for
   }
   const BytecodeFunction& callee = image_.functions[callable];
@@ -740,8 +738,7 @@ bool Machine::ExecuteCall(Op op, int32_t a, int32_t b, int caller) {
     }
     return true;
   }
-  const int functions = static_cast<int>(image_.functions.size());
-  if (callable < functions) {
+  if (!Image::IsNativeId(callable)) {
     if (!EnterFunction(callable, argc)) {
       return false;
     }
@@ -755,7 +752,7 @@ bool Machine::ExecuteCall(Op op, int32_t a, int32_t b, int caller) {
     }
     return true;
   }
-  const int native = callable - functions;
+  const int native = Image::NativeIndex(callable);
   if (action == FaultAction::kTrap) {
     Trap("fault injected into '" + image_.natives[native] + "'");
     return false;

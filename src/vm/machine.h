@@ -322,7 +322,7 @@ class Machine {
   // Returns the verifier's diagnostic when the appended functions are rejected
   // ("" otherwise); rejected functions stay in the image but never run — a call
   // into one traps. The code of already-verified functions may change only in
-  // kConstInt operands and in direct-call ids the growth itself shifted.
+  // kConstInt operands (a swap's commit repoints stored function refs).
   std::string RefreshAfterImageGrowth();
 
   const Image& image() const { return image_; }
@@ -412,7 +412,7 @@ class Machine {
   size_t eval_top_ = 0;
   std::vector<Frame> frames_;
 
-  std::vector<NativeFn> natives_;  // native id -> binding (empty: unbound)
+  std::vector<NativeFn> natives_;  // Image::NativeIndex -> binding (empty: unbound)
   std::string console_;
 
   long long cycles_ = 0;

@@ -100,7 +100,7 @@ std::set<int> EntryRoots(const Image& image, const ImagePassOptions& options) {
   std::set<int> roots;
   for (const std::string& name : options.entry_points) {
     int id = image.FindFunction(name);
-    if (id >= 0 && !image.IsNativeId(id)) {
+    if (id >= 0 && id < static_cast<int>(image.functions.size())) {
       roots.insert(id);
     }
   }
@@ -195,7 +195,6 @@ long long CallSiteScore(const ProfileIndex& index, const std::string& caller_com
 // not be a jump target (a jump landing there would take its target from the
 // stack, not from our constant).
 void Devirtualize(Image& image, const ImagePassOptions& options) {
-  int total_callables = static_cast<int>(image.functions.size() + image.natives.size());
   for (BytecodeFunction& function : image.functions) {
     if (function.code.empty()) {
       continue;
@@ -218,10 +217,10 @@ void Devirtualize(Image& image, const ImagePassOptions& options) {
         continue;
       }
       int callable = static_cast<int>(DecodeFuncRef(value));
-      if (callable < 0 || callable >= total_callables) {
+      if (!image.IsCallable(callable)) {
         continue;
       }
-      if (callable < static_cast<int>(image.functions.size()) &&
+      if (!Image::IsNativeId(callable) &&
           options.swappable_components.count(image.functions[callable].component) > 0) {
         // The target belongs to a hot-swappable instance: baking a direct
         // call would survive a swap and keep invoking the retired code. The

@@ -59,8 +59,6 @@ std::string At(int pc, const Insn& insn) {
 std::string CheckOperands(const Image& image, const BytecodeFunction& function, int pc) {
   const Insn& insn = function.code[pc];
   const int64_t frame = function.frame_size;
-  const int functions = static_cast<int>(image.functions.size());
-  const int callables = functions + static_cast<int>(image.natives.size());
   switch (insn.op) {
     case Op::kLoadLocal:
     case Op::kStoreLocal:
@@ -89,10 +87,10 @@ std::string CheckOperands(const Image& image, const BytecodeFunction& function, 
       }
       return "";
     case Op::kCall: {
-      if (insn.a < 0 || insn.a >= callables) {
+      if (!image.IsCallable(insn.a)) {
         return At(pc, insn) + "call to invalid callee id " + std::to_string(insn.a);
       }
-      if (insn.a >= functions) {
+      if (Image::IsNativeId(insn.a)) {
         return "";  // natives take any arguments and return what the site asks for
       }
       const BytecodeFunction& callee = image.functions[insn.a];
@@ -271,10 +269,9 @@ VerifyResult VerifyImage(const Image& image, size_t first) {
     result.max_depth.push_back(max_depth);
   }
   if (first == 0) {
-    const int callables = static_cast<int>(image.functions.size() + image.natives.size());
     for (size_t s = 0; s < image.bindings.size(); ++s) {
       const BindingSlot& slot = image.bindings[s];
-      if (slot.target < 0 || slot.target >= callables) {
+      if (!image.IsCallable(slot.target)) {
         result.error = "bytecode verification failed: binding slot " + std::to_string(s) +
                        " ('" + slot.symbol + "') targets invalid callable " +
                        std::to_string(slot.target);

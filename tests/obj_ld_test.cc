@@ -301,26 +301,18 @@ const Insn* FirstCall(const BytecodeFunction& function) {
   return nullptr;
 }
 
-// A full scan of `image`'s rewritable code sites.
-CodeSiteIndex SitesOf(const Image& image) {
-  CodeSiteIndex sites;
-  ScanCodeSites(image, 0, sites);
-  return sites;
-}
-
 TEST(LinkAppend, CallIntoASwappableComponentIsBound) {
   Image image = LinkAToSwappableB();
   // Both of B's functions have slots, in symbol order.
   ASSERT_EQ(image.bindings.size(), 2u);
   ASSERT_EQ(image.bindings[0].symbol, "b_get");
   const int slot = 0;
-  CodeSiteIndex sites = SitesOf(image);
   Diagnostics diags;
   ASSERT_TRUE(LinkAppend(image,
                          InstanceObject("c.o", "C",
                                         "extern int b_get(void);\n"
                                         "int c_use(void) { return b_get() + 1; }\n"),
-                         0, sites, diags)
+                         0, diags)
                   .ok())
       << diags.ToString();
   const Insn* call = FirstCall(image.functions[image.FindFunction("c_use")]);
@@ -334,14 +326,13 @@ TEST(LinkAppend, CallIntoASwappableComponentIsBound) {
 TEST(LinkAppend, CallInsideTheSameComponentStaysDirect) {
   Image image = LinkAToSwappableB();
   const int b_get = image.FindFunction("b_get");
-  CodeSiteIndex sites = SitesOf(image);
   Diagnostics diags;
   ASSERT_TRUE(LinkAppend(image,
                          InstanceObject("b2.o", "B",
                                         "extern int b_get(void);\n"
                                         "int b_next(void) { return b_get() + 2; }\n"
                                         "int b_last(void) { return b_next() + 3; }\n"),
-                         0, sites, diags)
+                         0, diags)
                   .ok())
       << diags.ToString();
   // Into the image's B, and within the appended object: every call is direct.
@@ -358,9 +349,9 @@ TEST(LinkAppend, CallInsideTheSameComponentStaysDirect) {
   EXPECT_EQ(machine.Call("b_last").value, 12u);
 }
 
-// An image whose code holds every kind of indexed site: direct native calls,
-// a native ref and a function ref as code constants, a negative constant (the
-// funcref bit without a ref), and native/function refs in data.
+// An image whose code and data hold every kind of callable reference: direct
+// native calls, a native ref and a function ref as code constants, a negative
+// constant (the funcref bit without a ref), and native/function refs in data.
 Image LinkNativeUser() {
   std::vector<LinkItem> items;
   items.emplace_back(CompileOrDie("a.o", R"(
@@ -385,36 +376,29 @@ ObjectFile NativeCallingObject() {
                              "int n2(void) { return 2; }\n");
 }
 
-TEST(LinkAppend, NativeIdsInOldCodeAndDataShiftByTheAppendedCount) {
+// Native ids sit above every function id, so an append renumbers nothing: the
+// old code and the linked data stay byte-identical, and every old reference to
+// the native still reaches it.
+TEST(LinkAppend, AnAppendLeavesOldCodeAndDataByteIdentical) {
   Image image = LinkNativeUser();
-  const int old_count = static_cast<int>(image.functions.size());
+  const Image original = image;
   const uint32_t native_slot = image.data_symbols.at("g_native");
-  const uint32_t local_slot = image.data_symbols.at("g_local");
-  auto data_word = [&](uint32_t address) {
-    uint32_t word = 0;
-    for (int i = 0; i < 4; ++i) {
-      word |= static_cast<uint32_t>(image.data[address - image.data_base + i]) << (8 * i);
-    }
-    return word;
-  };
-  ASSERT_EQ(data_word(native_slot), EncodeFuncRef(old_count));
-  const uint32_t local_ref = data_word(local_slot);
-  CodeSiteIndex sites = SitesOf(image);
-  ASSERT_FALSE(sites.native_calls.empty());
-  ASSERT_GE(sites.func_refs.size(), 3u);  // &host_fn, &twice, -2
+  uint32_t native_ref = 0;
+  for (int i = 0; i < 4; ++i) {
+    native_ref |= static_cast<uint32_t>(image.data[native_slot - image.data_base + i]) << (8 * i);
+  }
+  ASSERT_EQ(native_ref, EncodeFuncRef(kNativeBase));
 
   Diagnostics diags;
-  ASSERT_TRUE(LinkAppend(image, NativeCallingObject(), 0, sites, diags).ok())
-      << diags.ToString();
-  ASSERT_EQ(static_cast<int>(image.functions.size()), old_count + 2);
-  // The index now lists the appended functions' sites too: it is exactly what a
-  // full scan of the grown image finds.
-  EXPECT_EQ(sites, SitesOf(image));
-  const Insn* call = FirstCall(image.functions[image.FindFunction("call_direct")]);
+  ASSERT_TRUE(LinkAppend(image, NativeCallingObject(), 0, diags).ok()) << diags.ToString();
+  ASSERT_EQ(image.functions.size(), original.functions.size() + 2);
+  for (size_t f = 0; f < original.functions.size(); ++f) {
+    EXPECT_EQ(image.functions[f].code, original.functions[f].code) << image.functions[f].name;
+  }
+  EXPECT_EQ(image.data, original.data);
+  const Insn* call = FirstCall(image.functions[image.FindFunction("n1")]);
   ASSERT_NE(call, nullptr);
-  EXPECT_EQ(call->a, old_count + 2);  // native 0, past the appended functions
-  EXPECT_EQ(data_word(native_slot), EncodeFuncRef(old_count + 2));
-  EXPECT_EQ(data_word(local_slot), local_ref);  // a VM function ref stays
+  EXPECT_EQ(call->a, kNativeBase);  // the appended code names native 0 the same way
 
   Machine machine(image);
   machine.BindNative("host_fn", [](Machine&, std::span<const uint32_t> args) {
@@ -426,48 +410,6 @@ TEST(LinkAppend, NativeIdsInOldCodeAndDataShiftByTheAppendedCount) {
   EXPECT_EQ(machine.Call("minus_two").value, static_cast<uint32_t>(-2));
   EXPECT_EQ(machine.Call("n1").value, 101u);
   EXPECT_EQ(machine.Call("n2").value, 2u);
-}
-
-// The check the swap tests apply after every append: the index equals a full
-// scan, and the code equals what an append through the full scan produces.
-// Leaving any one site out of the index fails it.
-testing::AssertionResult AppendMatchesReference(const Image& image, const CodeSiteIndex& sites,
-                                                const Image& reference) {
-  if (!(sites == SitesOf(image))) {
-    return testing::AssertionFailure() << "index differs from a full scan";
-  }
-  for (size_t f = 0; f < image.functions.size(); ++f) {
-    if (image.functions[f].code != reference.functions[f].code) {
-      return testing::AssertionFailure() << "code of " << image.functions[f].name << " differs";
-    }
-  }
-  return testing::AssertionSuccess();
-}
-
-TEST(LinkAppend, AnAppendThroughAnIndexMissingOneSiteIsCaught) {
-  const Image original = LinkNativeUser();
-  const CodeSiteIndex full = SitesOf(original);
-  Image reference = original;
-  CodeSiteIndex reference_sites = full;
-  Diagnostics diags;
-  ASSERT_TRUE(LinkAppend(reference, NativeCallingObject(), 0, reference_sites, diags).ok())
-      << diags.ToString();
-  ASSERT_TRUE(AppendMatchesReference(reference, reference_sites, reference));
-
-  int dropped = 0;
-  for (std::vector<CodeSite> CodeSiteIndex::*list :
-       {&CodeSiteIndex::native_calls, &CodeSiteIndex::func_refs}) {
-    for (size_t drop = 0; drop < (full.*list).size(); ++drop) {
-      SCOPED_TRACE("dropped site " + std::to_string(drop));
-      Image image = original;
-      CodeSiteIndex sites = full;
-      (sites.*list).erase((sites.*list).begin() + static_cast<long>(drop));
-      ASSERT_TRUE(LinkAppend(image, NativeCallingObject(), 0, sites, diags).ok());
-      EXPECT_FALSE(AppendMatchesReference(image, sites, reference));
-      ++dropped;
-    }
-  }
-  EXPECT_EQ(dropped, static_cast<int>(full.native_calls.size() + full.func_refs.size()));
 }
 
 TEST(LinkAppend, FailedAppendNamesBothEndsAndLeavesTheImageUntouched) {
@@ -482,14 +424,12 @@ TEST(LinkAppend, FailedAppendNamesBothEndsAndLeavesTheImageUntouched) {
   const int text_bytes = image.text_bytes;
   const std::map<std::string, int> function_symbols = image.function_symbols;
   const std::map<std::string, uint32_t> data_symbols = image.data_symbols;
-  CodeSiteIndex sites = SitesOf(image);
-  const CodeSiteIndex sites_before = sites;
 
   Diagnostics diags;
   EXPECT_FALSE(LinkAppend(image,
                           CompileOrDie("b.o", "extern int counter(void);\n"
                                               "int g(void) { return counter(); }\n"),
-                          0x8000, sites, diags)
+                          0x8000, diags)
                    .ok());
   EXPECT_NE(diags.ToString().find("'g' calls 'counter', which is data, not a function"),
             std::string::npos)
@@ -498,7 +438,7 @@ TEST(LinkAppend, FailedAppendNamesBothEndsAndLeavesTheImageUntouched) {
   EXPECT_FALSE(LinkAppend(image,
                           CompileOrDie("c.o", "extern int nowhere(void);\n"
                                               "int g(void) { return nowhere(); }\n"),
-                          0x8000, sites, diags)
+                          0x8000, diags)
                    .ok());
   EXPECT_NE(diags.ToString().find("undefined reference to 'nowhere'"), std::string::npos)
       << diags.ToString();
@@ -508,7 +448,6 @@ TEST(LinkAppend, FailedAppendNamesBothEndsAndLeavesTheImageUntouched) {
   EXPECT_EQ(image.function_symbols, function_symbols);
   EXPECT_EQ(image.data_symbols, data_symbols);
   EXPECT_TRUE(image.func_ref_data.empty());
-  EXPECT_EQ(sites, sites_before);
 }
 
 TEST(LinkAppend, AppendedTextFollowsKTextAlignAndDataItsAddress) {
@@ -522,7 +461,6 @@ TEST(LinkAppend, AppendedTextFollowsKTextAlignAndDataItsAddress) {
   const int old_text = image.text_bytes;
 
   const uint32_t data_address = 0x20000;
-  CodeSiteIndex sites = SitesOf(image);
   Diagnostics diags;
   Result<std::vector<uint8_t>> data =
       LinkAppend(image, CompileOrDie("b.o", R"(
@@ -531,7 +469,7 @@ int bigger(int x) { int y = x * 3; if (y > 7) { y = y - 7; } return y + tiny(); 
 int (*g_fn)(int) = bigger;
 int g_value = 5;
 )"),
-                 data_address, sites, diags);
+                 data_address, diags);
   ASSERT_TRUE(data.ok()) << diags.ToString();
 
   int cursor = old_text;

@@ -8,7 +8,7 @@
 //     change, state preservation, old-generation finalization, every
 //     FaultPlan::swap_points injection, repeated-failure idempotency,
 //     deferral while a frame is live inside the target, and the engine's
-//     code-site index after every swap outcome.
+//     funcref-constant index after every swap outcome.
 //   - Clack scenario: hot-swap EVERY element of the 24-instance modular router
 //     mid-trace, at -O1 and -O2, and require byte-identical transmissions
 //     (same tx hash, same tx count) as the no-swap run — zero dropped packets.
@@ -309,9 +309,26 @@ TEST(Reconfig, ReplacementMustKeepTheExportSignatures) {
   EXPECT_EQ(kit->Call("a", "call_get"), 1u) << "old generation must keep serving";
 }
 
-// Appending the replacement shifts native ids, and the engine patches stored
-// native references in old code by the same delta. A negative integer constant
-// also has the funcref bit set; it names no native and must keep its value.
+// A native ref that running code stored where no link-time record points: the
+// old generation's finalizer must still reach `ev` through it after the append.
+TEST(Reconfig, NativeRefStoredAtRunTimeSurvivesASwap) {
+  const char kWorkerStoresRef[] =
+      "extern void ev(int code);\n"
+      "static void (*g_log)(int) = 0;\n"
+      "int get(void) { return 1; }\n"
+      "int w_init(void) { g_log = ev; ev(1); return 0; }\n"
+      "void w_fini(void) { g_log(101); }\n";
+  auto kit = BuildSwapKit(kWorkerStoresRef);
+  ASSERT_TRUE(kit->ok()) << kit->error;
+  SwapReport report = kit->Swap(kWorkerV2, "worker_v2.c");
+  ASSERT_TRUE(report.ok) << report.error;
+  EXPECT_TRUE(report.warnings.empty()) << report.warnings.front();
+  EXPECT_EQ(kit->events, std::vector<int>({1, 2, 101}));
+  EXPECT_EQ(kit->Call("a", "call_get"), 2u);
+}
+
+// A negative integer constant has the funcref bit set; it names no callable,
+// and a neighbour's swap must leave its value alone.
 TEST(Reconfig, NegativeConstantsSurviveANeighboursSwap) {
   const char kNegativeCaller[] =
       "extern int get(void);\n"
@@ -536,9 +553,9 @@ TEST(Reconfig, RequestDefersWhileTargetFrameIsLive) {
 }
 
 // ---------------------------------------------------------------------------
-// The engine's code-site index must equal a full scan of the image after every
-// swap outcome: a commit, a verifier rejection, a failed initializer, every
-// injection point and a failed link.
+// The engine's funcref-constant index must equal a full scan of the image
+// after every swap outcome: a commit, a verifier rejection, a failed
+// initializer, every injection point and a failed link.
 // ---------------------------------------------------------------------------
 
 // A caller whose code holds a funcref constant to the swappable get() (repointed
@@ -554,8 +571,7 @@ TEST(ReconfigIndex, SiteIndexEqualsAFullScanAfterEveryOutcome) {
   ASSERT_TRUE(kit->ok()) << kit->error;
   const Image& image = kit->build->image;
   ASSERT_TRUE(IndexMatchesScan(*kit->engine, image));
-  ASSERT_FALSE(kit->engine->code_sites().native_calls.empty());
-  ASSERT_GE(kit->engine->code_sites().func_refs.size(), 2u);
+  ASSERT_GE(kit->engine->func_ref_sites().size(), 2u);
   EXPECT_EQ(kit->Call("a", "call_get"), 1u);
 
   auto swap = [&](const std::string& source, const std::string& name, bool commits) {

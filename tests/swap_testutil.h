@@ -73,20 +73,18 @@ inline std::unique_ptr<SwapRig> BuildSwapRig(const std::string& top, int opt_lev
   return rig;
 }
 
-// The engine's code-site index against a fresh full scan of the image it
-// maintains.
+// The engine's funcref-constant index against a fresh full scan of the image
+// it maintains.
 inline testing::AssertionResult IndexMatchesScan(const ReconfigEngine& engine,
                                                  const Image& image) {
-  CodeSiteIndex scan;
-  ScanCodeSites(image, 0, scan);
-  const CodeSiteIndex& index = engine.code_sites();
+  std::vector<CodeSite> scan;
+  ScanFuncRefSites(image, 0, scan);
+  const std::vector<CodeSite>& index = engine.func_ref_sites();
   if (index == scan) {
     return testing::AssertionSuccess();
   }
-  return testing::AssertionFailure()
-         << "index lists " << index.native_calls.size() << " native calls and "
-         << index.func_refs.size() << " funcref constants; a full scan finds "
-         << scan.native_calls.size() << " and " << scan.func_refs.size();
+  return testing::AssertionFailure() << "index lists " << index.size()
+                                     << " funcref constants; a full scan finds " << scan.size();
 }
 
 // A Fisher-Yates shuffle on raw mt19937 draws: the same order on every

@@ -25,7 +25,7 @@ namespace knit {
 namespace {
 
 // One int-returning function "f" (id 0) plus, when asked, a two-parameter
-// callee "g" (id 1) and one native "n" (id 2).
+// callee "g" (id 1) and one native "n" (id kNativeBase).
 Image HandImage(std::vector<Insn> code, int frame_size = 0, bool with_callee = false) {
   Image image;
   BytecodeFunction f;
@@ -78,9 +78,17 @@ std::vector<MalformedCase> MalformedImages() {
                    "local access outside the 4-byte frame"});
   cases.push_back({"bad slot", HandImage({{Op::kCallBound, 3, returns}, {Op::kRet, 1, 0}}),
                    "bound call through invalid binding slot 3"});
-  cases.push_back({"bad native id",
-                   HandImage({{Op::kCall, 3, returns}, {Op::kRet, 1, 0}}, 0, true),
-                   "call to invalid callee id 3"});
+  cases.push_back({"one past the last native",
+                   HandImage({{Op::kCall, kNativeBase + 1, returns}, {Op::kRet, 1, 0}}, 0, true),
+                   "call to invalid callee id 1073741825"});
+  // Ids between the functions and kNativeBase name nothing; the first one is
+  // where natives were numbered before they had their own range.
+  cases.push_back({"first id past the functions",
+                   HandImage({{Op::kCall, 2, returns}, {Op::kRet, 1, 0}}, 0, true),
+                   "call to invalid callee id 2"});
+  cases.push_back({"last id below the natives",
+                   HandImage({{Op::kCall, kNativeBase - 1, returns}, {Op::kRet, 1, 0}}, 0, true),
+                   "call to invalid callee id 1073741823"});
   cases.push_back({"bad callee id", HandImage({{Op::kCall, -1, returns}, {Op::kRet, 1, 0}}),
                    "call to invalid callee id -1"});
   cases.push_back({"too few arguments",

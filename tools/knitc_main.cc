@@ -564,6 +564,27 @@ bool WriteTextOutput(const std::string& path, const std::string& content) {
   return true;
 }
 
+// Prints `profile` under `heading` and writes it to options.profile_file as a
+// profile document: a Chrome trace-event timeline plus the recording context
+// (top unit, configuration digest, -O level) that `--profile-use` checks
+// against the build it is asked to steer. Trace viewers ignore the extra
+// "knit_profile" key.
+bool WriteProfile(const CliOptions& options, const ElaboratedConfig& elaborated,
+                  const ComponentProfile& profile, const std::string& heading) {
+  std::printf("%s:\n%s", heading.c_str(), profile.ToText().c_str());
+  ProfileMeta meta = MakeProfileMeta(elaborated, options.build.opt_level);
+  if (!WriteTextOutput(options.profile_file,
+                       SerializeComponentProfile(profile, meta, options.top))) {
+    return false;
+  }
+  if (options.profile_file != "-") {
+    std::printf("profile written to %s (open in Perfetto or chrome://tracing; "
+                "feed back with --profile-use)\n",
+                options.profile_file.c_str());
+  }
+  return true;
+}
+
 bool WriteStatsJson(const std::string& path, const PipelineMetrics& metrics) {
   return WriteTextOutput(path, metrics.ToJson());
 }
@@ -625,6 +646,7 @@ int ServeMain(const CliOptions& options) {
   if (!built.ok()) {
     return 1;
   }
+  const ElaboratedConfig elaborated = built.value().compiled.checked.scheduled.elaborated;
   auto build = std::make_shared<const KnitBuildResult>(
       KnitBuildResultFrom(built.take(), pipeline.metrics()));
   std::printf("knitc: built '%s': %d instances, %d bytes text\n", options.top.c_str(),
@@ -665,13 +687,11 @@ int ServeMain(const CliOptions& options) {
               report.total.CyclesPerPacket());
   std::printf("  tx %u packets, aggregate hash %016llx\n", report.total.tx_count,
               static_cast<unsigned long long>(report.total.tx_hash));
-  if (serve.profile) {
-    std::printf("fleet component profile (exact sums over %d shards):\n%s",
-                options.serve_shards, report.total.profile.ToText().c_str());
-    if (options.profile_file != "-" &&
-        !WriteTextOutput(options.profile_file, report.total.profile.ToText())) {
-      return 1;
-    }
+  if (serve.profile &&
+      !WriteProfile(options, elaborated, report.total.profile,
+                    "fleet component profile (exact sums over " +
+                        std::to_string(options.serve_shards) + " shards)")) {
+    return 1;
   }
   if (!options.serve_json.empty()) {
     char buffer[1024];
@@ -917,24 +937,10 @@ int Main(int argc, char** argv) {
       std::fprintf(stderr, "knitc: knit__fini failed: %s\n", fini.error.c_str());
       return 1;
     }
-    if (!options.profile_file.empty()) {
-      ComponentProfile profile = machine.Profile();
-      std::printf("component profile (%s):\n%s", options.top.c_str(),
-                  profile.ToText().c_str());
-      // The document carries the recording context (top unit, configuration
-      // digest, -O level) so `--profile-use` can check it matches the build it
-      // is asked to steer. It still loads in Perfetto: trace viewers ignore
-      // the extra "knit_profile" key.
-      ProfileMeta meta = MakeProfileMeta(built_elaborated, options.build.opt_level);
-      if (!WriteTextOutput(options.profile_file,
-                           SerializeComponentProfile(profile, meta, options.top))) {
-        return 1;
-      }
-      if (options.profile_file != "-") {
-        std::printf("profile written to %s (open in Perfetto or chrome://tracing; "
-                    "feed back with --profile-use)\n",
-                    options.profile_file.c_str());
-      }
+    if (!options.profile_file.empty() &&
+        !WriteProfile(options, built_elaborated, machine.Profile(),
+                      "component profile (" + options.top + ")")) {
+      return 1;
     }
   }
   return 0;

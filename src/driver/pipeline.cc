@@ -1432,11 +1432,6 @@ Result<OptimizedImage> KnitPipeline::LinkOptimize(const LinkedImage& linked, Dia
     for (const auto& [port_symbol, link_name] : linked.export_names) {
       image_options.entry_points.push_back(link_name);
     }
-    const Configuration& config = *linked.compiled.checked.scheduled.elaborated.config;
-    if (!ExpandSwappable(options_.swappable, config, image_options.swappable_components, diags)) {
-      metrics.seconds = Seconds(t0);
-      return Result<OptimizedImage>::Failure();
-    }
     // Profile-guided mode: a loaded profile whose recording context matches this
     // build switches the image pipeline to PGO (hottest-first inlining,
     // affinity layout, cold outlining). A mismatched profile is dropped with a

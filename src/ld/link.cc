@@ -28,11 +28,6 @@ struct Resolved {
   uint32_t address = 0;  // kData
 };
 
-uint32_t ValueOf(const Resolved& resolved) {
-  return resolved.kind == Resolved::Kind::kData ? resolved.address
-                                                : EncodeFuncRef(resolved.callable);
-}
-
 class Linker {
  public:
   // A fresh link of `items` into a new image.
@@ -67,13 +62,20 @@ class Linker {
     return std::move(result_);
   }
 
-  Result<std::vector<uint8_t>> Append(const ObjectFile& object, uint32_t data_address) {
+  Result<std::vector<uint8_t>> Append(const ObjectFile& object, uint32_t data_address,
+                                      const std::map<std::string, std::string>& slot_definitions) {
     Image& image = *image_;
     included_.push_back(&object);
     function_base_[&object] = static_cast<int>(image.functions.size());
     data_address_[&object] = data_address;
     for (size_t slot = 0; slot < image.bindings.size(); ++slot) {
       slot_of_callable_[image.bindings[slot].target] = static_cast<int>(slot);
+      auto successor = slot_definitions.find(image.bindings[slot].symbol);
+      int symbol = successor == slot_definitions.end() ? -1 : object.FindSymbol(successor->second);
+      if (symbol >= 0 && object.symbols[symbol].section == ObjSymbol::Section::kText) {
+        slot_of_callable_[function_base_[&object] + object.symbols[symbol].index] =
+            static_cast<int>(slot);
+      }
     }
     std::vector<BytecodeFunction> placed = object.functions;
     if (!CheckDefinitions() || !Resolve() || !PatchCode(&object, placed.data())) {
@@ -314,6 +316,18 @@ class Linker {
     }
   }
 
+  // The word a reference to `resolved` links to: a data address, or a function
+  // ref. A ref to a function behind a binding slot names the slot (see
+  // kSlotBase), whichever component takes it, so it follows every swap.
+  uint32_t ValueOf(const Resolved& resolved) const {
+    if (resolved.kind == Resolved::Kind::kData) {
+      return resolved.address;
+    }
+    auto slot = slot_of_callable_.find(resolved.callable);
+    return EncodeFuncRef(slot == slot_of_callable_.end() ? resolved.callable
+                                                         : Image::SlotRef(slot->second));
+  }
+
   // Phase 4a: rewrite `object`'s code, placed at `placed` (one function per
   // object function). A call to a data symbol (a prototype in one unit, a
   // variable in another) is an error.
@@ -359,9 +373,10 @@ class Linker {
       uint8_t* word = bytes + reloc.data_offset;
       const Resolved& resolved = table[reloc.symbol];
       StoreWord(word, ValueOf(resolved) + LoadWord(word));
-      if (resolved.kind != Resolved::Kind::kData) {
-        // A function ref now lives in data; record where, so the image
-        // optimizer keeps its target alive (see Image::func_ref_data).
+      if (resolved.kind != Resolved::Kind::kData && options_ != nullptr) {
+        // A function ref now lives in linked data; record where, so the image
+        // optimizer keeps its target alive (see Image::func_ref_data). An
+        // append's data goes on the heap, which nothing reads that list for.
         image_->func_ref_data.push_back(data_address_[object] +
                                         static_cast<uint32_t>(reloc.data_offset));
       }
@@ -379,7 +394,7 @@ class Linker {
   std::map<const ObjectFile*, uint32_t> data_address_;
   std::map<const ObjectFile*, int> function_base_;
   std::map<const ObjectFile*, std::vector<Resolved>> resolution_;
-  std::map<int, int> slot_of_callable_;  // function id -> binding slot index
+  std::map<int, int> slot_of_callable_;  // function id -> binding slot index it serves
 };
 
 }  // namespace
@@ -391,9 +406,10 @@ Result<LinkResult> Link(std::vector<LinkItem> items, const LinkOptions& options,
 }
 
 Result<std::vector<uint8_t>> LinkAppend(Image& image, const ObjectFile& object,
-                                        uint32_t data_address, Diagnostics& diags) {
+                                        uint32_t data_address, Diagnostics& diags,
+                                        const std::map<std::string, std::string>& slot_definitions) {
   Linker linker(image, diags);
-  return linker.Append(object, data_address);
+  return linker.Append(object, data_address, slot_definitions);
 }
 
 }  // namespace knit

@@ -37,8 +37,9 @@ struct LinkOptions {
 
   // Instance paths (BytecodeFunction::component) whose global text symbols get
   // binding slots (Image::bindings): cross-component calls into them are emitted
-  // as kCallBound through the slot instead of a baked-in function id, making the
-  // instance hot-swappable at the cost of one indirection per boundary call.
+  // as kCallBound through the slot instead of a baked-in function id, and every
+  // ref to them as the slot's ref (kSlotBase), making the instance hot-swappable
+  // at the cost of one indirection per boundary call.
   std::set<std::string> swappable_components;
 };
 
@@ -64,10 +65,14 @@ Result<LinkResult> Link(std::vector<LinkItem> items, const LinkOptions& options,
 // against the image's symbols, then its natives. Everything is resolved and
 // checked before the image changes, so a failed append leaves it untouched. An
 // append never writes the image's existing code or data: function ids and
-// native ids (kNativeBase + n) keep their meaning as the image grows. Returns
+// native ids (kNativeBase + n) keep their meaning as the image grows.
+// `slot_definitions` maps a binding slot's symbol to the object's global
+// function that will serve the slot (a swap's versioned export); a ref to it
+// links as that slot's ref, like every ref to a current slot target. Returns
 // the object's relocated data, for the caller to load at `data_address`.
-Result<std::vector<uint8_t>> LinkAppend(Image& image, const ObjectFile& object,
-                                        uint32_t data_address, Diagnostics& diags);
+Result<std::vector<uint8_t>> LinkAppend(
+    Image& image, const ObjectFile& object, uint32_t data_address, Diagnostics& diags,
+    const std::map<std::string, std::string>& slot_definitions = {});
 
 }  // namespace knit
 

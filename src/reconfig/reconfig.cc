@@ -25,21 +25,8 @@ std::string RenderErrors(const Diagnostics& diags, const std::string& fallback) 
 
 }  // namespace
 
-void ScanFuncRefSites(const Image& image, size_t first, std::vector<CodeSite>& sites) {
-  for (size_t f = first; f < image.functions.size(); ++f) {
-    const std::vector<Insn>& code = image.functions[f].code;
-    for (size_t pc = 0; pc < code.size(); ++pc) {
-      if (code[pc].op == Op::kConstInt && IsFuncRef(static_cast<uint32_t>(code[pc].a))) {
-        sites.push_back(CodeSite{static_cast<int>(f), static_cast<int>(pc)});
-      }
-    }
-  }
-}
-
 ReconfigEngine::ReconfigEngine(KnitBuildResult& build, Machine& machine, SourceMap sources)
-    : build_(build), machine_(machine), sources_(std::move(sources)) {
-  ScanFuncRefSites(build_.image, 0, func_ref_sites_);
-}
+    : build_(build), machine_(machine), sources_(std::move(sources)) {}
 
 SwapReport ReconfigEngine::Request(const SwapSpec& spec) {
   if (!machine_.ComponentQuiescent(spec.instance)) {
@@ -189,10 +176,12 @@ SwapReport ReconfigEngine::Execute(const SwapSpec& spec, int deferred_packets) {
   }
   // The build's linker appends the functions past the existing text and
   // resolves the imports against the running image; a failure leaves the image
-  // untouched, and a success writes none of its existing code or data. The new
+  // untouched, and a success writes none of its existing code or data. The
+  // replacement's refs to its own exports link as their slots' refs. The new
   // generation is never reachable until the commit, so an abort from here on
   // leaves the RUNNING code as it was.
-  Result<std::vector<uint8_t>> data = LinkAppend(image, object, data_address, diags);
+  Result<std::vector<uint8_t>> data =
+      LinkAppend(image, object, data_address, diags, versioned_of);
   if (!data.ok()) {
     report.error = "replacement failed to link: " + RenderErrors(diags, "link error");
     return finish(report);
@@ -200,7 +189,6 @@ SwapReport ReconfigEngine::Execute(const SwapSpec& spec, int deferred_packets) {
   for (size_t i = 0; i < data.value().size(); ++i) {
     machine_.WriteByte(data_address + static_cast<uint32_t>(i), data.value()[i]);
   }
-  ScanFuncRefSites(image, static_cast<size_t>(old_count), func_ref_sites_);
   report.new_functions = static_cast<int>(object.functions.size());
 
   auto abandon = [&](const std::string& error) -> SwapReport& {
@@ -290,15 +278,13 @@ SwapReport ReconfigEngine::Execute(const SwapSpec& spec, int deferred_packets) {
   }
 
   // Retarget the binding slots: this is the instant the swap happens — every
-  // kCallBound site in the image now reaches the new generation.
-  std::map<int, int> retargeted;  // old function id -> new function id
+  // kCallBound site and every slot ref, wherever it is stored, now reaches the
+  // new generation.
   for (BindingSlot& slot : image.bindings) {
     if (slot.component != spec.instance) {
       continue;
     }
-    int new_id = image.FindFunction(versioned_of.at(slot.symbol));
-    retargeted[slot.target] = new_id;
-    slot.target = new_id;
+    slot.target = image.FindFunction(versioned_of.at(slot.symbol));
     ++report.rebound_slots;
   }
   // Repoint the unversioned link names so host-side Call(name) and future swaps
@@ -314,33 +300,6 @@ SwapReport ReconfigEngine::Execute(const SwapSpec& spec, int deferred_packets) {
       image.data_symbols[unversioned] = data->second;
     }
   }
-  // Stored function refs (address-of an export, dispatch tables in data) still
-  // encode old-generation ids; repoint every one the image knows about.
-  for (const CodeSite& site : func_ref_sites_) {
-    Insn& insn = image.functions[site.function].code[site.pc];
-    auto it = retargeted.find(DecodeFuncRef(static_cast<uint32_t>(insn.a)));
-    if (it != retargeted.end()) {
-      insn.a = static_cast<int32_t>(EncodeFuncRef(it->second));
-    }
-  }
-  for (uint32_t address : image.func_ref_data) {
-    uint32_t value = machine_.ReadWord(address);
-    auto it = IsFuncRef(value) ? retargeted.find(DecodeFuncRef(value)) : retargeted.end();
-    if (it == retargeted.end()) {
-      continue;
-    }
-    value = EncodeFuncRef(it->second);
-    machine_.WriteWord(address, value);
-    // Mirror into image.data when the word lives in the linked data image, so a
-    // later inspection of the image sees what the machine sees.
-    uint64_t offset = static_cast<uint64_t>(address) - image.data_base;
-    if (address >= image.data_base && offset + 4 <= image.data.size()) {
-      for (int i = 0; i < 4; ++i) {
-        image.data[offset + i] = static_cast<uint8_t>((value >> (8 * i)) & 0xFF);
-      }
-    }
-  }
-
   // Retire the old generation: run its finalizers (trap-guarded — a misbehaving
   // finalizer downgrades to a warning, never to a dead router).
   for (const auto& [unversioned, id] : old_finalizers) {

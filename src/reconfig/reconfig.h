@@ -21,9 +21,11 @@
 //                  nonzero status or a trap ABANDONS the new generation with the
 //                  binding slots untouched: exact rollback, the old instance
 //                  keeps serving ("degraded but running, never a dead router");
-//   5. commit    — retarget the instance's binding slots, repoint the unversioned
-//                  link symbols, patch stored function refs, then run the OLD
-//                  generation's finalizers (trap-guarded).
+//   5. commit    — retarget the instance's binding slots and repoint the
+//                  unversioned link symbols, then run the OLD generation's
+//                  finalizers (trap-guarded). A function ref to an export names
+//                  its slot (kSlotBase), so every ref, wherever running code
+//                  stored it, follows the retarget; nothing else is patched.
 //
 // Fault injection: FaultPlan::swap_points names the swap-path failure points
 // ("swap-link", "swap-init", "swap-init-trap", "swap-quiesce"); each must leave
@@ -32,18 +34,15 @@
 //
 // Known cost, by design (documented in DESIGN.md §11): an abandoned or retired
 // generation's text is leaked (stubbed ids stay valid, so no caller enumeration
-// is ever needed). Growing the image renumbers nothing: natives live at fixed
-// ids (kNativeBase + n) no function id reaches, so the append never writes the
-// running image's code or data, and a native ref that running code stored
-// anywhere still names its native after the swap.
+// is ever needed). A ref to a swapped instance's static function has no slot
+// and keeps naming the generation that took it. Growing the image renumbers
+// nothing: natives live at fixed ids (kNativeBase + n) no function id reaches,
+// so the append never writes the running image's code or data, and a native
+// ref that running code stored anywhere still names its native after the swap.
 //
-// A swap costs in proportion to its replacement, not to the image: the engine
-// keeps an index of the funcref constants the commit may repoint, built with
-// one scan at construction and extended by every append, and the machine
-// resets only the branch predictions that were made. Invariant: after the
-// engine is constructed, only the engine mutates the code of build.image — an
-// outside edit would leave the index stale, and a later commit would miss the
-// edited site.
+// A swap costs in proportion to its replacement, not to the image: it writes
+// no existing code or data, and the machine resets only the branch predictions
+// that were made.
 #ifndef SRC_RECONFIG_RECONFIG_H_
 #define SRC_RECONFIG_RECONFIG_H_
 
@@ -54,19 +53,6 @@
 #include "src/vm/machine.h"
 
 namespace knit {
-
-// A code site of a linked image: instruction `pc` of function `function`.
-struct CodeSite {
-  int function = 0;
-  int pc = 0;
-  bool operator==(const CodeSite&) const = default;
-};
-
-// Appends to `sites`, in (function, pc) order, every kConstInt of functions
-// [first, functions.size()) of `image` whose value carries the funcref bit. A
-// negative integer constant carries the bit too; it is listed, and the commit's
-// repoint leaves it as it is.
-void ScanFuncRefSites(const Image& image, size_t first, std::vector<CodeSite>& sites);
 
 // One requested hot-swap: replace `instance` (a configuration path such as
 // "ClackRouter/RouteLookup") with freshly compiled `source`.
@@ -116,17 +102,12 @@ class ReconfigEngine {
   const std::vector<SwapReport>& reports() const { return reports_; }
   const SwapReport& last_report() const { return reports_.back(); }
 
-  // The engine's index of the image's funcref constants; always equal to a
-  // fresh ScanFuncRefSites of the whole image.
-  const std::vector<CodeSite>& func_ref_sites() const { return func_ref_sites_; }
-
  private:
   SwapReport Execute(const SwapSpec& spec, int deferred_packets);
 
   KnitBuildResult& build_;
   Machine& machine_;
   SourceMap sources_;
-  std::vector<CodeSite> func_ref_sites_;
   int generation_ = 0;
 
   struct Pending {

@@ -722,6 +722,12 @@ bool Machine::ExecuteCall(Op op, int32_t a, int32_t b, int caller) {
         return false;
       }
       callable = DecodeFuncRef(ref);
+      if (Image::IsSlotRef(callable)) {
+        // A slot ref loads its binding slot, as kCallBound does; a slot past
+        // the table resolves to -1, which ResolveTarget rejects.
+        callable = image_.RefTarget(callable);
+        cycles_ += cost_.mem_access;
+      }
     }
     const int site = function_info_[caller].site_base + frames_.back().pc - 1;
     if (!ResolveTarget(site, callable, b)) {

@@ -321,8 +321,7 @@ class Machine {
   // visits only the sites that predicted, not every instruction).
   // Returns the verifier's diagnostic when the appended functions are rejected
   // ("" otherwise); rejected functions stay in the image but never run — a call
-  // into one traps. The code of already-verified functions may change only in
-  // kConstInt operands (a swap's commit repoints stored function refs).
+  // into one traps. The code of already-verified functions never changes.
   std::string RefreshAfterImageGrowth();
 
   const Image& image() const { return image_; }

@@ -29,14 +29,14 @@ uint32_t ReadDataWord(const Image& image, uint32_t address) {
   return word;
 }
 
-// Decodes an operand that may hold a function ref; returns the function id, or
-// -1 when the value is not a ref to a VM function (natives included: they have
-// no body to inline or eliminate).
+// Decodes an operand that may hold a function ref; returns the function id it
+// reaches (a slot ref's current target), or -1 when the value is not a ref to a
+// VM function (natives included: they have no body to inline or eliminate).
 int FuncRefTarget(const Image& image, uint32_t value) {
   if (!IsFuncRef(value)) {
     return -1;
   }
-  int id = static_cast<int>(DecodeFuncRef(value));
+  int id = image.RefTarget(DecodeFuncRef(value));
   return id >= 0 && id < static_cast<int>(image.functions.size()) ? id : -1;
 }
 
@@ -191,10 +191,11 @@ long long CallSiteScore(const ProfileIndex& index, const std::string& caller_com
 
 // Rewrites `kConstInt(funcref); kCallIndirect` pairs into a direct kCall: the
 // target is known at link time, so the call needs neither the BTB nor the
-// indirect-call penalty, and downstream passes can inline it. The call insn must
-// not be a jump target (a jump landing there would take its target from the
-// stack, not from our constant).
-void Devirtualize(Image& image, const ImagePassOptions& options) {
+// indirect-call penalty, and downstream passes can inline it. A slot ref becomes
+// a kCallBound on its slot instead, which follows a swap as the ref did. The
+// call insn must not be a jump target (a jump landing there would take its
+// target from the stack, not from our constant).
+void Devirtualize(Image& image) {
   for (BytecodeFunction& function : image.functions) {
     if (function.code.empty()) {
       continue;
@@ -216,19 +217,14 @@ void Devirtualize(Image& image, const ImagePassOptions& options) {
       if (!IsFuncRef(value)) {
         continue;
       }
-      int callable = static_cast<int>(DecodeFuncRef(value));
-      if (!image.IsCallable(callable)) {
-        continue;
-      }
-      if (!Image::IsNativeId(callable) &&
-          options.swappable_components.count(image.functions[callable].component) > 0) {
-        // The target belongs to a hot-swappable instance: baking a direct
-        // call would survive a swap and keep invoking the retired code. The
-        // indirect form re-reads the (rewritten) function ref every call.
+      const int callable = DecodeFuncRef(value);
+      if (!image.IsCallable(image.RefTarget(callable))) {
         continue;
       }
       function.code[i] = Insn{Op::kNop, 0, 0};
-      function.code[i + 1] = Insn{Op::kCall, callable, call.b};
+      function.code[i + 1] = Image::IsSlotRef(callable)
+                                 ? Insn{Op::kCallBound, Image::SlotIndex(callable), call.b}
+                                 : Insn{Op::kCall, callable, call.b};
     }
   }
 }
@@ -629,7 +625,7 @@ void OptimizeImage(Image& image, const ImagePassOptions& options,
     index = BuildProfileIndex(*options.profile);
     hot = &index;
   }
-  run("devirt", [&] { Devirtualize(image, options); });
+  run("devirt", [&] { Devirtualize(image); });
   run("cross-inline", [&] { CrossInline(image, options, hot); });
   run("dce-image", [&] { EliminateDeadFunctions(image, options); });
   run("simplify", [&] { SimplifyFunctions(image); });

@@ -23,7 +23,6 @@
 #define SRC_VM_PASSES_H_
 
 #include <chrono>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -76,10 +75,6 @@ struct ImagePassOptions {
   // Link names that stay callable from the host (exports, knit__init/fini/
   // rollback). Everything unreachable from these is dead.
   std::vector<std::string> entry_points;
-  // Instance paths that must stay hot-swappable (LinkOptions::swappable_
-  // components of the producing link): devirtualization must not bake a direct
-  // call to their code, and DCE must keep every binding-slot target alive.
-  std::set<std::string> swappable_components;
   // Recorded workload measurements (null = no profile). A profile selects the
   // profile-guided pipeline: cross-inline ranks call sites hottest-first by
   // component cycles and boundary-edge weight, and the final layout becomes

@@ -3,13 +3,12 @@
 // truncations and splices, and each mutant is requested as the leaf's
 // replacement on a live router session. A mutant must end in a commit or in an
 // abandonment that says why: never a crash, a hang or a sanitizer report.
-// After each mutant the engine's code-site index must equal a full scan of the
-// image and the session must still take a packet (a trap, say from a committed
-// mutant that now reads through a bad pointer, is a diagnosed result); then
-// the original source is swapped back. The budget is fixed and the machine's
-// fuel bounds every run, so the test is deterministic and cannot hang; the
-// ASan+UBSan lane runs it instrumented. An input that finds a fault is kept
-// as a regression case beside this test.
+// After each mutant the session must still take a packet (a trap, say from a
+// committed mutant that now reads through a bad pointer, is a diagnosed
+// result); then the original source is swapped back. The budget is fixed and
+// the machine's fuel bounds every run, so the test is deterministic and cannot
+// hang; the ASan+UBSan lane runs it instrumented. An input that finds a fault
+// is kept as a regression case beside this test.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -72,9 +71,6 @@ std::string TryMutant(SwapRig& rig, const SwapTarget& target, const std::string&
     return "an abandoned swap reported no error";
   } else {
     ++outcomes.abandoned;
-  }
-  if (!IndexMatchesScan(*rig.engine, rig.image())) {
-    return "the site index differs from a full scan";
   }
   machine.set_max_insns(machine.insns() + kFuel);
   Diagnostics diags;

@@ -73,20 +73,6 @@ inline std::unique_ptr<SwapRig> BuildSwapRig(const std::string& top, int opt_lev
   return rig;
 }
 
-// The engine's funcref-constant index against a fresh full scan of the image
-// it maintains.
-inline testing::AssertionResult IndexMatchesScan(const ReconfigEngine& engine,
-                                                 const Image& image) {
-  std::vector<CodeSite> scan;
-  ScanFuncRefSites(image, 0, scan);
-  const std::vector<CodeSite>& index = engine.func_ref_sites();
-  if (index == scan) {
-    return testing::AssertionSuccess();
-  }
-  return testing::AssertionFailure() << "index lists " << index.size()
-                                     << " funcref constants; a full scan finds " << scan.size();
-}
-
 // A Fisher-Yates shuffle on raw mt19937 draws: the same order on every
 // standard library, so a golden recorded on one toolchain holds on another.
 template <typename T>

@@ -156,23 +156,31 @@ TEST(Machine, IndirectCallThroughDataTraps) {
 
 // A function reference past the last native names no callable: the call traps
 // instead of indexing the native table out of bounds.
+// Forged refs: a function id past the image, and slot refs at and far past
+// the one binding slot, which must never index the slot table out of range.
 TEST(Machine, IndirectCallThroughInvalidFunctionReferenceTraps) {
-  Image image;
-  BytecodeFunction f;
-  f.name = "f";
-  f.returns_value = true;
-  f.text_offset = 0;
-  f.code = {{Op::kConstInt, static_cast<int32_t>(0x80001000u), 0},
-            {Op::kCallIndirect, 0, MakeCallB(0, true)},
-            {Op::kRet, 1, 0}};
-  image.functions.push_back(f);
-  image.function_symbols["f"] = 0;
-  image.text_bytes = 16;
-  Machine machine(image);
-  RunResult result = machine.Call("f");
-  EXPECT_FALSE(result.ok);
-  EXPECT_NE(result.error.find("indirect call to invalid function reference"), std::string::npos)
-      << result.error;
+  for (uint32_t ref : {0x80001000u, EncodeFuncRef(Image::SlotRef(1)),
+                       EncodeFuncRef(kNativeBase - 1)}) {
+    SCOPED_TRACE(ref);
+    Image image;
+    BytecodeFunction f;
+    f.name = "f";
+    f.returns_value = true;
+    f.text_offset = 0;
+    f.code = {{Op::kConstInt, static_cast<int32_t>(ref), 0},
+              {Op::kCallIndirect, 0, MakeCallB(0, true)},
+              {Op::kRet, 1, 0}};
+    image.functions.push_back(f);
+    image.function_symbols["f"] = 0;
+    image.bindings.push_back(BindingSlot{"f", "", 0});
+    image.text_bytes = 16;
+    Machine machine(image);
+    RunResult result = machine.Call("f");
+    EXPECT_FALSE(result.ok);
+    EXPECT_NE(result.error.find("indirect call to invalid function reference"),
+              std::string::npos)
+        << result.error;
+  }
 }
 
 TEST(Machine, HostMemoryInterface) {

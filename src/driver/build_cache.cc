@@ -101,9 +101,9 @@ class Reader {
 // not this (written by another build of the format, or edited) would otherwise
 // be linked and optimized as if it were trusted.
 bool WellFormed(const ObjectFile& object) {
-  const int64_t symbols = static_cast<int64_t>(object.symbols.size());
+  const int64_t symbols = static_cast<int64_t>(object.symbols().size());
   const int64_t data = static_cast<int64_t>(object.data.size());
-  for (const ObjSymbol& symbol : object.symbols) {
+  for (const ObjSymbol& symbol : object.symbols()) {
     if (symbol.section == ObjSymbol::Section::kText &&
         (symbol.index < 0 || static_cast<size_t>(symbol.index) >= object.functions.size())) {
       return false;
@@ -184,9 +184,9 @@ std::string SerializeObjectFile(const ObjectFile& object) {
   std::string out(kMagic, sizeof(kMagic));
   PutString(out, object.name);
 
-  PutU32(out, static_cast<uint32_t>(object.symbols.size()));
-  for (const ObjSymbol& symbol : object.symbols) {
-    PutString(out, symbol.name);
+  PutU32(out, static_cast<uint32_t>(object.symbols().size()));
+  for (const ObjSymbol& symbol : object.symbols()) {
+    PutString(out, symbol.name());
     PutU32(out, static_cast<uint32_t>(symbol.section));
     PutU32(out, symbol.global ? 1 : 0);
     PutI32(out, symbol.index);
@@ -242,18 +242,19 @@ bool DeserializeObjectFile(const std::string& bytes, ObjectFile* out) {
 
   uint32_t symbol_count = reader.U32();
   for (uint32_t i = 0; reader.ok() && i < symbol_count; ++i) {
-    ObjSymbol symbol;
-    symbol.name = reader.Str();
+    std::string name = reader.Str();
     uint32_t section = reader.U32();
     if (section > static_cast<uint32_t>(ObjSymbol::Section::kData)) {
       return false;
     }
-    symbol.section = static_cast<ObjSymbol::Section>(section);
-    symbol.global = reader.U32() != 0;
-    symbol.index = reader.I32();
-    symbol.size = reader.I32();
-    symbol.align = reader.I32();
-    object.symbols.push_back(std::move(symbol));
+    const bool global = reader.U32() != 0;
+    const int32_t index = reader.I32();
+    const int32_t size = reader.I32();
+    const int32_t align = reader.I32();
+    if (object.Add(ObjSymbol(std::move(name), static_cast<ObjSymbol::Section>(section), global,
+                             index, size, align)) < 0) {
+      return false;  // two symbols of one name: the compiler never writes that
+    }
   }
 
   uint32_t function_count = reader.U32();

@@ -50,7 +50,8 @@ class BuildCache {
 
 // On-disk object format: versioned and checksummed, so a stale, truncated or
 // corrupt file reads as a miss. A file whose checksum holds but whose object is
-// not well formed (an index outside what it indexes) is a miss too.
+// not well formed (an index outside what it indexes, or two symbols of one
+// name) is a miss too.
 std::string SerializeObjectFile(const ObjectFile& object);
 bool DeserializeObjectFile(const std::string& bytes, ObjectFile* out);
 

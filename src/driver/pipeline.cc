@@ -83,7 +83,6 @@ void HashFileClosure(const SourceMap& sources, const std::string& file,
 void HashCodegenOptions(const CodegenOptions& options, Fnv64& hasher) {
   hasher.Update(options.opt_level);
   hasher.Update(options.inline_limit);
-  hasher.Update(options.caller_growth);
   hasher.Update(options.profile_digest);
 }
 
@@ -642,15 +641,15 @@ bool RenameAndLocalize(ObjectFile& object, const Instance& instance, const Insta
   if (!ObjcopyRename(object, names.renames, diags).ok()) {
     return false;
   }
-  for (ObjSymbol& symbol : object.symbols) {
+  for (ObjSymbol& symbol : object.symbols()) {
     if (symbol.global && symbol.section != ObjSymbol::Section::kUndefined &&
-        names.keep_global.count(symbol.name) == 0) {
+        names.keep_global.count(symbol.name()) == 0) {
       symbol.global = false;
     }
   }
   for (const std::string& keep : names.keep_global) {
     int index = object.FindSymbol(keep);
-    if (index < 0 || object.symbols[index].section == ObjSymbol::Section::kUndefined) {
+    if (index < 0 || object.symbols()[index].section == ObjSymbol::Section::kUndefined) {
       diags.Error(instance.unit->loc,
                   "instance " + instance.path + ": expected defined symbol '" + keep +
                       "' after renaming (is an export or initializer declared static, "
@@ -771,7 +770,7 @@ class CompileStage {
 
     for (int group = 0; group < group_count_; ++group) {
       const TaskResult& result = results[unit_tasks.size() + static_cast<size_t>(group)];
-      if (result.object.value().functions.empty() && result.object.value().symbols.empty() &&
+      if (result.object.value().functions.empty() && result.object.value().symbols().empty() &&
           result.object.value().name.empty()) {
         continue;  // empty group (all members were pulled out as object units)
       }
@@ -888,13 +887,11 @@ class CompileStage {
 
   // ---- compilation -----------------------------------------------------------
 
-  // The build-level codegen configuration (level + inline budgets), before any
+  // The build-level codegen configuration (level and profile), before any
   // unit `flags` declaration overrides.
   CodegenOptions BaseCodegenOptions() const {
     CodegenOptions options;
     options.opt_level = options_.opt_level;
-    options.inline_limit = options_.inline_limit;
-    options.caller_growth = options_.caller_growth;
     if (options_.profile != nullptr) {
       options.profile_digest = ProfileDigest(*options_.profile);
     }
@@ -979,7 +976,7 @@ class CompileStage {
         for (const std::string& symbol : bundle->symbols) {
           std::string c_name = CNameOf(unit, port.local_name, symbol);
           int index = object.FindSymbol(c_name);
-          if (index < 0 || object.symbols[index].section == ObjSymbol::Section::kUndefined) {
+          if (index < 0 || object.symbols()[index].section == ObjSymbol::Section::kUndefined) {
             out.diags.Error(port.loc, "unit '" + unit.name + "': prebuilt object does not "
                                       "define '" +
                                           c_name + "'");
@@ -1193,10 +1190,10 @@ class CompileStage {
   bool ReturnsValue(const CompiledUnits& compiled, const std::string& link_name) const {
     for (const ObjectFile& object : compiled.objects) {
       int index = object.FindSymbol(link_name);
-      if (index < 0 || object.symbols[index].section != ObjSymbol::Section::kText) {
+      if (index < 0 || object.symbols()[index].section != ObjSymbol::Section::kText) {
         continue;
       }
-      return object.functions[object.symbols[index].index].returns_value;
+      return object.functions[object.symbols()[index].index].returns_value;
     }
     return false;
   }
@@ -1422,8 +1419,6 @@ Result<OptimizedImage> KnitPipeline::LinkOptimize(const LinkedImage& linked, Dia
   optimized.linked = linked;
   if (options_.opt_level >= 2) {
     ImagePassOptions image_options;
-    image_options.inline_limit = options_.inline_limit;
-    image_options.caller_growth = options_.caller_growth;
     image_options.entry_points.push_back(linked.compiled.init_function);
     image_options.entry_points.push_back(linked.compiled.fini_function);
     if (!linked.compiled.rollback_function.empty()) {

@@ -65,10 +65,6 @@ struct KnitcOptions {
   // levels differ only in speed and text size.
   int opt_level = 1;
 
-  // Inline budgets, threaded into both the per-TU optimizer and the image
-  // passes (and into the compile-stage cache keys).
-  int inline_limit = 48;
-  int caller_growth = 32768;
   bool check_constraints = true;   // run the §4 constraint checker
   bool flatten = true;             // honor `flatten` markers in compound units
   bool flatten_everything = false; // merge the whole program into one TU (ablation)

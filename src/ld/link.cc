@@ -72,8 +72,8 @@ class Linker {
       slot_of_callable_[image.bindings[slot].target] = static_cast<int>(slot);
       auto successor = slot_definitions.find(image.bindings[slot].symbol);
       int symbol = successor == slot_definitions.end() ? -1 : object.FindSymbol(successor->second);
-      if (symbol >= 0 && object.symbols[symbol].section == ObjSymbol::Section::kText) {
-        slot_of_callable_[function_base_[&object] + object.symbols[symbol].index] =
+      if (symbol >= 0 && object.symbols()[symbol].section == ObjSymbol::Section::kText) {
+        slot_of_callable_[function_base_[&object] + object.symbols()[symbol].index] =
             static_cast<int>(slot);
       }
     }
@@ -103,17 +103,17 @@ class Linker {
     std::set<std::string> wanted;
 
     auto note_object = [&](const ObjectFile& object) {
-      for (const ObjSymbol& symbol : object.symbols) {
+      for (const ObjSymbol& symbol : object.symbols()) {
         if (!symbol.global) {
           continue;
         }
         if (symbol.section == ObjSymbol::Section::kUndefined) {
-          if (defined.count(symbol.name) == 0) {
-            wanted.insert(symbol.name);
+          if (defined.count(symbol.name()) == 0) {
+            wanted.insert(symbol.name());
           }
         } else {
-          defined.insert(symbol.name);
-          wanted.erase(symbol.name);
+          defined.insert(symbol.name());
+          wanted.erase(symbol.name());
         }
       }
     };
@@ -137,9 +137,9 @@ class Linker {
           }
           const ObjectFile& member = archive.members[m];
           bool satisfies = false;
-          for (const ObjSymbol& symbol : member.symbols) {
+          for (const ObjSymbol& symbol : member.symbols()) {
             if (symbol.global && symbol.section != ObjSymbol::Section::kUndefined &&
-                wanted.count(symbol.name) > 0) {
+                wanted.count(symbol.name()) > 0) {
               satisfies = true;
               break;
             }
@@ -161,16 +161,16 @@ class Linker {
   bool CheckDefinitions() {
     bool ok = true;
     for (const ObjectFile* object : included_) {
-      for (size_t s = 0; s < object->symbols.size(); ++s) {
-        const ObjSymbol& symbol = object->symbols[s];
+      for (size_t s = 0; s < object->symbols().size(); ++s) {
+        const ObjSymbol& symbol = object->symbols()[s];
         if (!symbol.global || symbol.section == ObjSymbol::Section::kUndefined) {
           continue;
         }
         auto [it, inserted] =
-            global_defs_.emplace(symbol.name, std::make_pair(object, static_cast<int>(s)));
+            global_defs_.emplace(symbol.name(), std::make_pair(object, static_cast<int>(s)));
         if (!inserted) {
           diags_.Error(SourceLoc{object->name, 0, 0},
-                       "multiple definition of '" + symbol.name + "' (first defined in " +
+                       "multiple definition of '" + symbol.name() + "' (first defined in " +
                            it->second.first->name + ")");
           ok = false;
         }
@@ -210,7 +210,7 @@ class Linker {
   }
 
   bool ResolveSymbol(const ObjectFile* object, int symbol_index, Resolved& out) {
-    const ObjSymbol& symbol = object->symbols[symbol_index];
+    const ObjSymbol& symbol = object->symbols()[symbol_index];
     if (symbol.section == ObjSymbol::Section::kUndefined && !symbol.global) {
       // A dead local symbol (e.g. a static function removed by DCE): nothing can
       // reference it; leave it unresolved.
@@ -224,10 +224,10 @@ class Linker {
       def_object = object;  // local or defined here
       def = &symbol;
     } else {
-      auto it = global_defs_.find(symbol.name);
+      auto it = global_defs_.find(symbol.name());
       if (it != global_defs_.end()) {
         def_object = it->second.first;
-        def = &def_object->symbols[it->second.second];
+        def = &def_object->symbols()[it->second.second];
       }
     }
     if (def != nullptr) {
@@ -243,27 +243,27 @@ class Linker {
     // Not defined by the objects being linked: the image already linked (empty
     // for a fresh link), then natives.
     const Image& image = *image_;
-    auto function = image.function_symbols.find(symbol.name);
+    auto function = image.function_symbols.find(symbol.name());
     if (function != image.function_symbols.end()) {
       out.kind = Resolved::Kind::kFunction;
       out.callable = function->second;
       return true;
     }
-    auto data = image.data_symbols.find(symbol.name);
+    auto data = image.data_symbols.find(symbol.name());
     if (data != image.data_symbols.end()) {
       out.kind = Resolved::Kind::kData;
       out.address = data->second;
       return true;
     }
     for (size_t n = 0; n < image.natives.size(); ++n) {
-      if (image.natives[n] == symbol.name) {
+      if (image.natives[n] == symbol.name()) {
         out.kind = Resolved::Kind::kNative;
         out.callable = Image::NativeId(static_cast<int>(n));
         return true;
       }
     }
     diags_.Error(SourceLoc{object->name, 0, 0},
-                 "undefined reference to '" + symbol.name + "'");
+                 "undefined reference to '" + symbol.name() + "'");
     return false;
   }
 
@@ -271,8 +271,8 @@ class Linker {
     bool ok = true;
     for (const ObjectFile* object : included_) {
       std::vector<Resolved>& table = resolution_[object];
-      table.resize(object->symbols.size());
-      for (size_t s = 0; s < object->symbols.size(); ++s) {
+      table.resize(object->symbols().size());
+      for (size_t s = 0; s < object->symbols().size(); ++s) {
         if (!ResolveSymbol(object, static_cast<int>(s), table[s])) {
           ok = false;
         }
@@ -286,7 +286,7 @@ class Linker {
     Image& image = *image_;
     for (const auto& [name, def] : global_defs_) {
       const ObjectFile* object = def.first;
-      const ObjSymbol& symbol = object->symbols[def.second];
+      const ObjSymbol& symbol = object->symbols()[def.second];
       if (symbol.section == ObjSymbol::Section::kText) {
         image.function_symbols[name] = function_base_[object] + symbol.index;
       } else {
@@ -302,7 +302,7 @@ class Linker {
     Image& image = *image_;
     for (const auto& [name, def] : global_defs_) {
       const ObjectFile* object = def.first;
-      const ObjSymbol& symbol = object->symbols[def.second];
+      const ObjSymbol& symbol = object->symbols()[def.second];
       if (symbol.section != ObjSymbol::Section::kText) {
         continue;
       }
@@ -344,7 +344,7 @@ class Linker {
           const Resolved& resolved = table[insn.a];
           if (resolved.kind == Resolved::Kind::kData) {
             diags_.Error(SourceLoc{object->name, 0, 0},
-                         "'" + function.name + "' calls '" + object->symbols[insn.a].name +
+                         "'" + function.name + "' calls '" + object->symbols()[insn.a].name() +
                              "', which is data, not a function");
             ok = false;
           } else {

@@ -133,7 +133,7 @@ SwapReport ReconfigEngine::Execute(const SwapSpec& spec, int deferred_packets) {
     int symbol_index =
         versioned == versioned_of.end() ? -1 : object.FindSymbol(versioned->second);
     if (symbol_index < 0 ||
-        object.symbols[symbol_index].section != ObjSymbol::Section::kText) {
+        object.symbols()[symbol_index].section != ObjSymbol::Section::kText) {
       report.error = "replacement does not define '" + slot.symbol +
                      "' as a function, but the running image calls it through a "
                      "binding slot";
@@ -143,7 +143,7 @@ SwapReport ReconfigEngine::Execute(const SwapSpec& spec, int deferred_packets) {
     // replacement that changes arity or drops the return value would corrupt
     // every caller's evaluation stack on the first post-swap call.
     const BytecodeFunction& incoming =
-        object.functions[object.symbols[symbol_index].index];
+        object.functions[object.symbols()[symbol_index].index];
     if (slot.target >= 0 && slot.target < static_cast<int>(image.functions.size())) {
       const BytecodeFunction& current = image.functions[slot.target];
       if (incoming.param_count != current.param_count ||
@@ -195,10 +195,10 @@ SwapReport ReconfigEngine::Execute(const SwapSpec& spec, int deferred_packets) {
     // Exact rollback: the binding slots were never touched, so the old
     // generation keeps serving. The appended text is unreachable and leaked by
     // design (no caller enumeration, ever); the versioned symbols are removed.
-    for (const ObjSymbol& symbol : object.symbols) {
+    for (const ObjSymbol& symbol : object.symbols()) {
       if (symbol.global && symbol.section != ObjSymbol::Section::kUndefined) {
-        image.function_symbols.erase(symbol.name);
-        image.data_symbols.erase(symbol.name);
+        image.function_symbols.erase(symbol.name());
+        image.data_symbols.erase(symbol.name());
       }
     }
     report.error = error;

@@ -89,17 +89,9 @@ class UnitCompiler {
  private:
   // ---- symbols and data -----------------------------------------------------
 
-  int SymbolFor(const std::string& name) {
-    int index = object_.FindSymbol(name);
-    if (index >= 0) {
-      return index;
-    }
-    return object_.AddUndefined(name);
-  }
-
   void DefineFunctionSymbol(const Decl& decl) {
-    int index = SymbolFor(decl.name);
-    ObjSymbol& symbol = object_.symbols[index];
+    int index = object_.AddUndefined(decl.name);
+    ObjSymbol& symbol = object_.symbols()[index];
     symbol.section = ObjSymbol::Section::kText;
     symbol.global = !decl.is_static;
     symbol.index = -1;  // patched in CompileFunction
@@ -115,8 +107,8 @@ class UnitCompiler {
     int offset = RoundUp(static_cast<int>(object_.data.size()), align);
     object_.data.resize(static_cast<size_t>(offset) + size, 0);
 
-    int index = SymbolFor(decl.name);
-    ObjSymbol& symbol = object_.symbols[index];
+    int index = object_.AddUndefined(decl.name);
+    ObjSymbol& symbol = object_.symbols()[index];
     symbol.section = ObjSymbol::Section::kData;
     symbol.global = !decl.is_static;
     symbol.index = offset;
@@ -184,15 +176,9 @@ class UnitCompiler {
     for (size_t i = 0; i < text.size(); ++i) {
       object_.data[static_cast<size_t>(offset) + i] = static_cast<uint8_t>(text[i]);
     }
-    ObjSymbol symbol;
-    symbol.name = ".str" + std::to_string(string_symbols_.size());
-    symbol.section = ObjSymbol::Section::kData;
-    symbol.global = false;
-    symbol.index = offset;
-    symbol.size = static_cast<int>(text.size()) + 1;
-    symbol.align = kWordSize;
-    object_.symbols.push_back(std::move(symbol));
-    int index = static_cast<int>(object_.symbols.size()) - 1;
+    int index = object_.Add(ObjSymbol(".str" + std::to_string(string_symbols_.size()),
+                                      ObjSymbol::Section::kData, false, offset,
+                                      static_cast<int>(text.size()) + 1, kWordSize));
     string_symbols_[text] = index;
     return index;
   }
@@ -212,11 +198,11 @@ class UnitCompiler {
         return EvalConst(*expr.args[0], out);
       case Expr::Kind::kIdent:
         if (info_.functions.count(expr.text) > 0) {
-          out = ConstVal{0, SymbolFor(expr.text)};
+          out = ConstVal{0, object_.AddUndefined(expr.text)};
           return true;
         }
         if (expr.type != nullptr && expr.type->IsArray()) {
-          out = ConstVal{0, SymbolFor(expr.text)};
+          out = ConstVal{0, object_.AddUndefined(expr.text)};
           return true;
         }
         return false;
@@ -224,7 +210,7 @@ class UnitCompiler {
         if (expr.text == "&") {
           const Expr& target = *expr.args[0];
           if (target.kind == Expr::Kind::kIdent) {
-            out = ConstVal{0, SymbolFor(target.text)};
+            out = ConstVal{0, object_.AddUndefined(target.text)};
             return true;
           }
           return false;
@@ -322,8 +308,8 @@ class UnitCompiler {
     function.code = std::move(code_);
 
     object_.functions.push_back(std::move(function));
-    int symbol = SymbolFor(decl.name);
-    object_.symbols[symbol].index = static_cast<int>(object_.functions.size()) - 1;
+    int symbol = object_.AddUndefined(decl.name);
+    object_.symbols()[symbol].index = static_cast<int>(object_.functions.size()) - 1;
     return true;
   }
 
@@ -526,11 +512,11 @@ class UnitCompiler {
           return true;
         }
         if (info_.functions.count(expr.text) > 0) {
-          Emit(Op::kConstSym, SymbolFor(expr.text));  // function reference
+          Emit(Op::kConstSym, object_.AddUndefined(expr.text));  // function reference
           return true;
         }
         // Global variable.
-        Emit(Op::kConstSym, SymbolFor(expr.text));
+        Emit(Op::kConstSym, object_.AddUndefined(expr.text));
         if (expr.type->IsArray() || expr.type->IsStruct()) {
           return true;  // decays to its address
         }
@@ -631,7 +617,7 @@ class UnitCompiler {
           Emit(Op::kAddrLocal, local->offset);
           return true;
         }
-        Emit(Op::kConstSym, SymbolFor(expr.text));
+        Emit(Op::kConstSym, object_.AddUndefined(expr.text));
         return true;
       }
       case Expr::Kind::kUnary:
@@ -701,7 +687,7 @@ class UnitCompiler {
     if (op == "&") {
       const Expr& target = *expr.args[0];
       if (target.type != nullptr && target.type->IsFunc()) {
-        Emit(Op::kConstSym, SymbolFor(target.text));
+        Emit(Op::kConstSym, object_.AddUndefined(target.text));
         return true;
       }
       return GenAddr(target);
@@ -1029,7 +1015,7 @@ class UnitCompiler {
     bool direct = callee.kind == Expr::Kind::kIdent && FindLocal(callee.text) == nullptr &&
                   info_.functions.count(callee.text) > 0;
     if (direct) {
-      Emit(Op::kCall, SymbolFor(callee.text), MakeCallB(argc, returns_value));
+      Emit(Op::kCall, object_.AddUndefined(callee.text), MakeCallB(argc, returns_value));
     } else {
       if (!GenValue(callee)) {
         return false;

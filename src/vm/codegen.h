@@ -13,6 +13,7 @@
 #include "src/obj/object.h"
 #include "src/support/diagnostics.h"
 #include "src/support/result.h"
+#include "src/vm/optimize.h"
 
 namespace knit {
 
@@ -23,8 +24,7 @@ struct CodegenOptions {
   // peephole; the historical default), 2 = additionally enables the link-time
   // image passes (a pipeline-level decision; codegen itself treats 2 like 1).
   int opt_level = 1;
-  int inline_limit = 48;     // max size for inlining a multiply-called function
-  int caller_growth = 32768; // stop inlining when a function reaches this many insns
+  int inline_limit = kInlineLimit;  // max size for inlining a multiply-called function
 
   // Digest of the recorded profile steering this build (0 = no profile). Codegen
   // itself ignores it — the PGO passes run at image scope — but it IS part of the

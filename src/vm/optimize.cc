@@ -8,6 +8,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/vm/codegen.h"
 #include "src/vm/passes.h"
 #include "src/vm/verify.h"
 
@@ -1904,7 +1905,7 @@ class CallSiteCounts {
 
  private:
   void Count(int symbol_index, int weight) {
-    const ObjSymbol& symbol = object_.symbols[symbol_index];
+    const ObjSymbol& symbol = object_.symbols()[symbol_index];
     if (symbol.section == ObjSymbol::Section::kText && symbol.index >= 0 &&
         symbol.index < static_cast<int>(counts_.size())) {
       counts_[symbol.index] += weight;
@@ -1994,7 +1995,8 @@ void SpliceCallee(BytecodeFunction& caller, size_t p, const BytecodeFunction& ca
 namespace {
 
 // Inlines direct calls to earlier-defined callees into `function_index`, within
-// the options' budgets, and returns the number of call sites inlined.
+// the options' inline limit and kCallerGrowthLimit, and returns the number of
+// call sites inlined.
 // `call_sites` must count the object's code as it is; the callees are finished,
 // so `check` stays valid across the functions of one object.
 int InlineCalls(ObjectFile& object, int function_index, const CodegenOptions& options,
@@ -2002,8 +2004,7 @@ int InlineCalls(ObjectFile& object, int function_index, const CodegenOptions& op
   int inlined = 0;
   bool progress = true;
   while (progress &&
-         static_cast<int>(object.functions[function_index].code.size()) <
-             options.caller_growth) {
+         static_cast<int>(object.functions[function_index].code.size()) < kCallerGrowthLimit) {
     progress = false;
     BytecodeFunction& caller = object.functions[function_index];
     for (size_t p = 0; p < caller.code.size(); ++p) {
@@ -2011,7 +2012,7 @@ int InlineCalls(ObjectFile& object, int function_index, const CodegenOptions& op
       if (call.op != Op::kCall) {
         continue;
       }
-      const ObjSymbol& symbol = object.symbols[call.a];
+      const ObjSymbol& symbol = object.symbols()[call.a];
       if (symbol.section != ObjSymbol::Section::kText || symbol.index < 0 ||
           symbol.index >= function_index) {
         continue;  // undefined here, or defined later in the TU — not inlinable
@@ -2045,14 +2046,14 @@ void RemoveDeadLocalFunctions(ObjectFile& object) {
   std::set<int> live_functions;
   std::vector<int> work;
   auto add_symbol = [&](int symbol_index) {
-    const ObjSymbol& symbol = object.symbols[symbol_index];
+    const ObjSymbol& symbol = object.symbols()[symbol_index];
     if (symbol.section == ObjSymbol::Section::kText && symbol.index >= 0 &&
         live_functions.insert(symbol.index).second) {
       work.push_back(symbol.index);
     }
   };
-  for (size_t s = 0; s < object.symbols.size(); ++s) {
-    if (object.symbols[s].section == ObjSymbol::Section::kText && object.symbols[s].global) {
+  for (size_t s = 0; s < object.symbols().size(); ++s) {
+    if (object.symbols()[s].section == ObjSymbol::Section::kText && object.symbols()[s].global) {
       add_symbol(static_cast<int>(s));
     }
   }
@@ -2080,7 +2081,7 @@ void RemoveDeadLocalFunctions(ObjectFile& object) {
     }
   }
   object.functions = std::move(kept);
-  for (ObjSymbol& symbol : object.symbols) {
+  for (ObjSymbol& symbol : object.symbols()) {
     if (symbol.section == ObjSymbol::Section::kText) {
       if (symbol.index >= 0 && remap[symbol.index] >= 0) {
         symbol.index = remap[symbol.index];

@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "src/obj/object.h"
-#include "src/vm/codegen.h"
 
 namespace knit {
 
@@ -34,6 +33,13 @@ struct CodegenOptions;
 // afterwards, so text never grows, which is what lets flattened builds both
 // speed up and shrink, as in Table 1. Both inliners apply it.
 inline constexpr int kSingleCallInlineLimit = 8192;
+
+// The inline budgets. A callee of at most kInlineLimit instructions is inlined at
+// any call site (a unit's `flags` may set the object inliner's limit:
+// -finline-limit=N, -fno-inline), and a caller takes no more callees once it
+// reaches kCallerGrowthLimit instructions. Both inliners apply them.
+inline constexpr int kInlineLimit = 48;
+inline constexpr int kCallerGrowthLimit = 32768;
 
 // The object pipeline: inline, simplify, lvn, jump-thread and peephole on every
 // function in definition order, then removal of dead local functions. Appends

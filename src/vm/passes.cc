@@ -240,8 +240,8 @@ void Devirtualize(Image& image) {
 // recording proves the call executes per packet, so trading text for a removed
 // boundary call is the bet PGO exists to make.
 int EligibleCallee(const Image& image, int function_index, const Insn& call,
-                   const ImageRefs& refs, const std::set<int>& roots,
-                   const ImagePassOptions& options, const ProfileIndex* hot, SpliceCheck& check) {
+                   const ImageRefs& refs, const std::set<int>& roots, const ProfileIndex* hot,
+                   SpliceCheck& check) {
   if (call.op != Op::kCall) {
     return -1;
   }
@@ -254,7 +254,7 @@ int EligibleCallee(const Image& image, int function_index, const Insn& call,
   if (callee.variadic || callee.code.empty()) {
     return -1;
   }
-  int inline_limit = options.inline_limit;
+  int inline_limit = kInlineLimit;
   if (hot != nullptr &&
       CallSiteScore(*hot, image.functions[function_index].component, callee.component) > 0) {
     inline_limit *= 2;
@@ -271,12 +271,11 @@ int EligibleCallee(const Image& image, int function_index, const Insn& call,
   return check.CanSplice(call, callee_id) ? callee_id : -1;
 }
 
-void InlineInto(Image& image, int function_index, const ImagePassOptions& options,
-                const std::set<int>& roots, const ProfileIndex* hot, ImageRefs& refs,
-                SpliceCheck& check) {
+void InlineInto(Image& image, int function_index, const std::set<int>& roots,
+                const ProfileIndex* hot, ImageRefs& refs, SpliceCheck& check) {
   bool progress = true;
   while (progress &&
-         static_cast<int>(image.functions[function_index].code.size()) < options.caller_growth) {
+         static_cast<int>(image.functions[function_index].code.size()) < kCallerGrowthLimit) {
     progress = false;
     BytecodeFunction& caller = image.functions[function_index];
     // Pick the call site to inline this round: without a profile, the first
@@ -288,8 +287,7 @@ void InlineInto(Image& image, int function_index, const ImagePassOptions& option
     int best_callee = -1;
     long long best_score = -1;
     for (size_t p = 0; p < caller.code.size(); ++p) {
-      int callee_id =
-          EligibleCallee(image, function_index, caller.code[p], refs, roots, options, hot, check);
+      int callee_id = EligibleCallee(image, function_index, caller.code[p], refs, roots, hot, check);
       if (callee_id < 0) {
         continue;
       }
@@ -334,7 +332,7 @@ void CrossInline(Image& image, const ImagePassOptions& options, const ProfileInd
   ImageRefs refs(image);
   SpliceCheck check(image.functions);
   for (size_t f = 0; f < image.functions.size(); ++f) {
-    InlineInto(image, static_cast<int>(f), options, roots, hot, refs, check);
+    InlineInto(image, static_cast<int>(f), roots, hot, refs, check);
   }
 }
 

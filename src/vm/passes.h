@@ -66,12 +66,10 @@ inline long long ImageInsnCount(const Image& image) { return InsnCount(image.fun
 // image-scope rows appended by LinkOptimize).
 void MergePassStats(std::vector<PassStats>& into, const std::vector<PassStats>& from);
 
-// Configuration for the image pipeline. Budgets mirror CodegenOptions; the
-// extra fields exist because a linked image has no symbol table scoping — entry
-// points must be named explicitly.
+// Configuration for the image pipeline. The inline budgets are the constants of
+// src/vm/optimize.h; entry points must be named explicitly because a linked
+// image has no symbol table scoping.
 struct ImagePassOptions {
-  int inline_limit = 48;
-  int caller_growth = 32768;
   // Link names that stay callable from the host (exports, knit__init/fini/
   // rollback). Everything unreachable from these is dead.
   std::vector<std::string> entry_points;

@@ -33,12 +33,12 @@ TEST(Codegen, CallEncodesArgcAndResultFlag) {
       continue;
     }
     ++calls;
-    const ObjSymbol& callee = object.value().symbols[insn.a];
-    if (callee.name == "no_result") {
+    const ObjSymbol& callee = object.value().symbols()[insn.a];
+    if (callee.name() == "no_result") {
       EXPECT_EQ(CallArgc(insn.b), 1);
       EXPECT_FALSE(CallReturns(insn.b));
     } else {
-      EXPECT_EQ(callee.name, "with_result");
+      EXPECT_EQ(callee.name(), "with_result");
       EXPECT_EQ(CallArgc(insn.b), 2);
       EXPECT_TRUE(CallReturns(insn.b));
     }
@@ -76,8 +76,8 @@ TEST(Codegen, StringLiteralsAreInternedOnce) {
       /*optimize=*/false, &error);
   ASSERT_TRUE(object.ok()) << error;
   int string_symbols = 0;
-  for (const ObjSymbol& symbol : object.value().symbols) {
-    if (symbol.name.rfind(".str", 0) == 0) {
+  for (const ObjSymbol& symbol : object.value().symbols()) {
+    if (symbol.name().rfind(".str", 0) == 0) {
       ++string_symbols;
     }
   }
@@ -90,9 +90,9 @@ TEST(Codegen, GlobalLayoutRespectsAlignment) {
       "char c1 = 1;\nint aligned = 2;\nchar c2 = 3;\nint aligned2 = 4;\n",
       /*optimize=*/false, &error);
   ASSERT_TRUE(object.ok()) << error;
-  for (const ObjSymbol& symbol : object.value().symbols) {
-    if (symbol.name.rfind("aligned", 0) == 0) {
-      EXPECT_EQ(symbol.index % 4, 0) << symbol.name;
+  for (const ObjSymbol& symbol : object.value().symbols()) {
+    if (symbol.name().rfind("aligned", 0) == 0) {
+      EXPECT_EQ(symbol.index % 4, 0) << symbol.name();
     }
   }
 }

@@ -56,15 +56,25 @@ TEST(Objcopy, RenameFollowsReferences) {
 
 TEST(Objcopy, RenameCollisionIsError) {
   ObjectFile object = CompileOrDie("a.o", "int f(void) { return 1; }\nint g(void) { return 2; }\n");
+  const int f = object.FindSymbol("f");
+  const int g = object.FindSymbol("g");
+  ASSERT_NE(f, g);
   Diagnostics diags;
   EXPECT_FALSE(ObjcopyRename(object, {{"f", "g"}}, diags).ok());
   EXPECT_NE(diags.FirstError().find("collides"), std::string::npos);
+  EXPECT_EQ(object.FindSymbol("f"), f);  // the object is unchanged
+  EXPECT_EQ(object.FindSymbol("g"), g);
 }
 
 TEST(Objcopy, SwapIsAllowed) {
   ObjectFile object = CompileOrDie("a.o", "int f(void) { return 1; }\nint g(void) { return 2; }\n");
+  const int f = object.FindSymbol("f");
+  const int g = object.FindSymbol("g");
+  ASSERT_NE(f, g);
   Diagnostics diags;
   ASSERT_TRUE(ObjcopyRename(object, {{"f", "g"}, {"g", "f"}}, diags).ok());
+  EXPECT_EQ(object.FindSymbol("g"), f);  // each symbol keeps its index, not its name
+  EXPECT_EQ(object.FindSymbol("f"), g);
   std::vector<LinkItem> items;
   items.emplace_back(std::move(object));
   std::string error;
@@ -73,6 +83,43 @@ TEST(Objcopy, SwapIsAllowed) {
   Machine machine(linked.value().image);
   EXPECT_EQ(machine.Call("f").value, 2u);
   EXPECT_EQ(machine.Call("g").value, 1u);
+}
+
+// Two imports bound to one export: both undefined symbols take the export's
+// name, and the object keeps one symbol of that name.
+TEST(Objcopy, ImportsRenamedOntoOneNameBecomeOneSymbol) {
+  ObjectFile object = CompileOrDie("c.o", "extern int a(void);\nextern int b(void);\n"
+                                          "int use(void) { return a() * 10 + b(); }\n");
+  const size_t symbols = object.symbols().size();
+  Diagnostics diags;
+  ASSERT_TRUE(ObjcopyRename(object, {{"a", "x"}, {"b", "x"}}, diags).ok());
+  EXPECT_EQ(object.symbols().size(), symbols - 1);
+  EXPECT_LT(object.FindSymbol("a"), 0);
+  EXPECT_LT(object.FindSymbol("b"), 0);
+  ASSERT_GE(object.FindSymbol("use"), 0);
+  EXPECT_EQ(object.symbols()[object.FindSymbol("use")].name(), "use");
+  std::vector<LinkItem> items;
+  items.emplace_back(std::move(object));
+  items.emplace_back(CompileOrDie("x.o", "int x(void) { return 3; }\n"));
+  std::string error;
+  Result<LinkResult> linked = TryLink(std::move(items), &error);
+  ASSERT_TRUE(linked.ok()) << error;
+  Machine machine(linked.value().image);
+  EXPECT_EQ(machine.Call("use").value, 33u);
+}
+
+// A definition and an import renamed onto one name would be two symbols of one
+// name: an error, and the object is unchanged.
+TEST(Objcopy, DefinitionAndImportRenamedOntoOneNameIsError) {
+  ObjectFile object = CompileOrDie("a.o", "extern int a(void);\nint b(void) { return a(); }\n");
+  const int a = object.FindSymbol("a");
+  const int b = object.FindSymbol("b");
+  Diagnostics diags;
+  EXPECT_FALSE(ObjcopyRename(object, {{"a", "x"}, {"b", "x"}}, diags).ok());
+  EXPECT_NE(diags.FirstError().find("collides"), std::string::npos);
+  EXPECT_EQ(object.FindSymbol("a"), a);
+  EXPECT_EQ(object.FindSymbol("b"), b);
+  EXPECT_LT(object.FindSymbol("x"), 0);
 }
 
 TEST(Objcopy, LocalizeHidesFromOtherObjects) {

@@ -9,7 +9,9 @@
 // functions of one object: when it recounted the object's call sites for every
 // function, a unit of 8,000 small functions cost ~21x one of 2,000. So must
 // the objcopy step that hides the object's unexported globals: when it looked
-// each one up by name, the same two units cost 135 ms and 6.25 ms (21.6x).
+// each one up by name, the same two units cost 135 ms and 6.25 ms (21.6x). And
+// so must the whole compile stage: when codegen found each referenced symbol
+// by scanning the symbol table, the two units' -O1 compile read 8.6-12x.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -53,12 +55,13 @@ std::string ManyFunctions(int n) {
 }
 
 struct CountTimes {
+  double compile = 0;
   double inline_pass = 0;
   double objcopy = 0;
 };
 
-// The `inline` row's and the objcopy stage's seconds of one -O1 build of
-// `source` alone.
+// The compile stage's, the `inline` row's and the objcopy stage's seconds of
+// one -O1 build of `source` alone.
 CountTimes FunctionCountSeconds(const std::string& source) {
   SourceMap sources = {{"long.c", source}};
   KnitcOptions options;
@@ -68,6 +71,7 @@ CountTimes FunctionCountSeconds(const std::string& source) {
   Result<LinkedImage> built = pipeline.Build(kLongKnit, sources, "Long", diags);
   EXPECT_TRUE(built.ok()) << diags.ToString();
   CountTimes times;
+  times.compile = pipeline.metrics().StageSeconds("compile");
   times.objcopy = pipeline.metrics().StageSeconds("objcopy");
   for (const PassStats& row : pipeline.metrics().pass_stats) {
     if (row.pass == "inline") {
@@ -118,21 +122,30 @@ TEST(OptimizerScaling, InlineAndObjcopyAreLinearInFunctionCount) {
   // Alternating runs and medians of nine, as above.
   const std::string small_source = ManyFunctions(2000);
   const std::string large_source = ManyFunctions(8000);
-  std::vector<double> small_inline, large_inline, small_objcopy, large_objcopy;
+  std::vector<double> small_compile, large_compile, small_inline, large_inline, small_objcopy,
+      large_objcopy;
   for (int run = 0; run < 9; ++run) {
     CountTimes small = FunctionCountSeconds(small_source);
     CountTimes large = FunctionCountSeconds(large_source);
+    small_compile.push_back(small.compile);
+    large_compile.push_back(large.compile);
     small_inline.push_back(small.inline_pass);
     large_inline.push_back(large.inline_pass);
     small_objcopy.push_back(small.objcopy);
     large_objcopy.push_back(large.objcopy);
   }
+  const double compile_small = Median(small_compile);
+  const double compile_large = Median(large_compile);
   const double inline_small = Median(small_inline);
   const double inline_large = Median(large_inline);
   const double objcopy_small = Median(small_objcopy);
   const double objcopy_large = Median(large_objcopy);
+  ASSERT_GT(compile_small, 0.0);
   ASSERT_GT(inline_small, 0.0);
   ASSERT_GT(objcopy_small, 0.0);
+  EXPECT_LE(compile_large / compile_small, 6.0)
+      << "compile: n=2000 " << compile_small * 1e3 << " ms, n=8000 " << compile_large * 1e3
+      << " ms";
   EXPECT_LE(inline_large / inline_small, 6.0)
       << "inline: n=2000 " << inline_small * 1e3 << " ms, n=8000 " << inline_large * 1e3
       << " ms";

@@ -4,14 +4,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <random>
+#include <string>
+#include <string_view>
 
 #include "src/clack/corpus.h"
 #include "src/driver/build_cache.h"
 #include "src/driver/knitc.h"
+#include "src/support/hash.h"
 
 namespace knit {
 namespace {
@@ -188,11 +192,12 @@ SourceMap CacheSources() {
 
 PipelineMetrics BuildCacheProgram(const SourceMap& sources,
                                   const std::shared_ptr<BuildCache>& cache,
-                                  KnitcOptions options = KnitcOptions()) {
+                                  KnitcOptions options = KnitcOptions(),
+                                  const std::string& knit = kCacheKnit) {
   options.cache = cache;
   Diagnostics diags;
   KnitPipeline pipeline(options);
-  Result<LinkedImage> built = pipeline.Build(kCacheKnit, sources, "Top", diags);
+  Result<LinkedImage> built = pipeline.Build(knit, sources, "Top", diags);
   EXPECT_TRUE(built.ok()) << diags.ToString();
   return pipeline.metrics();
 }
@@ -232,8 +237,8 @@ TEST(Pipeline, EditingOneUnitRecompilesExactlyThatUnit) {
 }
 
 // Optimization configuration is part of the compile-stage cache key: changing
-// the level or an inline budget must recompile, and a warm rebuild at the same
-// configuration must not.
+// the level or a unit's inline limit must recompile, and a warm rebuild at the
+// same configuration must not.
 TEST(Pipeline, ChangingOptimizationConfigRecompiles) {
   auto cache = std::make_shared<BuildCache>();
   SourceMap sources = CacheSources();
@@ -259,16 +264,15 @@ TEST(Pipeline, ChangingOptimizationConfigRecompiles) {
   EXPECT_EQ(warm_o1.CacheMisses(), 0);
   EXPECT_EQ(warm_o1.CacheHits(), 3);
 
-  // A different inline budget is a different key as well.
-  KnitcOptions budget;
-  budget.inline_limit = 4;
-  PipelineMetrics cold_budget = BuildCacheProgram(sources, cache, budget);
-  EXPECT_EQ(cold_budget.CacheMisses(), 3);
-
-  KnitcOptions growth;
-  growth.caller_growth = 1024;
-  PipelineMetrics cold_growth = BuildCacheProgram(sources, cache, growth);
-  EXPECT_EQ(cold_growth.CacheMisses(), 3);
+  // A unit whose flags set a different inline limit is a different key as
+  // well: exactly that unit recompiles.
+  std::string budget_knit = std::string("flags Budget = { \"-finline-limit=4\" }\n") + kCacheKnit;
+  const std::string a_files = "files { \"a.c\" };";
+  budget_knit.replace(budget_knit.find(a_files), a_files.size(),
+                      "files { \"a.c\" } with flags Budget;");
+  PipelineMetrics cold_budget = BuildCacheProgram(sources, cache, KnitcOptions(), budget_knit);
+  EXPECT_EQ(cold_budget.CacheMisses(), 1);
+  EXPECT_EQ(cold_budget.CacheHits(), 2);
 
   // -O0 (optimizer off) is yet another key.
   KnitcOptions o0;
@@ -453,11 +457,42 @@ TEST(Pipeline, CachedObjectWithAFlippedByteIsRecompiled) {
   EXPECT_EQ(build(0), clean);  // every recompile rewrote its entry
 }
 
+// Marks the name a symbol is renamed to for the "names one symbol twice" edit
+// below: an ObjectFile cannot hold two symbols of one name, so that edit renames
+// a symbol to kTwinMark + another's name and UnmarkTwin drops the mark from the
+// serialized bytes.
+constexpr std::string_view kTwinMark = "\x01twin:";
+
+// Drops kTwinMark from every marked string in the serialized object `bytes` (the
+// symbol and, for a function, its display name) and seals the file again: the
+// magic (8 bytes), then the payload, then its FNV-64 checksum (8 bytes,
+// little-endian).
+void UnmarkTwin(std::string& bytes) {
+  for (size_t at = bytes.find(kTwinMark); at != std::string::npos;
+       at = bytes.find(kTwinMark, at)) {
+    // The marked string's 4-byte little-endian length precedes it.
+    uint32_t length = 0;
+    for (int i = 0; i < 4; ++i) {
+      length |= static_cast<uint32_t>(static_cast<uint8_t>(bytes[at - 4 + i])) << (8 * i);
+    }
+    length -= static_cast<uint32_t>(kTwinMark.size());
+    for (int i = 0; i < 4; ++i) {
+      bytes[at - 4 + i] = static_cast<char>((length >> (8 * i)) & 0xFF);
+    }
+    bytes.erase(at, kTwinMark.size());
+  }
+  const uint64_t checksum = HashBytes(bytes.data() + 8, bytes.size() - 16);
+  for (int i = 0; i < 8; ++i) {
+    bytes[bytes.size() - 8 + i] = static_cast<char>((checksum >> (8 * i)) & 0xFF);
+  }
+}
+
 // A cached object whose checksum holds but that the compiler could not have
 // written is not well formed: the lookup misses, the unit recompiles, and the
 // image is the one a clean build links. Each edit below is applied to every
 // cached object it fits, and the objects are sealed again by
-// SerializeObjectFile. Linking the first used to crash the build; the frame and
+// SerializeObjectFile (and then patched, for an edit an ObjectFile cannot
+// hold). Linking the first used to crash the build; the frame and
 // argument-count edits are what the seeded mutation test (cache_fuzz_test)
 // found: the optimizer then sized per-offset tables by a 2 GiB frame, or
 // popped an empty stack.
@@ -465,8 +500,19 @@ TEST(Pipeline, MalformedCachedObjectsAreRecompiled) {
   struct Edit {
     const char* what;
     bool (*apply)(ObjectFile& object);
+    void (*patch)(std::string& bytes) = nullptr;  // applied to the sealed bytes
   };
   const Edit edits[] = {
+      {"a second symbol of the first symbol's name",
+       [](ObjectFile& object) {
+         if (object.symbols().size() < 2) {
+           return false;
+         }
+         const std::string twin = std::string(kTwinMark) + object.symbols()[0].name();
+         Diagnostics diags;
+         return ObjcopyRename(object, {{object.symbols()[1].name(), twin}}, diags).ok();
+       },
+       UnmarkTwin},
       {"call and symbol-constant operands 100000",
        [](ObjectFile& object) {
          bool changed = false;
@@ -549,7 +595,7 @@ TEST(Pipeline, MalformedCachedObjectsAreRecompiled) {
        }},
       {"a text symbol naming function 100000",
        [](ObjectFile& object) {
-         for (ObjSymbol& symbol : object.symbols) {
+         for (ObjSymbol& symbol : object.symbols()) {
            if (symbol.section == ObjSymbol::Section::kText) {
              symbol.index = 100000;
              return true;
@@ -590,6 +636,9 @@ TEST(Pipeline, MalformedCachedObjectsAreRecompiled) {
         continue;
       }
       bytes = SerializeObjectFile(object);
+      if (edit.patch != nullptr) {
+        edit.patch(bytes);
+      }
       std::ofstream out(entry.path(), std::ios::binary | std::ios::trunc);
       out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
       ++rewritten;
@@ -660,12 +709,12 @@ TEST(Pipeline, ObjectFileSerializationRoundTrips) {
     ObjectFile back;
     ASSERT_TRUE(DeserializeObjectFile(bytes, &back)) << object.name;
     EXPECT_EQ(back.name, object.name);
-    ASSERT_EQ(back.symbols.size(), object.symbols.size());
-    for (size_t i = 0; i < object.symbols.size(); ++i) {
-      EXPECT_EQ(back.symbols[i].name, object.symbols[i].name);
-      EXPECT_EQ(back.symbols[i].section, object.symbols[i].section);
-      EXPECT_EQ(back.symbols[i].global, object.symbols[i].global);
-      EXPECT_EQ(back.symbols[i].index, object.symbols[i].index);
+    ASSERT_EQ(back.symbols().size(), object.symbols().size());
+    for (size_t i = 0; i < object.symbols().size(); ++i) {
+      EXPECT_EQ(back.symbols()[i].name(), object.symbols()[i].name());
+      EXPECT_EQ(back.symbols()[i].section, object.symbols()[i].section);
+      EXPECT_EQ(back.symbols()[i].global, object.symbols()[i].global);
+      EXPECT_EQ(back.symbols()[i].index, object.symbols()[i].index);
     }
     ASSERT_EQ(back.functions.size(), object.functions.size());
     for (size_t i = 0; i < object.functions.size(); ++i) {
